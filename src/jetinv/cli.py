@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .exact import Matrix
 from .invariants import (
     ResourceLimitError,
     generator_set,
@@ -72,10 +71,6 @@ def _print_human(payload: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
-def _matrix_json(m: Matrix) -> list[list[str]]:
-    return m.to_strings()
-
-
 def cmd_group_matrix(args) -> int:
     p, k = args.p, args.k
     if p < 1 or k < 1:
@@ -95,7 +90,7 @@ def cmd_group_matrix(args) -> int:
             return EXIT_BAD_INPUT
         jet = JetMap(1, 1, k, {(i,): (vals[i - 1],) for i in range(1, k + 1)})
         m = group_matrix(jet)
-        payload = {"p": p, "k": k, "matrix": _matrix_json(m)}
+        payload = {"p": p, "k": k, "matrix": m.to_strings()}
         _emit(payload, args)
         return EXIT_OK
     psi, ring = symbolic_reparam(p, k)
@@ -104,7 +99,7 @@ def cmd_group_matrix(args) -> int:
         "p": p,
         "k": k,
         "basis": [list(mm) for mm in sym_basis(p, k).monomials],
-        "matrix": _matrix_json(m),
+        "matrix": m.to_strings(),
     }
     if args.closed_form:
         basis = sym_basis(p, k)
@@ -215,10 +210,23 @@ def cmd_test_curve(args) -> int:
     return EXIT_OK
 
 
+def _parse_eps(text: str | None) -> Fraction | None:
+    """--eps as a rational in (0, 1); None keeps the formal symbol."""
+    if text is None:
+        return None
+    try:
+        eps = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"malformed --eps {text!r}: need a rational such as 1/8") from None
+    if not 0 < eps < 1:
+        raise ValueError(f"--eps must satisfy 0 < eps < 1, got {text}")
+    return eps
+
+
 def cmd_orbit(args) -> int:
     try:
         if args.orbit_cmd == "limit":
-            eps = Fraction(args.eps) if args.eps else None
+            eps = _parse_eps(args.eps)
             w = limit_of_distinguished(args.sigma, args.k, _kind(args.kind), eps=eps,
                                        force=args.force)
             _emit(w.to_json(), args)
@@ -279,7 +287,7 @@ def compute_fixtures() -> dict[str, dict]:
         "p": 2,
         "k": 3,
         "basis": [list(mm) for mm in sym_basis(2, 3).monomials],
-        "matrix": _matrix_json(m),
+        "matrix": m.to_strings(),
     }
 
     jet22, _ = symbolic_jet(1, 2, 2)

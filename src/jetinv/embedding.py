@@ -16,6 +16,8 @@ sign-normalizes as it inserts factors.  Dense exterior powers are never built.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -210,14 +212,7 @@ def _wedge_insert(factors: tuple[int, ...], pos: int) -> tuple[tuple[int, ...], 
 
     Returns (new tuple, sign) or None if the factor already occurs.
     """
-    lo = 0
-    hi = len(factors)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if factors[mid] < pos:
-            lo = mid + 1
-        else:
-            hi = mid
+    lo = bisect.bisect_left(factors, pos)
     if lo < len(factors) and factors[lo] == pos:
         return None
     sign = -1 if (len(factors) - lo) % 2 else 1
@@ -227,17 +222,23 @@ def _wedge_insert(factors: tuple[int, ...], pos: int) -> tuple[tuple[int, ...], 
 def wedge_of_sparse_vectors(
     n: int, k: int, vectors: list[dict[int, Fraction]]
 ) -> WedgeVector:
-    """Exterior product of sparse vectors over the Sym basis, sign-normalized."""
-    terms: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    """Exterior product of sparse rational vectors over the Sym basis,
+    sign-normalized.  Each vector is scaled to integers by the lcm of its
+    denominators; the product of the scales is divided out once at the end."""
+    terms: dict[tuple[int, ...], int] = {(): 1}
+    scale = 1
     for vec in vectors:
-        nxt: dict[tuple[int, ...], Fraction] = {}
+        d = math.lcm(*(v.denominator for v in vec.values()))
+        ivec = [(pos, v.numerator * (d // v.denominator)) for pos, v in vec.items()]
+        scale *= d
+        nxt: dict[tuple[int, ...], int] = {}
         for factors, c in terms.items():
-            for pos, v in vec.items():
+            for pos, v in ivec:
                 ins = _wedge_insert(factors, pos)
                 if ins is None:
                     continue
                 newf, sign = ins
-                val = nxt.get(newf, Fraction(0)) + c * v * sign
+                val = nxt.get(newf, 0) + (c * v if sign > 0 else -c * v)
                 if val:
                     nxt[newf] = val
                 else:
@@ -245,6 +246,9 @@ def wedge_of_sparse_vectors(
         terms = nxt
         if not terms:
             break
+    shared: dict[int, Fraction] = {}  # few distinct values; one immutable Fraction each
+    for t, c in terms.items():
+        terms[t] = shared.get(c) or shared.setdefault(c, Fraction(c, scale))
     return WedgeVector(n, k, len(vectors), terms)
 
 

@@ -6,9 +6,11 @@ Weights live in Q + Q*eps with eps an infinitesimal positive formal symbol,
 ordered lexicographically; this is the exact small-eps limit of the "fix
 0 < eps < 1" convention and removes all genericity tuning.  The projective
 limit of a wedge point under a diagonal one-parameter subgroup is its
-minimal-total-weight part, computed by brute force over the expanded terms;
-the per-degree closed forms are then verified against that limit rather than
-assumed.
+minimal-total-weight part, computed by brute force over the expanded terms.
+The weights of a subgroup are scaled by the lcm of their denominators into
+integer pairs (a, b), summed once per basis position, and compared as tuples:
+a positive scale keeps the lexicographic Q + Q*eps order.  The per-degree
+closed forms are then verified against that limit rather than assumed.
 
 Twist reduction (used for stabilizers of w tensor e_1^K and its p > 1
 analogue): in the equation X.(w ox e_1^K) = 0, the tensor slots that acquire
@@ -22,6 +24,7 @@ full tensor expansion at small sizes in the test suite before reliance.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -37,7 +40,7 @@ from .exact import (
     rat_str,
 )
 from .embedding import WedgeVector, p_point, phi, wedge_of_sparse_vectors
-from .jets import flat_jet
+from .jets import _compositions_fixed_length, flat_jet
 from .symbasis import Monomial, defect, defect_of_partition, sym_basis, sym_dim
 
 WEDGE_COST_CEILING = 6000
@@ -153,10 +156,6 @@ def head(lam: OneParamSubgroup) -> tuple[int, str] | None:
     return None
 
 
-def weight_of(lam: OneParamSubgroup, m: Monomial) -> EpsWeight:
-    return lam.weight_of(m)
-
-
 def _check_wedge_cost(n_letters: int, k: int):
     cost = k * sym_dim(n_letters, k)
     if cost > WEDGE_COST_CEILING:
@@ -165,32 +164,40 @@ def _check_wedge_cost(n_letters: int, k: int):
         )
 
 
+def _position_weights(
+    lam: OneParamSubgroup, monomials: list[Monomial]
+) -> tuple[list[int], list[int]]:
+    """a- and b-parts of each monomial's weight under lam, scaled to integers
+    by D, the lcm of all denominators of lam's weights (D > 0 keeps the order)."""
+    scale = math.lcm(*(x.denominator for wt in lam.weights for x in (wt.a, wt.b)))
+    la = [int(wt.a * scale) for wt in lam.weights]
+    lb = [int(wt.b * scale) for wt in lam.weights]
+    pa = [sum(la[i - 1] for i in m) for m in monomials]
+    pb = [sum(lb[i - 1] for i in m) for m in monomials]
+    return pa, pb
+
+
 def limit_point(w: WedgeVector, lam: OneParamSubgroup) -> WedgeVector:
     """The projective limit of lam(t).w as t -> 0: the minimal-weight part.
 
     Every expanded term's total weight is the sum of its factor weights; the
     terms achieving the minimum survive with their original coefficients.
+    Weights are integer pairs (a, b) for a + b*eps, scaled by the lcm of their
+    denominators, one per basis position; tuple order is the Q + Q*eps order.
     """
     if w.is_zero():
         raise ValueError("limit of the zero vector")
-    basis = w.basis()
-    best: EpsWeight | None = None
+    pa, pb = _position_weights(lam, w.basis().monomials)
+    best: tuple[int, int] | None = None
     kept: dict[tuple[int, ...], Fraction] = {}
     for factors, c in w.terms.items():
-        total = ZERO_W
-        for pos in factors:
-            total = total + lam.weight_of(basis.monomial_at(pos))
+        total = (sum(map(pa.__getitem__, factors)), sum(map(pb.__getitem__, factors)))
         if best is None or total < best:
             best = total
             kept = {factors: c}
         elif total == best:
             kept[factors] = c
     return WedgeVector(w.n, w.k, w.r, kept)
-
-
-def _p1_columns(k: int) -> list[dict[int, Fraction]]:
-    """Sparse columns of the embedded flat curve jet (ambient n = k)."""
-    return phi(flat_jet(1, k)).columns
 
 
 def z_closed_form(sigma: int, k: int, kind: str, force: bool = False) -> WedgeVector:
@@ -210,7 +217,7 @@ def z_closed_form(sigma: int, k: int, kind: str, force: bool = False) -> WedgeVe
     if not force:
         _check_wedge_cost(k, k)
     basis = sym_basis(k, k)
-    cols = _p1_columns(k)
+    cols = phi(flat_jet(1, k)).columns
     filtered: list[dict[int, Fraction]] = []
     for i in range(1, k + 1):
         col = cols[i - 1]
@@ -241,21 +248,12 @@ def toral_dimension(lam: OneParamSubgroup, k: int) -> int:
     """Number of degrees whose minimal-weight column part is the single
     coordinate monomial of that degree."""
     basis = sym_basis(k, k)
-    cols = _p1_columns(k)
+    pa, pb = _position_weights(lam, basis.monomials)
     count = 0
-    for i in range(1, k + 1):
-        col = cols[i - 1]
-        best: EpsWeight | None = None
-        argbest: set[Monomial] = set()
-        for pos in col:
-            m = basis.monomial_at(pos)
-            wgt = lam.weight_of(m)
-            if best is None or wgt < best:
-                best = wgt
-                argbest = {m}
-            elif wgt == best:
-                argbest.add(m)
-        if argbest == {(i,)}:
+    for i, col in enumerate(phi(flat_jet(1, k)).columns, start=1):
+        best = min((pa[pos], pb[pos]) for pos in col)
+        argbest = [pos for pos in col if (pa[pos], pb[pos]) == best]
+        if argbest == [basis.index_of((i,))]:
             count += 1
     return count
 
@@ -536,7 +534,7 @@ def limit_stabilizer_matrix(sigma: int, k: int) -> LimitStabilizerMatrix:
         row = []
         for j in range(1, k + 1):
             limit = ring.zero()
-            for parts in _compositions_exact(j, i):
+            for parts in _compositions_fixed_length(j, i):
                 expo = lam.weights[i - 1] - lam.weights[j - 1]
                 for a in parts:
                     expo = expo + ns[a - 1]
@@ -552,12 +550,6 @@ def limit_stabilizer_matrix(sigma: int, k: int) -> LimitStabilizerMatrix:
             row.append(limit)
         entries.append(row)
     return LimitStabilizerMatrix(sigma=sigma, k=k, ring=ring, entries=entries, n_exponents=ns)
-
-
-def _compositions_exact(j: int, i: int) -> list[tuple[int, ...]]:
-    from .jets import _compositions_fixed_length
-
-    return _compositions_fixed_length(j, i)
 
 
 # -- extra stabilizing transformations --------------------------------------

@@ -23,10 +23,6 @@ Monomial = tuple[int, ...]
 Exponent = tuple[int, ...]
 
 
-def monomial_key(m: Monomial) -> tuple:
-    return (len(m), m)
-
-
 def entries_to_exponent(m: Monomial, p: int) -> Exponent:
     e = [0] * p
     for letter in m:

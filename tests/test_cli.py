@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from jetinv.cli import main
 
@@ -86,6 +89,15 @@ def test_orbit_limit_numeric_eps(capsys):
         ["orbit", "limit", "--k", "3", "--sigma", "2", "--kind", "mu", "--json"], capsys
     )
     assert out == out2
+
+
+@pytest.mark.parametrize("eps", ["abc", "", "1/0", "0", "-1/8", "1", "5"])
+def test_orbit_limit_bad_eps_exits_2(capsys, eps):
+    code = main(["orbit", "limit", "--k", "3", "--sigma", "2", "--kind", "lambda", f"--eps={eps}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--eps" in captured.err and len(captured.err.strip().splitlines()) == 1
 
 
 def test_orbit_stabilizer(capsys):
@@ -173,6 +185,8 @@ def test_console_entry_point():
         capture_output=True,
         text=True,
         cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 1

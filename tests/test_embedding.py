@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetinv.exact import Matrix
 from jetinv.jets import (
@@ -159,6 +162,27 @@ def test_wedge_repeated_vector_vanishes():
     assert wedge_columns(phi(gamma)).is_zero()
     with pytest.raises(ValueError):
         wedge_columns(phi(gamma), [0, 0])
+
+
+_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)).filter(bool)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.lists(
+    st.dictionaries(st.integers(0, 8), _fractions, min_size=1, max_size=5),
+    min_size=r, max_size=r)))
+def test_wedge_coefficients_are_row_minors(vectors):
+    from jetinv.embedding import wedge_of_sparse_vectors
+
+    # sym_basis(2, 3) has 9 positions
+    w = wedge_of_sparse_vectors(2, 3, vectors)
+    r = len(vectors)
+    support = sorted(set().union(*vectors))
+    for rows in itertools.combinations(support, r):
+        minor = Matrix([[vec.get(pos, Fraction(0)) for vec in vectors] for pos in rows])
+        assert w.terms.get(rows, Fraction(0)) == minor.det()
+    assert all(type(c) is Fraction and c for c in w.terms.values())
+    assert set(w.terms) <= set(itertools.combinations(support, r))
 
 
 def test_degenerate_jet_wedge():

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetinv.exact import Matrix, kernel_basis, rank
-from jetinv.embedding import WedgeVector, apply_group_to_wedge, p_point
+from jetinv.embedding import WedgeVector, apply_group_to_wedge, p_point, wedge_of_sparse_vectors
 from jetinv.invariants import ResourceLimitError
 from jetinv.orbits import (
     EpsWeight,
@@ -31,7 +33,6 @@ from jetinv.orbits import (
     theta_choice,
     toral_dimension,
     twist_exponent,
-    weight_of,
     z_closed_form,
     _lie_action_on_wedge,
 )
@@ -62,12 +63,12 @@ def test_distinguished_subgroups():
 
 def test_weight_of():
     lam = OneParamSubgroup((EpsWeight.of(1), EpsWeight.of(2), EpsWeight.of(3)))
-    assert weight_of(lam, (1, 2)) == EpsWeight.of(3)
+    assert lam.weight_of((1, 2)) == EpsWeight.of(3)
     lt = lambda_tilde(6)
     for tau in [(1, 1, 2), (3, 3), (6,)]:
-        assert weight_of(lt, tau) == EpsWeight.of(sum(tau))
+        assert lt.weight_of(tau) == EpsWeight.of(sum(tau))
     l2 = lambda_sigma(2, 4)
-    assert weight_of(l2, (2, 2)) == EpsWeight.of(4, -2)
+    assert l2.weight_of((2, 2)) == EpsWeight.of(4, -2)
 
 
 def test_limit_point_fixtures():
@@ -123,6 +124,64 @@ def test_eps_robustness(k):
             )
 
 
+def _reference_limit(w, lam):
+    """Minimal-weight part by EpsWeight sums from OneParamSubgroup.weight_of."""
+    basis = w.basis()
+    totals = {}
+    for factors in w.terms:
+        total = EpsWeight.of(0)
+        for pos in factors:
+            total = total + lam.weight_of(basis.monomial_at(pos))
+        totals[factors] = total
+    best = min(totals.values())
+    return {f: c for f, c in w.terms.items() if totals[f] == best}
+
+
+_small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _wedge_and_subgroup(draw):
+    k = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        w = p_point(1, k)
+    else:
+        d = draw(st.integers(1, 3))
+        size = len(sym_basis(k, d))
+        vec = st.dictionaries(st.integers(0, size - 1), _small_rationals.filter(bool),
+                              min_size=1, max_size=5)
+        w = wedge_of_sparse_vectors(k, d, draw(st.lists(vec, min_size=1, max_size=3)))
+    pairs = draw(st.lists(st.tuples(_small_rationals, _small_rationals), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        weights = tuple(EpsWeight(a, b) for a, b in pairs)
+    else:
+        eps = draw(st.builds(Fraction, st.integers(1, 7), st.just(8)))
+        weights = tuple(EpsWeight(a + b * eps) for a, b in pairs)
+    return w, OneParamSubgroup(weights)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_wedge_and_subgroup())
+def test_limit_point_matches_eps_weight_oracle(case):
+    w, lam = case
+    if w.is_zero():
+        return
+    assert limit_point(w, lam).terms == _reference_limit(w, lam)
+
+
+@pytest.fixture(scope="module")
+def p7():
+    return p_point(1, 7)
+
+
+@pytest.mark.parametrize("sigma,kind,subgroup", [(3, "regular", lambda_sigma),
+                                                (2, "degenerate", mu_sigma)])
+def test_closed_form_equals_limit_k7(p7, sigma, kind, subgroup):
+    z = z_closed_form(sigma, 7, kind, force=True)
+    assert z == limit_point(p7, subgroup(sigma, 7))
+    assert z == limit_point(p7, subgroup(sigma, 7, Fraction(1, 16)))
+
+
 def test_degenerate_kind_rejected_at_sigma_k():
     with pytest.raises(ValueError):
         z_closed_form(4, 4, "degenerate")
@@ -150,7 +209,7 @@ def test_toral_dimension():
     b = sym_basis(4, 4)
     assert toral_dimension(low2, 4) >= 1
     cols2 = [t for t in partitions_of(2)]
-    assert weight_of(low2, (2,)) < weight_of(low2, (1, 1))
+    assert low2.weight_of((2,)) < low2.weight_of((1, 1))
 
 
 def test_rho_inequalities():
