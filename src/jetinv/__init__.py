@@ -11,7 +11,7 @@ from .invariants import (
     generator_set,
     solution_space_equals_perp,
     test_curve_system,
-    verify_invariance,
+    verify_generator_suite,
 )
 from .orbits import (
     EpsWeight,
@@ -47,7 +47,7 @@ __all__ = [
     "generator_set",
     "solution_space_equals_perp",
     "test_curve_system",
-    "verify_invariance",
+    "verify_generator_suite",
     "EpsWeight",
     "OneParamSubgroup",
     "codim_report",

@@ -145,11 +145,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_generators(args) -> int:
-    try:
-        gens = generator_set(args.n, args.k, args.p, limit=None if args.force else 20000)
-    except ResourceLimitError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_RESOURCE
+    gens = generator_set(args.n, args.k, args.p, limit=None if args.force else 20000)
     by_degree: dict[str, int] = {}
     for g in gens:
         key = str(g.weighted_degree)
@@ -194,18 +190,19 @@ def cmd_test_curve(args) -> int:
     sysm = test_curve_system(jet, N)
     expected = N * sym_dim(p, k)
     perp = solution_space_equals_perp(jet, N)
+    rank = sysm.rank()
     payload = {
         "p": p,
         "k": k,
         "n": n,
         "N": N,
         "jet": jet.to_json(),
-        "rank": sysm.rank(),
+        "rank": rank,
         "expected_codimension": expected,
         "solution_space_equals_perp": perp,
     }
     _emit(payload, args)
-    if sysm.rank() != expected or not perp:
+    if rank != expected or not perp:
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -224,48 +221,41 @@ def _parse_eps(text: str | None) -> Fraction | None:
 
 
 def cmd_orbit(args) -> int:
-    try:
-        if args.orbit_cmd == "limit":
-            eps = _parse_eps(args.eps)
-            w = limit_of_distinguished(args.sigma, args.k, _kind(args.kind), eps=eps,
-                                       force=args.force)
-            _emit(w.to_json(), args)
-            return EXIT_OK
-        if args.orbit_cmd == "closed-form":
-            z = z_closed_form(args.sigma, args.k, _kind(args.kind), force=args.force)
-            lim = limit_of_distinguished(args.sigma, args.k, _kind(args.kind),
-                                         force=args.force)
-            payload = z.to_json()
-            payload["matches_limit"] = z == lim
-            _emit(payload, args)
-            return EXIT_OK if z == lim else EXIT_VIOLATION
-        if args.orbit_cmd == "stabilizer":
-            tp = distinguished_twisted_point(1, args.k, args.M)
-            res = infinitesimal_stabilizer(tp, algebra="sl", mode="affine")
-            payload = {
-                "k": args.k,
-                "M": args.M,
-                "dimension": res.dimension,
-                "expected": args.k - 1,
-            }
-            _emit(payload, args)
-            return EXIT_OK if res.dimension == args.k - 1 else EXIT_VIOLATION
-        if args.orbit_cmd == "codim-report":
-            rep = codim_report(args.k, args.M, force=args.force)
-            _emit(rep, args)
-            if args.k >= 4 and not rep["all_bounds_ok"]:
-                return EXIT_VIOLATION
-            return EXIT_OK
-        if args.orbit_cmd == "probe-p":
-            rep = probe_stabilizer_conjecture(args.p, args.k, args.M, force=args.force)
-            _emit(rep, args)
-            return EXIT_OK
-    except ResourceLimitError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_RESOURCE
-    except ValueError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if args.orbit_cmd == "limit":
+        eps = _parse_eps(args.eps)
+        w = limit_of_distinguished(args.sigma, args.k, _kind(args.kind), eps=eps,
+                                   force=args.force)
+        _emit(w.to_json(), args)
+        return EXIT_OK
+    if args.orbit_cmd == "closed-form":
+        z = z_closed_form(args.sigma, args.k, _kind(args.kind), force=args.force)
+        lim = limit_of_distinguished(args.sigma, args.k, _kind(args.kind),
+                                     force=args.force)
+        payload = z.to_json()
+        payload["matches_limit"] = z == lim
+        _emit(payload, args)
+        return EXIT_OK if z == lim else EXIT_VIOLATION
+    if args.orbit_cmd == "stabilizer":
+        tp = distinguished_twisted_point(1, args.k, args.M)
+        res = infinitesimal_stabilizer(tp, algebra="sl", mode="affine")
+        payload = {
+            "k": args.k,
+            "M": args.M,
+            "dimension": res.dimension,
+            "expected": args.k - 1,
+        }
+        _emit(payload, args)
+        return EXIT_OK if res.dimension == args.k - 1 else EXIT_VIOLATION
+    if args.orbit_cmd == "codim-report":
+        rep = codim_report(args.k, args.M, force=args.force)
+        _emit(rep, args)
+        if args.k >= 4 and not rep["all_bounds_ok"]:
+            return EXIT_VIOLATION
+        return EXIT_OK
+    if args.orbit_cmd == "probe-p":
+        rep = probe_stabilizer_conjecture(args.p, args.k, args.M, force=args.force)
+        _emit(rep, args)
+        return EXIT_OK
     print("unknown orbit subcommand", file=sys.stderr)
     return EXIT_BAD_INPUT
 
@@ -449,6 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as e:
         print(str(e), file=sys.stderr)
         return EXIT_RESOURCE
+    except ValueError as e:
+        print(str(e), file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import Matrix, rank, rat, rat_str
+from .exact import Matrix, rank, rat, rat_str, row_space_basis
 from .jets import JetMap, flat_jet, _nonzero
 from .symbasis import Exponent, Monomial, SymBasis, sym_basis
 
@@ -289,34 +289,10 @@ def flag_spans(m: PhiMatrix) -> list[list[list[Fraction]]]:
     nrows = len(m.basis)
     out = []
     for d in range(1, m.k + 1):
-        cols = m.columns_of_degree_at_most(d)
-        vectors = []
-        for c in cols:
-            col = m.columns[c]
-            vectors.append([rat(col.get(rpos, Fraction(0))) for rpos in range(nrows)])
-        basis_rows = _row_space_basis(vectors)
-        out.append(basis_rows)
+        vectors = [[m.columns[c].get(rpos, Fraction(0)) for rpos in range(nrows)]
+                   for c in m.columns_of_degree_at_most(d)]
+        out.append(row_space_basis(vectors))
     return out
-
-
-def _row_space_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced independent spanning subset computation via elimination."""
-    work = [list(r) for r in rows]
-    basis: list[tuple[int, list[Fraction]]] = []  # (pivot column, row)
-    for row in work:
-        for pcol, prow in basis:
-            if row[pcol] != 0:
-                f = row[pcol] / prow[pcol]
-                row = [a - f * b for a, b in zip(row, prow)]
-        lead = next((i for i, x in enumerate(row) if x != 0), None)
-        if lead is not None:
-            basis.append((lead, row))
-    basis.sort(key=lambda t: t[0])
-    return [r for _, r in basis]
-
-
-def span_dims(spans: list[list[list[Fraction]]]) -> list[int]:
-    return [len(b) for b in spans]
 
 
 def same_span(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:

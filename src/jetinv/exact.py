@@ -5,10 +5,12 @@ Scalars are ``fractions.Fraction`` (aliased ``Rational``): always in lowest
 terms, positive denominator, no rounding ever.  A polynomial is a sparse map
 from exponent tuples (one entry per variable of its ring) to nonzero rational
 coefficients; two polynomials are equal iff they share a variable set and
-their term maps agree.  Rank, kernel and determinant over the rationals use
-Bareiss fraction-free elimination so intermediate entries stay integral after
-row scaling; determinants of matrices with polynomial entries fall back to
-division-free Laplace expansion with memoisation.
+their term maps agree.  Every linear solve over the rationals (rank,
+kernel, determinant, unique solution, inverse, row-space basis) goes through
+one Bareiss fraction-free elimination, so intermediate entries stay integral
+after row scaling, and one back substitution on its echelon rows;
+determinants of matrices with polynomial entries fall back to division-free
+Laplace expansion with memoisation.
 """
 
 from __future__ import annotations
@@ -374,8 +376,7 @@ class Matrix:
         return [[rat(x) for x in row] for row in self.data]
 
     def rank(self) -> int:
-        ech, pivots, _sign, _scale = _bareiss(self._rational_rows())
-        return len(pivots)
+        return rank(self._rational_rows())
 
     def kernel_basis(self) -> list[list[Fraction]]:
         return kernel_basis(self._rational_rows(), self.cols)
@@ -388,25 +389,17 @@ class Matrix:
         return _det_bareiss(self._rational_rows())
 
     def inverse(self) -> "Matrix":
+        """Echelon form of [A | I], then one back substitution per unit column."""
         rows = self._rational_rows()
         n = self.rows
         if self.cols != n:
             raise ValueError("inverse of a non-square matrix")
         aug = [rows[i] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            aug[r], aug[piv] = aug[piv], aug[r]
-            pv = aug[r][c]
-            aug[r] = [x / pv for x in aug[r]]
-            for i in range(n):
-                if i != r and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            r += 1
-        return Matrix([row[n:] for row in aug])
+        ech, pivots, _, _ = _bareiss(aug)
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("singular matrix")
+        unit_cols = ([Fraction(0)] * (n + j) + [Fraction(-1)] for j in range(n))
+        return Matrix([_back_substitute(ech, pivots, x)[:n] for x in unit_cols]).transpose()
 
     def to_strings(self) -> list[list[str]]:
         return [
@@ -467,42 +460,56 @@ def _bareiss(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int], in
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    frac = [[rat(x) for x in row] for row in rows]
-    if not frac:
-        return 0
-    _, pivots, _, _ = _bareiss(frac)
+    _, pivots, _, _ = _bareiss([[rat(x) for x in row] for row in rows])
     return len(pivots)
+
+
+def _back_substitute(ech: list[list[int]], pivots: list[int], x: list[Fraction]) -> list[Fraction]:
+    """Complete x in place so that every echelon row annihilates it.
+
+    The entries of x off the pivot columns are given (x may stop short of
+    the echelon width: the missing entries are 0); the pivot entries are
+    solved for, last pivot first.  A right-hand side b of M x = b rides along
+    as an augmented column of M whose entry in x is -1.
+    """
+    width = len(x)
+    for r in range(len(pivots) - 1, -1, -1):
+        p = pivots[r]
+        row = ech[r]
+        s = Fraction(0)
+        for j in range(p + 1, width):
+            if row[j] and x[j]:
+                s += row[j] * x[j]
+        x[p] = -s / row[p]
+    return x
 
 
 def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> list[list[Fraction]]:
     """Basis of the right null space {x : M x = 0}, via fraction-free echelon.
 
-    One basis vector per free column, with a 1 in that column; exact back
-    substitution on the echelon rows.
+    One basis vector per free column, with a 1 in that column and 0 in the
+    other free columns; the pivot entries come from back substitution.
     """
     frac = [[rat(x) for x in row] for row in rows]
     if ncols is None:
         if not frac:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(frac[0])
-    if not frac:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)] for j in range(ncols)]
     ech, pivots, _, _ = _bareiss(frac)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            p = pivots[r]
-            s = Fraction(0)
-            for j in range(p + 1, ncols):
-                if ech[r][j] and x[j]:
-                    s += ech[r][j] * x[j]
-            x[p] = -s / ech[r][p]
-        basis.append(x)
+    for f in range(ncols):
+        if f not in pivot_set:
+            x = [Fraction(0)] * ncols
+            x[f] = Fraction(1)
+            basis.append(_back_substitute(ech, pivots, x))
     return basis
+
+
+def row_space_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
+    """Basis of the row space: the nonzero rows of the fraction-free echelon."""
+    ech, pivots, _, _ = _bareiss([[rat(x) for x in row] for row in rows])
+    return [[Fraction(x) for x in row] for row in ech[: len(pivots)]]
 
 
 def _det_bareiss(rows: list[list[Fraction]]) -> Fraction:
@@ -558,15 +565,6 @@ def solve_unique(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> lis
     m = [[rat(x) for x in row] + [rat(b)] for row, b in zip(rows, rhs)]
     ncols = len(rows[0])
     ech, pivots, _, _ = _bareiss(m)
-    if ncols in pivots:
-        return None  # inconsistent: pivot in the augmented column
-    if len(pivots) < ncols:
-        return None  # underdetermined
-    x = [Fraction(0)] * ncols
-    for r in range(len(pivots) - 1, -1, -1):
-        p = pivots[r]
-        s = Fraction(ech[r][ncols])
-        for j in range(p + 1, ncols):
-            s -= ech[r][j] * x[j]
-        x[p] = s / ech[r][p]
-    return x
+    if pivots != list(range(ncols)):
+        return None  # underdetermined, or inconsistent (a pivot in the b column)
+    return _back_substitute(ech, pivots, [Fraction(0)] * ncols + [Fraction(-1)])[:ncols]

@@ -72,12 +72,6 @@ class InvariantPoly:
         col_idx = [pm.col_index.index(s) for s in self.cols]
         return pm.submatrix(row_pos, col_idx).det()
 
-    def evaluate_at(self, jet: JetMap) -> Fraction:
-        """Exact value at a rational jet, via the embedded matrix minor."""
-        if (jet.p, jet.q, jet.k) != (self.p, self.n, self.k):
-            raise ValueError("jet shape mismatch")
-        return rat(self._minor_of(phi(jet)))
-
     def key(self) -> tuple:
         """Scalar-normalized term signature used for deduplication."""
         p = self.poly
@@ -232,58 +226,6 @@ def scale_jet(jet: JetMap, lam: tuple[Fraction, ...]) -> JetMap:
     return JetMap(jet.p, jet.q, jet.k, coeffs)
 
 
-def verify_invariance(
-    q: InvariantPoly, trials: int = 100, seed: int = 0, bound: int = 10
-) -> dict:
-    """Exact randomized invariance and homogeneity check.
-
-    Each trial draws a random rational jet and a random unipotent (p = 1) or
-    determinant-one (p > 1) reparametrization and compares the minor's exact
-    values before and after precomposition; a single discrepancy is returned
-    as a witness.  Torus homogeneity is checked at a random nonzero rational
-    scaling per trial.
-    """
-    rng = random.Random(seed)
-    witness = None
-    homogeneous = True
-    for _ in range(trials):
-        gamma = random_jet(rng, q.p, q.n, q.k, bound=bound)
-        psi = random_reparam(
-            rng, q.p, q.k, bound=bound, unipotent=(q.p == 1), special=(q.p > 1)
-        )
-        v0 = q.evaluate_at(gamma)
-        v1 = q.evaluate_at(compose(gamma, psi))
-        if v0 != v1:
-            witness = {
-                "gamma": gamma.to_json(),
-                "psi": psi.to_json(),
-                "value": str(v0),
-                "composed_value": str(v1),
-            }
-            break
-        lam = tuple(
-            _nonzero_rational(rng, bound) for _ in range(q.p)
-        )
-        vl = q.evaluate_at(scale_jet(gamma, lam))
-        wd = q.weighted_degree
-        if isinstance(wd, int):
-            expected = lam[0] ** wd * v0
-        else:
-            expected = v0
-            for l, w in zip(lam, wd):
-                expected *= l**w
-        if vl != expected:
-            homogeneous = False
-            witness = {"lambda": [str(l) for l in lam], "value": str(vl)}
-            break
-    return {
-        "ok": witness is None,
-        "homogeneous": homogeneous,
-        "trials": trials,
-        "witness": witness,
-    }
-
-
 def _nonzero_rational(rng: random.Random, bound: int) -> Fraction:
     while True:
         x = random_rational(rng, bound)
@@ -328,8 +270,17 @@ def verify_generator_suite(
     seed: int = 0,
     bound: int = 10,
 ) -> dict:
-    """Run the invariance and homogeneity trials for a whole generator list,
-    sharing the embedded matrices across generators within each trial."""
+    """Exact randomized invariance and homogeneity check of a generator list.
+
+    Each trial draws a random rational jet, a random unipotent (p = 1) or
+    determinant-one (p > 1) reparametrization and a random nonzero torus
+    scaling, embeds the three jets once, and compares every generator's exact
+    minor values: unchanged under precomposition, scaled by the weighted
+    degree under the torus.  The first discrepancy is returned as a witness
+    whose "kind" names the failed check.
+    """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     if not gens:
         return {"ok": True, "trials": trials, "witness": None, "generators": 0}
     n, k, p = gens[0].n, gens[0].k, gens[0].p
@@ -386,6 +337,8 @@ def bulk_invariance_check(
     """
     from .jets import group_matrix
 
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     rng = random.Random(seed)
     failures = 0
     for _ in range(trials):

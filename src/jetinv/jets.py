@@ -330,22 +330,18 @@ def symbolic_jet(p: int, n: int, k: int, prefix: str = "u") -> tuple[JetMap, Pol
     names = []
     for s in basis.exponents:
         for j in range(1, n + 1):
-            names.append(_jet_var_name(prefix, s, j))
+            names.append(jet_var_name(prefix, s, j))
     ring = PolyRing(names)
     coeffs = {}
     for s in basis.exponents:
-        coeffs[s] = tuple(ring.var(_jet_var_name(prefix, s, j)) for j in range(1, n + 1))
+        coeffs[s] = tuple(ring.var(jet_var_name(prefix, s, j)) for j in range(1, n + 1))
     return JetMap(p, n, k, coeffs), ring
 
 
-def _jet_var_name(prefix: str, s: Exponent, j: int) -> str:
+def jet_var_name(prefix: str, s: Exponent, j: int) -> str:
     if len(s) == 1:
         return f"{prefix}{s[0]}_{j}"
     return f"{prefix}[" + ",".join(map(str, s)) + f"]_{j}"
-
-
-def jet_var_name(prefix: str, s: Exponent, j: int) -> str:
-    return _jet_var_name(prefix, s, j)
 
 
 def invert(psi: JetMap) -> JetMap:
@@ -361,10 +357,7 @@ def invert(psi: JetMap) -> JetMap:
     for vec in psi.coeffs.values():
         if any(isinstance(c, SparsePolynomial) for c in vec):
             raise TypeError("symbolic jets have no polynomial inverse")
-    L = psi.linear_matrix()
-    if L.det() == 0:
-        raise ZeroDivisionError("singular linear part")
-    Li = L.inverse()
+    Li = psi.linear_matrix().inverse()  # ZeroDivisionError if singular
     p, k = psi.p, psi.k
     inv_coeffs: dict[Exponent, CoefVec] = {}
     for i in range(p):

@@ -328,6 +328,27 @@ def _lie_action_on_wedge(a: int, b: int, w: WedgeVector) -> dict[tuple[int, ...]
     return out
 
 
+def _gl_unknowns(n: int) -> list[tuple[int, int]]:
+    """The unknowns of a stabilizer system: the entries (a, b) of X, row-major."""
+    return [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+
+
+def _trace_row(unknowns: list[tuple[int, int]], extra: int = 0) -> list[Fraction]:
+    """The sl constraint tr X = 0, padded with zeros for extra unknowns."""
+    return [Fraction(1 if a == b else 0) for a, b in unknowns] + [Fraction(0)] * extra
+
+
+def _stabilizer_kernel(columns: list[dict], constraints: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Kernel of a stabilizer system given by sparse columns (row key ->
+    coefficient, one column per unknown) stacked over dense constraint rows.
+
+    The sparse rows are ordered by their sorted keys, then the constraints.
+    """
+    keys = sorted({key for col in columns for key in col})
+    rows = [[col.get(key, Fraction(0)) for col in columns] for key in keys]
+    return kernel_basis(rows + constraints, len(columns))
+
+
 def infinitesimal_stabilizer(
     target: WedgeVector | TwistedPoint,
     algebra: str = "sl",
@@ -350,34 +371,20 @@ def infinitesimal_stabilizer(
     if w.is_zero():
         raise ValueError("stabilizer of the zero vector")
     n = w.n
-    unknowns = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    columns = {u: _lie_action_on_wedge(u[0], u[1], w) for u in unknowns}
-    keys: set[tuple[int, ...]] = set()
-    for col in columns.values():
-        keys.update(col)
-    extra = 1 if mode == "projective" else 0
-    if mode == "projective":
-        keys.update(w.terms)
-    key_list = sorted(keys)
-    rows = []
-    for key in key_list:
-        row = [columns[u].get(key, Fraction(0)) for u in unknowns]
-        if mode == "projective":
-            row.append(-w.terms.get(key, Fraction(0)))
-        rows.append(row)
-    if algebra == "sl":
-        trace_row = [Fraction(1) if a == b else Fraction(0) for (a, b) in unknowns]
-        trace_row += [Fraction(0)] * extra
-        rows.append(trace_row)
-    kern = kernel_basis(rows, len(unknowns) + extra)
+    unknowns = _gl_unknowns(n)
+    columns = [_lie_action_on_wedge(a, b, w) for a, b in unknowns]
+    if mode == "projective":  # the scalar unknown: X.w - c w = 0
+        columns.append({key: -c for key, c in w.terms.items()})
+    constraints = [_trace_row(unknowns, len(columns) - len(unknowns))] if algebra == "sl" else []
+    kern = _stabilizer_kernel(columns, constraints)
     basis_mats = [_reshape(vec[: len(unknowns)], n) for vec in kern]
     return StabilizerResult(dimension=len(kern), basis=basis_mats)
 
 
 def _reshape(entries: list[Fraction], n: int) -> Matrix:
     data = [[Fraction(0)] * n for _ in range(n)]
-    for idx, (a, b) in enumerate((a, b) for a in range(1, n + 1) for b in range(1, n + 1)):
-        data[a - 1][b - 1] = entries[idx]
+    for (a, b), x in zip(_gl_unknowns(n), entries):
+        data[a - 1][b - 1] = x
     return Matrix(data)
 
 
@@ -385,30 +392,25 @@ def _twisted_stabilizer(tp: TwistedPoint, algebra: str) -> StabilizerResult:
     w = tp.wedge
     n = w.n
     p = tp.twist_dim
-    unknowns = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    columns = {u: dict(_lie_action_on_wedge(u[0], u[1], w)) for u in unknowns}
+    unknowns = _gl_unknowns(n)
+    columns = [_lie_action_on_wedge(a, b, w) for a, b in unknowns]
     ratio = Fraction(tp.b, tp.a)
     for j in range(1, p + 1):
-        col = columns[(j, j)]
+        col = columns[unknowns.index((j, j))]
         for key, c in w.terms.items():
             val = col.get(key, Fraction(0)) + ratio * c
             if val:
                 col[key] = val
             else:
                 col.pop(key, None)
-    keys: set[tuple[int, ...]] = set()
-    for col in columns.values():
-        keys.update(col)
-    key_list = sorted(keys)
-    rows = [[columns[u].get(key, Fraction(0)) for u in unknowns] for key in key_list]
-    for j in range(1, p + 1):  # X must keep the twist span invariant
-        for a in range(p + 1, n + 1):
-            row = [Fraction(0)] * len(unknowns)
-            row[unknowns.index((a, j))] = Fraction(1)
-            rows.append(row)
+    constraints = [  # X must keep the twist span invariant: X[a][j] = 0
+        [Fraction(1 if u == (a, j) else 0) for u in unknowns]
+        for j in range(1, p + 1)
+        for a in range(p + 1, n + 1)
+    ]
     if algebra == "sl":
-        rows.append([Fraction(1) if a == b else Fraction(0) for (a, b) in unknowns])
-    kern = kernel_basis(rows, len(unknowns))
+        constraints.append(_trace_row(unknowns))
+    kern = _stabilizer_kernel(columns, constraints)
     return StabilizerResult(dimension=len(kern), basis=[_reshape(v, n) for v in kern])
 
 
@@ -418,25 +420,19 @@ def stabilizer_full_tensor_e1(w: WedgeVector, K: int, algebra: str = "sl") -> in
     Exponential in K; exists to cross-validate the twist reduction at small
     sizes before the reduced system is relied on.
     """
-    n = w.n
-    unknowns = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    unknowns = _gl_unknowns(w.n)
     base_slots = (1,) * K
-    columns: dict[tuple[int, int], dict] = {}
+    columns = []
     for a, b in unknowns:
-        col: dict = {}
-        for key, c in _lie_action_on_wedge(a, b, w).items():
-            col[(key, base_slots)] = col.get((key, base_slots), Fraction(0)) + c
+        col = {(key, base_slots): c for key, c in _lie_action_on_wedge(a, b, w).items()}
         if b == 1:
             for slot in range(K):
                 slots = tuple(a if i == slot else 1 for i in range(K))
                 for key, c in w.terms.items():
                     col[(key, slots)] = col.get((key, slots), Fraction(0)) + c
-        columns[(a, b)] = {kk: v for kk, v in col.items() if v}
-    keys = sorted({kk for col in columns.values() for kk in col})
-    rows = [[columns[u].get(kk, Fraction(0)) for u in unknowns] for kk in keys]
-    if algebra == "sl":
-        rows.append([Fraction(1) if a == b else Fraction(0) for (a, b) in unknowns])
-    return len(kernel_basis(rows, len(unknowns)))
+        columns.append({kk: v for kk, v in col.items() if v})
+    constraints = [_trace_row(unknowns)] if algebra == "sl" else []
+    return len(_stabilizer_kernel(columns, constraints))
 
 
 # -- limit of the stabilizer group ------------------------------------------
@@ -883,6 +879,8 @@ def probe_stabilizer_conjecture(p: int, k: int, M: int = 1, force: bool = False)
     twisted point for surfaces and report it against the predicted value
     p * sym^{<=k}(p) - 1.  Exploratory: a mismatch is reported, not raised.
     """
+    if p < 1 or k < 1 or M < 1:
+        raise ValueError("need p >= 1, k >= 1 and M >= 1")
     if p == 1:
         res = infinitesimal_stabilizer(
             distinguished_twisted_point(1, k, M), algebra="sl", mode="affine"

@@ -112,11 +112,6 @@ def partitions_of(m: int) -> list[tuple[int, ...]]:
     return gen(m, 1)
 
 
-def perm(parts: tuple[int, ...]) -> int:
-    """Number of distinct sequences of the parts, e.g. perm((1,1,1,3)) = 4."""
-    return orderings_count(tuple(parts))
-
-
 def defect(sigma: int, i: int) -> int:
     """d(i) = floor(i / sigma)."""
     if sigma < 2 or i < 1:

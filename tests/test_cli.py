@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -100,6 +101,23 @@ def test_orbit_limit_bad_eps_exits_2(capsys, eps):
     assert "--eps" in captured.err and len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generators", "--n", "0", "--k", "2"],
+        ["test-curve", "--k", "0", "--n", "2"],
+        ["orbit", "probe-p", "--p", "0", "--k", "2"],
+        ["generators", "--n", "2", "--k", "2", "--verify", "--trials", "-5"],
+    ],
+)
+def test_bad_input_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_orbit_stabilizer(capsys):
     code, out = run_cli(["orbit", "stabilizer", "--k", "2", "--M", "1", "--json"], capsys)
     assert code == 0
@@ -190,3 +208,27 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 1
+
+
+# SHA-256 of the --json stdout of fixed invocations: identical invocations
+# print byte-identical JSON, and a change to any of these outputs must be
+# deliberate (update the digest in the same change).
+GOLDEN_STDOUT = {
+    "orbit codim-report --k 4": "d6f045f89bb761e35b2aae0c4b3f8ce22fe664b65de62823b780fb4e486cae12",
+    "orbit stabilizer --k 4 --M 1": "d2b6d251c7cad8a3d02c73f8df08475b1487295c279d0868ac8f7ebf0be161da",
+    "orbit stabilizer --k 4 --M 2": "b59dd4d7be98108020a922df0e9e8abc4f940729001e347cb49e4e380f8298e9",
+    "orbit closed-form --k 5 --sigma 2 --kind lambda": "b139cfd33511bba356431743b0aee429deb9b1e47c7d2b0d2c78caf8a73f5350",
+    "phi --p 2 --k 2 --n 2 --symbolic": "40e7a9746baada24345d0ea7fdbd0c2fbe99950afe1bccd030dbf7c4a6aab42a",
+    "group-matrix --p 2 --k 3 --symbolic": "b8f5155c49e0e10636fe26dc06b93f08de09fc223cb66c9ab54ed6e4fd6d2e02",
+    "test-curve --k 3 --n 3 --N 2 --seed 7": "7150103ce5ee0ca1013b6fe569741daef83a6ea72b13d1833ea08966b1cfe629",
+    "generators --n 2 --k 2 --verify --trials 5 --seed 1": "af8c6b6286f96d4d6b0f935e70d161fe9eaa0a1609414b784bc7e48bd6397177",
+    "orbit probe-p --p 2 --k 2": "ab41a1b1f4eb067da80f133aab2063720a7abf1b7d40730a95dc14df17e25094",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, argv):
+    code = main(argv.split() + ["--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]

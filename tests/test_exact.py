@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jetinv.embedding import same_span
 from jetinv.exact import (
     Matrix,
     PolyRing,
@@ -10,6 +13,7 @@ from jetinv.exact import (
     parse_rat,
     rank,
     rat_str,
+    row_space_basis,
     solve_unique,
 )
 
@@ -179,3 +183,82 @@ class TestLinearAlgebra:
     def test_kernel_function_empty(self):
         assert len(kernel_basis([], 4)) == 4
         assert rank([[0, 0], [0, 0]]) == 0
+
+
+# -- properties of the shared elimination core ------------------------------
+
+# Zero-heavy small rationals, so rank-deficient matrices come up often.
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
+def _matrices(rows=st.integers(1, 5), cols=st.integers(1, 5)):
+    return st.tuples(rows, cols).flatmap(
+        lambda rc: st.lists(
+            st.lists(_entries, min_size=rc[1], max_size=rc[1]), min_size=rc[0], max_size=rc[0]
+        )
+    )
+
+
+def _square_matrices():
+    return st.integers(1, 5).flatmap(
+        lambda n: _matrices(rows=st.just(n), cols=st.just(n))
+    )
+
+
+def _apply(a, x):
+    return [sum((r * v for r, v in zip(row, x)), Fraction(0)) for row in a]
+
+
+_property = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+
+@_property
+@given(_matrices())
+def test_kernel_vectors_annihilate_and_rank_plus_nullity(a):
+    ncols = len(a[0])
+    kern = kernel_basis(a, ncols)
+    for x in kern:
+        assert len(x) == ncols
+        assert _apply(a, x) == [0] * len(a)
+    assert rank(a) + len(kern) == ncols
+    assert Matrix(a).rank() == rank(a)
+    assert not kern or rank(kern) == len(kern)
+
+
+@_property
+@given(_matrices(), st.lists(_entries, min_size=5, max_size=5))
+def test_solve_unique_recovers_the_solution(a, x0):
+    ncols = len(a[0])
+    x0 = x0[:ncols]
+    b = _apply(a, x0)
+    sol = solve_unique(a, b)
+    if rank(a) == ncols:
+        assert sol == x0
+    else:
+        assert sol is None
+    # repeating the first equation with another right-hand side is inconsistent
+    assert solve_unique(a + [a[0]], b + [b[0] + 1]) is None
+
+
+@_property
+@given(_square_matrices())
+def test_inverse_or_singular(a):
+    m = Matrix(a)
+    if rank(a) == m.rows:
+        assert m @ m.inverse() == Matrix.identity(m.rows)
+        assert m.inverse() @ m == Matrix.identity(m.rows)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+
+
+@_property
+@given(_matrices())
+def test_row_space_basis_spans_the_rows(a):
+    basis = row_space_basis(a)
+    assert len(basis) == rank(a)
+    assert all(len(row) == len(a[0]) for row in basis)
+    assert same_span(basis, a)

@@ -21,7 +21,6 @@ from jetinv.invariants import (
     scale_jet,
     solution_space_equals_perp,
     verify_generator_suite,
-    verify_invariance,
     verify_invariance_symbolic,
 )
 from jetinv.symbasis import sym_basis, sym_dim
@@ -78,8 +77,8 @@ def test_generator_homogeneity_symbolic():
 def test_verify_invariance_positive():
     gens = generator_set(2, 2, 1)
     for g in gens:
-        rep = verify_invariance(g, trials=30, seed=11)
-        assert rep["ok"] and rep["homogeneous"], rep
+        rep = verify_generator_suite([g], trials=30, seed=11)
+        assert rep["ok"] and rep["witness"] is None, rep
 
 
 def test_verify_invariance_detects_noninvariant():
@@ -91,9 +90,9 @@ def test_verify_invariance_detects_noninvariant():
     # rows e1, column 2 picks u2_1 + quadratic terms; its degree-1 part alone
     # transforms with an alpha_2 shear, so the minor (here a single entry)
     # is *not* unipotent-invariant.
-    rep = verify_invariance(fake, trials=50, seed=0)
+    rep = verify_generator_suite([fake], trials=50, seed=0)
     assert not rep["ok"]
-    assert rep["witness"] is not None
+    assert rep["witness"]["kind"] == "invariance"
 
 
 def test_verify_invariance_symbolic_small():
@@ -115,6 +114,16 @@ def test_verify_generator_suite():
 def test_bulk_invariance_check():
     rep = bulk_invariance_check(4, 4, trials=10, seed=9)
     assert rep["ok"] and rep["failures"] == 0
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_zero_trials_never_report_ok(trials):
+    with pytest.raises(ValueError):
+        verify_generator_suite(generator_set(2, 2, 1), trials=trials)
+    with pytest.raises(ValueError):
+        verify_generator_suite([], trials=trials)
+    with pytest.raises(ValueError):
+        bulk_invariance_check(2, 2, trials=trials)
 
 
 def test_generator_count_limit():

@@ -10,7 +10,6 @@ from jetinv.symbasis import (
     int_compositions,
     orderings_count,
     partitions_of,
-    perm,
     sym_basis,
     sym_dim,
     vector_compositions,
@@ -52,15 +51,15 @@ def test_partition_counts():
 
 
 def test_perm():
-    assert perm((1, 1, 1, 3)) == 4
-    assert perm((5,)) == 1
-    assert perm((1, 2)) == 2
+    assert orderings_count((1, 1, 1, 3)) == 4
+    assert orderings_count((5,)) == 1
+    assert orderings_count((1, 2)) == 2
     assert orderings_count((1, 1, 2)) == 3
 
 
 def test_perm_sums_to_compositions():
     for m in range(1, 8):
-        total = sum(perm(t) for t in partitions_of(m))
+        total = sum(orderings_count(t) for t in partitions_of(m))
         assert total == len(int_compositions(m)) == 2 ** (m - 1)
 
 
