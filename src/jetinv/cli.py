@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import invariants
 from .invariants import (
     ResourceLimitError,
     generator_set,
@@ -129,14 +130,7 @@ def cmd_phi(args) -> int:
     else:
         rng = random.Random(args.seed)
         jet = random_jet(rng, p, n, k, bound=args.coeff_bound, regular=True)
-    pm = phi(jet)
-    cols = {}
-    for i, s in enumerate(pm.col_index):
-        entries = {}
-        for rpos in sorted(pm.columns[i]):
-            mono = pm.basis.monomial_at(rpos)
-            entries[str(list(mono))] = str(pm.columns[i][rpos])
-        cols["[" + ",".join(map(str, s)) + "]"] = entries
+    cols = _phi_json(phi(jet), col_key=lambda s: f"[{_csv(s)}]", row_key=lambda m: str(list(m)))
     payload = {"p": p, "k": k, "n": n, "columns": cols}
     if not args.symbolic:
         payload["jet"] = jet.to_json()
@@ -145,7 +139,8 @@ def cmd_phi(args) -> int:
 
 
 def cmd_generators(args) -> int:
-    gens = generator_set(args.n, args.k, args.p, limit=None if args.force else 20000)
+    limit = None if args.force else invariants.MINOR_COUNT_CEILING
+    gens = generator_set(args.n, args.k, args.p, limit=limit)
     by_degree: dict[str, int] = {}
     for g in gens:
         key = str(g.weighted_degree)
@@ -302,15 +297,16 @@ def compute_fixtures() -> dict[str, dict]:
     return out
 
 
-def _phi_json(pm) -> dict:
-    cols = {}
-    for i, s in enumerate(pm.col_index):
-        entries = {}
-        for rpos in sorted(pm.columns[i]):
-            mono = pm.basis.monomial_at(rpos)
-            entries[",".join(map(str, mono))] = str(pm.columns[i][rpos])
-        cols[",".join(map(str, s))] = entries
-    return cols
+def _csv(t: tuple[int, ...]) -> str:
+    return ",".join(map(str, t))
+
+
+def _phi_json(pm, col_key=_csv, row_key=_csv) -> dict:
+    """Embedded columns as {column multi-index: {row monomial: entry}}."""
+    return {
+        col_key(s): {row_key(pm.basis.monomial_at(r)): str(col[r]) for r in sorted(col)}
+        for s, col in zip(pm.col_index, pm.columns)
+    }
 
 
 def cmd_fixtures(args) -> int:

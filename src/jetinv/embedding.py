@@ -9,6 +9,12 @@ the worked small cases and preserved by the right-action equivariance law
 
     phi(compose(gamma, psi)) = phi(gamma) @ group_matrix(psi).
 
+Elements of Sym^{<=k} C^n are exponent-keyed while they are multiplied:
+Sym C^n is the polynomial ring in n letters, so the shared truncated
+``exact.sparse_product`` multiplies them, and only finished columns and
+images are re-keyed to positions in the ordered Sym basis.  Wedge factors
+stay basis positions.
+
 Wedge vectors are kept sparse: a term is a strictly increasing tuple of
 positions into the ordered basis of Sym^{<=k} C^n, and every expansion routine
 sign-normalizes as it inserts factors.  Dense exterior powers are never built.
@@ -20,38 +26,22 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from operator import sub
 
-from .exact import Matrix, rank, rat, rat_str, row_space_basis
-from .jets import JetMap, flat_jet, _nonzero
+from .exact import Matrix, rank, rat, rat_str, row_space_basis, sparse_product
+from .jets import JetMap, flat_jet
 from .symbasis import Exponent, Monomial, SymBasis, sym_basis
 
 
-def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(sorted(a + b))
+@lru_cache(maxsize=None)
+def _unit_exponents(n: int) -> tuple[Exponent, ...]:
+    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
 
 
-def _vector_to_sym(vec, n: int) -> dict[Monomial, object]:
+def _vector_to_sym(vec, n: int) -> dict[Exponent, object]:
     """A vector in C^n as a degree-1 element of the symmetric algebra."""
-    out = {}
-    for j in range(n):
-        if _nonzero(vec[j]):
-            out[(j + 1,)] = vec[j]
-    return out
-
-
-def _sym_mul(a: dict, b: dict) -> dict:
-    out: dict[Monomial, object] = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = _merge_monomials(m1, m2)
-            term = c1 * c2
-            cur = out.get(m)
-            val = term if cur is None else cur + term
-            if _nonzero(val):
-                out[m] = val
-            elif cur is not None:
-                del out[m]
-    return out
+    return {e: c for e, c in zip(_unit_exponents(n), vec) if c}
 
 
 @dataclass
@@ -100,32 +90,28 @@ def phi(gamma: JetMap) -> PhiMatrix:
     p, n, k = gamma.p, gamma.q, gamma.k
     basis = sym_basis(n, k)
     domain = sym_basis(p, k)
-    cols_by_exp: dict[Exponent, dict[Monomial, object]] = {}
+    heads = {s1: _vector_to_sym(vec, n) for s1, vec in gamma.coeffs.items()}
+    cols_by_exp: dict[Exponent, dict[Exponent, object]] = {}
     for s in domain.exponents:
-        acc: dict[Monomial, object] = {}
-        gs = gamma.coeffs.get(s)
-        if gs is not None:
-            acc = dict(_vector_to_sym(gs, n))
-        for s1, vec in gamma.coeffs.items():
-            rest = tuple(a - b for a, b in zip(s, s1))
-            if any(x < 0 for x in rest) or not any(rest):
+        acc = dict(heads.get(s, {}))
+        for s1, head in heads.items():
+            rest = tuple(map(sub, s, s1))
+            if min(rest) < 0 or not any(rest):
                 continue
             tail = cols_by_exp.get(rest)
             if not tail:
                 continue
-            head = _vector_to_sym(vec, n)
-            for m, c in _sym_mul(head, tail).items():
-                cur = acc.get(m)
+            for e, c in sparse_product(head, tail).items():
+                cur = acc.get(e)
                 val = c if cur is None else cur + c
-                if _nonzero(val):
-                    acc[m] = val
+                if val:
+                    acc[e] = val
                 elif cur is not None:
-                    del acc[m]
+                    del acc[e]
         cols_by_exp[s] = acc
     col_index = list(domain.exponents)
-    columns = []
-    for s in col_index:
-        columns.append({basis.index_of(m): c for m, c in cols_by_exp[s].items()})
+    position = basis.exponent_position
+    columns = [{position[e]: c for e, c in cols_by_exp[s].items()} for s in col_index]
     return PhiMatrix(n=n, k=k, p=p, col_index=col_index, columns=columns, basis=basis)
 
 
@@ -308,19 +294,16 @@ def same_span(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:
 # -- induced group actions -------------------------------------------------
 
 
-def sym_image_of_monomial(g: Matrix, m: Monomial, n: int) -> dict[Monomial, object]:
-    """Image of a basis monomial under the multiplicative action of g on C^n.
+def sym_image_of_monomial(g: Matrix, m: Monomial, n: int) -> dict[Exponent, object]:
+    """Image of a basis monomial under the multiplicative action of g on C^n,
+    keyed by exponent vector.
 
     g acts by columns: e_j maps to sum_i g[i][j] e_i, extended as an algebra
     map to products of letters.
     """
-    out: dict[Monomial, object] = {(): Fraction(1)}
+    out: dict[Exponent, object] = {(0,) * n: Fraction(1)}
     for letter in m:
-        img: dict[Monomial, object] = {}
-        for i in range(n):
-            if _nonzero(g.data[i][letter - 1]):
-                img[(i + 1,)] = g.data[i][letter - 1]
-        out = _sym_mul(out, img)
+        out = sparse_product(out, _vector_to_sym([row[letter - 1] for row in g.data], n))
     return out
 
 
@@ -336,7 +319,7 @@ def apply_group_to_wedge(g: Matrix, w: WedgeVector) -> WedgeVector:
         if got is None:
             mono = basis.monomial_at(pos)
             img = sym_image_of_monomial(g, mono, w.n)
-            got = {basis.index_of(m): c for m, c in img.items()}
+            got = {basis.exponent_position[e]: c for e, c in img.items()}
             image_cache[pos] = got
         return got
 
@@ -354,6 +337,6 @@ def sym_matrix_of(g: Matrix, n: int, k: int) -> Matrix:
     data = [[Fraction(0)] * size for _ in range(size)]
     for col, mono in enumerate(basis.monomials):
         img = sym_image_of_monomial(g, mono, n)
-        for m, c in img.items():
-            data[basis.index_of(m)][col] = c
+        for e, c in img.items():
+            data[basis.exponent_position[e]][col] = c
     return Matrix(data)

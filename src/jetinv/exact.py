@@ -5,18 +5,24 @@ Scalars are ``fractions.Fraction`` (aliased ``Rational``): always in lowest
 terms, positive denominator, no rounding ever.  A polynomial is a sparse map
 from exponent tuples (one entry per variable of its ring) to nonzero rational
 coefficients; two polynomials are equal iff they share a variable set and
-their term maps agree.  Every linear solve over the rationals (rank,
-kernel, determinant, unique solution, inverse, row-space basis) goes through
-one Bareiss fraction-free elimination, so intermediate entries stay integral
-after row scaling, and one back substitution on its echelon rows;
-determinants of matrices with polynomial entries fall back to division-free
-Laplace expansion with memoisation.
+their term maps agree.  One sparse product, ``sparse_product``, multiplies
+exponent-keyed maps with rational or polynomial coefficients, optionally
+truncated at a total degree: it serves polynomial multiplication, truncated
+jet composition and the symmetric algebra behind the jet embedding.
+
+Every linear solve over the rationals (rank, kernel, determinant, unique
+solution, inverse, row-space basis) goes through one Bareiss fraction-free
+elimination, so intermediate entries stay integral after row scaling, and one
+back substitution on its echelon rows; determinants of matrices with
+polynomial entries fall back to division-free Laplace expansion with
+memoisation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
 
 Rational = Fraction
@@ -184,16 +190,7 @@ class SparsePolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return SparsePolynomial(self.ring, out)
+        return SparsePolynomial(self.ring, sparse_product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -210,9 +207,6 @@ class SparsePolynomial:
         return result
 
     # -- queries -------------------------------------------------------
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         """Greatest term in graded lex order; raises on the zero polynomial."""
@@ -307,6 +301,33 @@ class SparsePolynomial:
 
 
 Coef = Union[Fraction, SparsePolynomial]
+
+
+def sparse_product(
+    a: Mapping[tuple[int, ...], Coef],
+    b: Mapping[tuple[int, ...], Coef],
+    bound: int | None = None,
+) -> dict[tuple[int, ...], Coef]:
+    """Product of two sparse maps from exponent vectors to coefficients.
+
+    Exponents add and coefficients multiply; with a bound, products of total
+    degree above it are dropped (the truncated product of k-jets and of
+    Sym^{<=k}).  Zero coefficients are pruned by truthiness.
+    """
+    out: dict[tuple[int, ...], Coef] = {}
+    for e1, c1 in a.items():
+        room = None if bound is None else bound - sum(e1)
+        for e2, c2 in b.items():
+            if room is not None and sum(e2) > room:
+                continue
+            e = tuple(map(add, e1, e2))
+            cur = out.get(e)
+            s = c1 * c2 if cur is None else cur + c1 * c2
+            if s:
+                out[e] = s
+            elif cur is not None:
+                del out[e]
+    return out
 
 
 class Matrix:
@@ -562,6 +583,8 @@ def _det_laplace(data: Sequence[Sequence[Coef]]) -> Coef:
 
 def solve_unique(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list[Fraction] | None:
     """Solve M x = b when a solution exists and is unique; None otherwise."""
+    if not rows:
+        raise ValueError("solve_unique needs at least one equation")
     m = [[rat(x) for x in row] + [rat(b)] for row, b in zip(rows, rhs)]
     ncols = len(rows[0])
     ech, pivots, _, _ = _bareiss(m)

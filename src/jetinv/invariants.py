@@ -55,15 +55,12 @@ class InvariantPoly:
     cols: tuple[Exponent, ...]
     weighted_degree: object  # int for p = 1, tuple for p > 1
     _poly: SparsePolynomial | None = None
-    _ring: object = None
 
     @property
     def poly(self) -> SparsePolynomial:
         if self._poly is None:
-            gamma, ring = symbolic_jet(self.p, self.n, self.k)
-            pm = phi(gamma)
-            self._poly = self._minor_of(pm)
-            self._ring = ring
+            gamma, _ = symbolic_jet(self.p, self.n, self.k)
+            self._poly = self._minor_of(phi(gamma))
         return self._poly
 
     def _minor_of(self, pm: PhiMatrix) -> SparsePolynomial | Fraction:

@@ -21,14 +21,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Matrix, PolyRing, SparsePolynomial, rat, rat_str, parse_rat
+from .exact import Matrix, PolyRing, SparsePolynomial, rat, rat_str, parse_rat, sparse_product
 from .symbasis import Exponent, Monomial, entries_to_exponent, sym_basis, vector_compositions
 
 CoefVec = tuple
-
-
-def _vec_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 @dataclass
@@ -53,7 +49,7 @@ class JetMap:
                 raise ValueError(f"bad source multi-index {s!r}")
             if len(vec) != self.q:
                 raise ValueError("coefficient vector length mismatch")
-            if any(_nonzero(c) for c in vec):
+            if any(vec):
                 clean[s] = tuple(vec)
         self.coeffs = clean
 
@@ -62,11 +58,7 @@ class JetMap:
 
     def coordinate_poly(self, j: int) -> dict[Exponent, object]:
         """The j-th coordinate (0-based) as a sparse exponent -> coefficient map."""
-        out = {}
-        for s, vec in self.coeffs.items():
-            if _nonzero(vec[j]):
-                out[s] = vec[j]
-        return out
+        return {s: vec[j] for s, vec in self.coeffs.items() if vec[j]}
 
     def linear_matrix(self) -> Matrix:
         """The q x p matrix L of the degree-1 block (column i = image of e_i)."""
@@ -79,11 +71,7 @@ class JetMap:
     def is_reparam(self) -> bool:
         if self.p != self.q:
             return False
-        d = self.linear_matrix().det()
-        return _nonzero(d)
-
-    def is_unipotent(self) -> bool:
-        return self.p == self.q and self.linear_matrix() == Matrix.identity(self.p)
+        return bool(self.linear_matrix().det())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JetMap):
@@ -109,12 +97,6 @@ class JetMap:
         return cls(int(obj["p"]), int(obj["q"]), int(obj["k"]), coeffs)
 
 
-def _nonzero(c) -> bool:
-    if isinstance(c, SparsePolynomial):
-        return not c.is_zero()
-    return c != 0
-
-
 def identity_jet(p: int, k: int) -> JetMap:
     coeffs = {}
     for i in range(p):
@@ -137,29 +119,11 @@ def flat_jet(p: int, k: int) -> JetMap:
     return JetMap(p, n, k, coeffs)
 
 
-def _mul_trunc(a: dict, b: dict, k: int) -> dict:
-    out: dict[Exponent, object] = {}
-    for s1, c1 in a.items():
-        d1 = sum(s1)
-        for s2, c2 in b.items():
-            if d1 + sum(s2) > k:
-                continue
-            s = _vec_add(s1, s2)
-            prod = c1 * c2
-            cur = out.get(s)
-            val = prod if cur is None else cur + prod
-            if _nonzero(val):
-                out[s] = val
-            elif cur is not None:
-                del out[s]
-    return out
-
-
 def _coord_power(coords: list[dict], j: int, e: int, k: int, cache: dict) -> dict:
     key = (j, e)
     got = cache.get(key)
     if got is None:
-        got = coords[j] if e == 1 else _mul_trunc(
+        got = coords[j] if e == 1 else sparse_product(
             _coord_power(coords, j, e - 1, k, cache), coords[j], k
         )
         cache[key] = got
@@ -173,7 +137,7 @@ def _monomial_of_coords(coords: list[dict], s: Exponent, k: int, cache: dict) ->
         if e == 0:
             continue
         powed = _coord_power(coords, j, e, k, cache)
-        result = powed if result is None else _mul_trunc(result, powed, k)
+        result = powed if result is None else sparse_product(result, powed, k)
     return result if result is not None else {}
 
 
@@ -199,14 +163,14 @@ def compose(g: JetMap, f: JetMap) -> JetMap:
                 slot = [None] * g.q
                 acc[t] = slot
             for r in range(g.q):
-                if not _nonzero(gvec[r]):
+                if not gvec[r]:
                     continue
                 term = c * gvec[r]
                 slot[r] = term if slot[r] is None else slot[r] + term
     coeffs = {}
     for t, slot in acc.items():
         vec = tuple(Fraction(0) if c is None else c for c in slot)
-        if any(_nonzero(c) for c in vec):
+        if any(vec):
             coeffs[t] = vec
     return JetMap(f.p, g.q, k, coeffs)
 

@@ -72,6 +72,7 @@ class SymBasis:
         self.monomials = enumerate_sym_basis(n, k)
         self.position = {m: i for i, m in enumerate(self.monomials)}
         self.exponents = [entries_to_exponent(m, n) for m in self.monomials]
+        self.exponent_position = {e: i for i, e in enumerate(self.exponents)}
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -163,20 +164,3 @@ def vector_compositions(s: Exponent) -> list[tuple[Exponent, ...]]:
         return out
 
     return gen(tuple(s))
-
-
-def compositions_into(s: "int | Exponent", ordered: bool = True):
-    """Decompositions of an integer or of a multi-index into nonzero pieces.
-
-    Ordered: tuples (the summation convention of the first-order expansion
-    formulas).  Unordered: multisets, canonically sorted.
-    """
-    if isinstance(s, int):
-        if ordered:
-            return int_compositions(s)
-        return partitions_of(s)
-    comps = vector_compositions(tuple(s))
-    if ordered:
-        return comps
-    seen = sorted({tuple(sorted(c)) for c in comps})
-    return list(seen)

@@ -269,8 +269,9 @@ def test_criterion_06_test_curve_codimension():
         sysm = curve_system(gamma, 1)
         ring = gamma.coeffs[(1, 0)][0].ring
         gv = lambda s, j: ring.var(f"g[{s[0]},{s[1]}]_{j}")
-        psi_basis = sym_basis(3, 2)
-        from jetinv.embedding import _sym_mul, _vector_to_sym
+        from jetinv.embedding import _vector_to_sym
+        from jetinv.exact import sparse_product
+        from jetinv.symbasis import exponent_to_entries
 
         def quad_row(linear, pairs):
             row = {}
@@ -278,10 +279,9 @@ def test_criterion_06_test_curve_codimension():
                 key = (tuple(1 if i == j - 1 else 0 for i in range(3)), 0)
                 row[key] = linear[j - 1]
             for coeff, vv, ww in pairs:
-                prod = _sym_mul(_vector_to_sym(vv, 3), _vector_to_sym(ww, 3))
-                for mono, c in prod.items():
-                    s = psi_basis.exponents[psi_basis.index_of(mono)]
-                    add = coeff * c * Fraction(1, orderings_count(mono))
+                prod = sparse_product(_vector_to_sym(vv, 3), _vector_to_sym(ww, 3))
+                for s, c in prod.items():
+                    add = coeff * c * Fraction(1, orderings_count(exponent_to_entries(s)))
                     row[(s, 0)] = row.get((s, 0), ring.zero()) + add
             return row
 

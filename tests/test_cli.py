@@ -64,6 +64,16 @@ def test_generators_resource_limit(capsys):
     assert code == 3
 
 
+def test_generators_follows_the_minor_count_ceiling(capsys, monkeypatch):
+    import jetinv.invariants
+
+    monkeypatch.setattr(jetinv.invariants, "MINOR_COUNT_CEILING", 3)
+    code, _ = run_cli(["generators", "--n", "2", "--k", "2"], capsys)
+    assert code == 3
+    code, _ = run_cli(["generators", "--n", "2", "--k", "2", "--force"], capsys)
+    assert code == 0
+
+
 def test_orbit_limit_and_closed_form(capsys):
     code, out = run_cli(
         ["orbit", "limit", "--k", "4", "--sigma", "2", "--kind", "lambda", "--json"],
@@ -219,6 +229,7 @@ GOLDEN_STDOUT = {
     "orbit stabilizer --k 4 --M 2": "b59dd4d7be98108020a922df0e9e8abc4f940729001e347cb49e4e380f8298e9",
     "orbit closed-form --k 5 --sigma 2 --kind lambda": "b139cfd33511bba356431743b0aee429deb9b1e47c7d2b0d2c78caf8a73f5350",
     "phi --p 2 --k 2 --n 2 --symbolic": "40e7a9746baada24345d0ea7fdbd0c2fbe99950afe1bccd030dbf7c4a6aab42a",
+    "phi --p 2 --k 3 --n 3 --seed 3": "22aceb90e4654ee18384ddf418fda84620a15ea39943a1603262bcb58c6038fb",
     "group-matrix --p 2 --k 3 --symbolic": "b8f5155c49e0e10636fe26dc06b93f08de09fc223cb66c9ab54ed6e4fd6d2e02",
     "test-curve --k 3 --n 3 --N 2 --seed 7": "7150103ce5ee0ca1013b6fe569741daef83a6ea72b13d1833ea08966b1cfe629",
     "generators --n 2 --k 2 --verify --trials 5 --seed 1": "af8c6b6286f96d4d6b0f935e70d161fe9eaa0a1609414b784bc7e48bd6397177",

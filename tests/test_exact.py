@@ -9,12 +9,14 @@ from jetinv.embedding import same_span
 from jetinv.exact import (
     Matrix,
     PolyRing,
+    _det_laplace,
     kernel_basis,
     parse_rat,
     rank,
     rat_str,
     row_space_basis,
     solve_unique,
+    sparse_product,
 )
 
 
@@ -148,8 +150,6 @@ class TestLinearAlgebra:
 
     def test_bareiss_matches_laplace(self):
         rng = random.Random(11)
-        from jetinv.exact import _det_laplace
-
         for _ in range(25):
             n = rng.randint(1, 4)
             data = [
@@ -179,6 +179,10 @@ class TestLinearAlgebra:
         assert solve_unique([[2, 0], [0, 3]], [4, 9]) == [Fraction(2), Fraction(3)]
         assert solve_unique([[1, 1], [2, 2]], [1, 3]) is None  # inconsistent
         assert solve_unique([[1, 1], [2, 2]], [1, 2]) is None  # underdetermined
+
+    def test_solve_unique_needs_an_equation(self):
+        with pytest.raises(ValueError, match="at least one equation"):
+            solve_unique([], [])
 
     def test_kernel_function_empty(self):
         assert len(kernel_basis([], 4)) == 4
@@ -262,3 +266,33 @@ def test_row_space_basis_spans_the_rows(a):
     assert len(basis) == rank(a)
     assert all(len(row) == len(a[0]) for row in basis)
     assert same_span(basis, a)
+
+
+@_property
+@given(_square_matrices())
+def test_bareiss_det_equals_laplace_det(a):
+    assert Matrix(a).det() == _det_laplace(a)
+
+
+# -- properties of the shared sparse product --------------------------------
+
+_RING = PolyRing(["x", "y"])
+# Few exponents, so distinct term pairs often land on the same product term.
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), _entries, max_size=5
+).map(_RING.poly)
+_points = st.tuples(*[st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))] * 2)
+
+
+@_property
+@given(_polys, _polys, st.integers(0, 5))
+def test_bounded_product_is_the_truncated_product(p, q, k):
+    full = sparse_product(p.terms, q.terms)
+    assert sparse_product(p.terms, q.terms, k) == {e: c for e, c in full.items() if sum(e) <= k}
+
+
+@_property
+@given(_polys, _polys, _points)
+def test_product_evaluates_pointwise(p, q, x):
+    point = dict(zip(_RING.names, x))
+    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)

@@ -210,22 +210,21 @@ def test_example_8_3_symbolic_rows():
     sysm = curve_system(gamma, 1)
     ring = gamma.coeffs[(1, 0)][0].ring
     g = lambda s, j: ring.var(f"g[{s[0]},{s[1]}]_{j}")
-    psi_basis = sym_basis(n, 2)
 
     def hom_pair_row(linear_vec, quad_pairs):
         """Expected row: Psi'(linear_vec) + sum of c * Psi''(v, w) terms."""
         row = {}
         for j in range(1, n + 1):
             row[((0,) * (j - 1) + (1,) + (0,) * (n - j), 0)] = linear_vec[j - 1]
-        from jetinv.embedding import _sym_mul, _vector_to_sym
-        from jetinv.symbasis import orderings_count
+        from jetinv.embedding import _vector_to_sym
+        from jetinv.exact import sparse_product
+        from jetinv.symbasis import exponent_to_entries, orderings_count
 
         for coeff, v, w in quad_pairs:
-            prod = _sym_mul(_vector_to_sym(v, n), _vector_to_sym(w, n))
-            for mono, c in prod.items():
-                s = psi_basis.exponents[psi_basis.index_of(mono)]
+            prod = sparse_product(_vector_to_sym(v, n), _vector_to_sym(w, n))
+            for s, c in prod.items():
                 key = (s, 0)
-                add = coeff * c * Fraction(1, orderings_count(mono))
+                add = coeff * c * Fraction(1, orderings_count(exponent_to_entries(s)))
                 row[key] = row.get(key, ring.zero()) + add
         return row
 

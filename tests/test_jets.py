@@ -226,24 +226,25 @@ def test_composition_matches_partition_expansion():
     )
     composed = compose(psi, gamma)
 
-    from jetinv.embedding import _sym_mul, _vector_to_sym
+    from jetinv.embedding import _vector_to_sym
+    from jetinv.exact import sparse_product
+    from jetinv.symbasis import exponent_to_entries
 
     def psi_hom(sym_elt):
         total = ring.zero()
-        for mono, coeff in sym_elt.items():
-            s = psi_basis.exponents[psi_basis.index_of(mono)]
+        for s, coeff in sym_elt.items():
             total = total + ring.var(jet_var_name("P", s, 1)) * coeff * Fraction(
-                1, orderings_count(mono)
+                1, orderings_count(exponent_to_entries(s))
             )
         return total
 
     for m in range(1, k + 1):
         rhs = ring.zero()
         for tau in partitions_of(m):
-            raw = {(): Fraction(1)}
+            raw = {(0,) * n: Fraction(1)}
             for i in tau:
                 vec = tuple(c * factorial(i) for c in gamma.coeffs[(i,)])
-                raw = _sym_mul(raw, _vector_to_sym(vec, n))
+                raw = sparse_product(raw, _vector_to_sym(vec, n))
             coeff = Fraction(orderings_count(tau))
             for i in tau:
                 coeff /= factorial(i)

@@ -1,7 +1,6 @@
 import random
 
 from jetinv.symbasis import (
-    compositions_into,
     defect,
     defect_of_partition,
     entries_to_exponent,
@@ -91,14 +90,6 @@ def test_vector_compositions():
     assert len(comps) == 3
     pairs = [c for c in comps if len(c) == 2]
     assert len(pairs) == 2  # the two orderings behind the doubled mixed term
-
-
-def test_compositions_into_dispatch():
-    assert sorted(compositions_into(3)) == sorted(int_compositions(3))
-    assert compositions_into(3, ordered=False) == partitions_of(3)
-    unord = compositions_into((1, 1), ordered=False)
-    assert ((1, 1),) in unord and (((0, 1), (1, 0))) in unord
-    assert len(unord) == 2
 
 
 def test_vector_compositions_sum():
