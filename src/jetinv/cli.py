@@ -75,20 +75,16 @@ def _print_human(payload: dict, indent: str = "") -> None:
 def cmd_group_matrix(args) -> int:
     p, k = args.p, args.k
     if p < 1 or k < 1:
-        print("need p >= 1 and k >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("need p >= 1 and k >= 1")
     if args.params:
         if p != 1:
-            print("--params supports p = 1; use --symbolic for p > 1", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("--params supports p = 1; use --symbolic for p > 1")
         try:
             vals = [Fraction(x) for x in args.params.split(",")]
         except (ValueError, ZeroDivisionError):
-            print("malformed --params", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("malformed --params") from None
         if len(vals) != k or vals[0] == 0:
-            print("--params needs k values with nonzero first", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("--params needs k values with nonzero first")
         jet = JetMap(1, 1, k, {(i,): (vals[i - 1],) for i in range(1, k + 1)})
         m = group_matrix(jet)
         payload = {"p": p, "k": k, "matrix": m.to_strings()}
@@ -123,8 +119,7 @@ def cmd_group_matrix(args) -> int:
 def cmd_phi(args) -> int:
     p, k, n = args.p, args.k, args.n
     if min(p, k, n) < 1:
-        print("need positive sizes", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("need positive sizes")
     if args.symbolic:
         jet, _ = symbolic_jet(p, n, k)
     else:

@@ -585,6 +585,8 @@ def solve_unique(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> lis
     """Solve M x = b when a solution exists and is unique; None otherwise."""
     if not rows:
         raise ValueError("solve_unique needs at least one equation")
+    if len(rhs) != len(rows):
+        raise ValueError("solve_unique needs one right-hand side per equation")
     m = [[rat(x) for x in row] + [rat(b)] for row, b in zip(rows, rhs)]
     ncols = len(rows[0])
     ech, pivots, _, _ = _bareiss(m)

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Matrix, ResourceLimitError, SparsePolynomial, kernel_basis, rank, rat
+from .exact import Matrix, ResourceLimitError, SparsePolynomial, kernel_basis, rat
 from .jets import (
     JetMap,
     compose,
@@ -32,7 +32,7 @@ from .jets import (
     random_rational,
     symbolic_jet,
 )
-from .embedding import PhiMatrix, phi
+from .embedding import PhiMatrix, phi, same_span
 from .symbasis import Exponent, Monomial, sym_basis
 
 
@@ -378,13 +378,10 @@ class TestCurveSystem:
     def rank(self) -> int:
         return self.matrix.rank()
 
-    def kernel(self) -> list[list[Fraction]]:
-        return kernel_basis([row for row in self.matrix.data], len(self.col_index))
-
     def kernel_jets(self) -> list[JetMap]:
         out = []
         col_of = {sc: i for i, sc in enumerate(self.col_index)}
-        for vec in self.kernel():
+        for vec in kernel_basis(self.matrix.data, len(self.col_index)):
             coeffs = {}
             for s in sym_basis(self.n, self.k).exponents:
                 v = tuple(vec[col_of[(s, c)]] for c in range(self.N))
@@ -429,8 +426,14 @@ def solution_space_equals_perp(gamma: JetMap, N: int = 1) -> bool:
     monomial/hom duality: coordinate s is weighted by 1 over the number of
     orderings of s (each system term is one letter-assignment class of the
     corresponding expanded product).  The embedding and the system are built
-    by independent routines; the identity is certified by orthogonality of
-    the kernel to every embedded column plus a rank count.
+    by independent routines.
+
+    The identity is a span equality.  Let A be the system matrix, K = ker A
+    and S the weighted embedded columns tensored with C^N.  Over Q, K^perp =
+    rowspace(A) for the standard pairing, so "S is orthogonal to K and
+    rank S + dim K = cols" holds exactly when "span S lies in rowspace(A) and
+    rank S = cols - dim K = rank A", that is, when span S = rowspace(A).
+    `same_span` decides this with three ranks, without a kernel.
     """
     from .symbasis import orderings_count
 
@@ -446,11 +449,4 @@ def solution_space_equals_perp(gamma: JetMap, N: int = 1) -> bool:
                 weight = orderings_count(pm.basis.monomial_at(rpos))
                 vec[col_of[(s, c)]] = rat(val) / weight
             span_rows.append(vec)
-    kern = sysm.kernel()
-    for kv in kern:
-        for row in span_rows:
-            dot = sum(a * b for a, b in zip(row, kv))
-            if dot != 0:
-                return False
-    total = len(sysm.col_index)
-    return rank(span_rows) + len(kern) == total
+    return same_span(span_rows, sysm.matrix.data)

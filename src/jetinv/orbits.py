@@ -691,6 +691,16 @@ def _simplex_max(
     basis = [n + i for i in range(m)]
     cost = [Fraction(0)] * n + [Fraction(1)] * m
 
+    def pivot(i: int, j: int) -> None:
+        # make column j a unit column with its 1 in row i; variable j enters the basis
+        piv = tab[i][j]
+        tab[i] = [x / piv for x in tab[i]]
+        for r in range(m):
+            if r != i and tab[r][j] != 0:
+                f = tab[r][j]
+                tab[r] = [x - f * y for x, y in zip(tab[r], tab[i])]
+        basis[i] = j
+
     def run(costvec: list[Fraction], allowed: int) -> Fraction:
         # minimize costvec . x over the current tableau, Bland's rule
         while True:
@@ -718,13 +728,7 @@ def _simplex_max(
                         leaving = i
             if leaving < 0:
                 raise ArithmeticError("unbounded linear program")
-            piv = tab[leaving][entering]
-            tab[leaving] = [x / piv for x in tab[leaving]]
-            for i in range(m):
-                if i != leaving and tab[i][entering] != 0:
-                    f = tab[i][entering]
-                    tab[i] = [x - f * y2 for x, y2 in zip(tab[i], tab[leaving])]
-            basis[leaving] = entering
+            pivot(leaving, entering)
 
     val = run(cost, total)
     if val != 0:
@@ -735,13 +739,7 @@ def _simplex_max(
             piv_col = next((j for j in range(n) if tab[i][j] != 0), None)
             if piv_col is None:
                 continue  # redundant row
-            piv = tab[i][piv_col]
-            tab[i] = [x / piv for x in tab[i]]
-            for r in range(m):
-                if r != i and tab[r][piv_col] != 0:
-                    f = tab[r][piv_col]
-                    tab[r] = [x - f * y2 for x, y2 in zip(tab[r], tab[i])]
-            basis[i] = piv_col
+            pivot(i, piv_col)
     phase2 = [-x for x in c] + [Fraction(0)] * m  # maximize c.x = minimize -c.x
     run(phase2, n)
     return sum(c[basis[i]] * tab[i][-1] for i in range(m) if basis[i] < n)
@@ -881,22 +879,7 @@ def probe_stabilizer_conjecture(p: int, k: int, M: int = 1, force: bool = False)
     """
     if p < 1 or k < 1 or M < 1:
         raise ValueError("need p >= 1, k >= 1 and M >= 1")
-    if p == 1:
-        res = infinitesimal_stabilizer(
-            distinguished_twisted_point(1, k, M), algebra="sl", mode="affine"
-        )
-        predicted = k - 1
-        return {
-            "p": p,
-            "k": k,
-            "M": M,
-            "K": twist_exponent(1, k, M),
-            "n": k,
-            "measured_dim": res.dimension,
-            "predicted_dim": predicted,
-            "match": res.dimension == predicted,
-        }
-    if not force and (p, k) != (2, 2):
+    if p > 1 and not force and (p, k) != (2, 2):
         raise ResourceLimitError(
             "the conjecture probe is gated to (p, k) = (2, 2); pass force to override"
         )

@@ -118,6 +118,9 @@ def test_orbit_limit_bad_eps_exits_2(capsys, eps):
         ["test-curve", "--k", "0", "--n", "2"],
         ["orbit", "probe-p", "--p", "0", "--k", "2"],
         ["generators", "--n", "2", "--k", "2", "--verify", "--trials", "-5"],
+        ["group-matrix", "--k", "0"],
+        ["group-matrix", "--k", "2", "--params", "1"],
+        ["phi", "--k", "0", "--n", "2"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -234,6 +237,7 @@ GOLDEN_STDOUT = {
     "test-curve --k 3 --n 3 --N 2 --seed 7": "7150103ce5ee0ca1013b6fe569741daef83a6ea72b13d1833ea08966b1cfe629",
     "generators --n 2 --k 2 --verify --trials 5 --seed 1": "af8c6b6286f96d4d6b0f935e70d161fe9eaa0a1609414b784bc7e48bd6397177",
     "orbit probe-p --p 2 --k 2": "ab41a1b1f4eb067da80f133aab2063720a7abf1b7d40730a95dc14df17e25094",
+    "orbit probe-p --p 1 --k 4 --M 2": "c78283f4398a51f0721ffde26128252abed317600b3dbf1411a7aeca98c6dfb8",
 }
 
 

@@ -184,6 +184,11 @@ class TestLinearAlgebra:
         with pytest.raises(ValueError, match="at least one equation"):
             solve_unique([], [])
 
+    @pytest.mark.parametrize("rows, rhs", [([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 2])])
+    def test_solve_unique_needs_one_rhs_per_equation(self, rows, rhs):
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_unique(rows, rhs)
+
     def test_kernel_function_empty(self):
         assert len(kernel_basis([], 4)) == 4
         assert rank([[0, 0], [0, 0]]) == 0

@@ -188,6 +188,16 @@ def test_solution_space_equals_perp():
     assert solution_space_equals_perp(g, 1)
 
 
+def test_solution_space_equals_perp_fails_on_misweighted_rows(monkeypatch):
+    import jetinv.symbasis
+
+    g = random_jet(random.Random(31), 1, 3, 3, bound=7, regular=True)
+    assert solution_space_equals_perp(g, 1)
+    # unit weights break the monomial/hom pairing on coordinates such as u^(1,2)
+    monkeypatch.setattr(jetinv.symbasis, "orderings_count", lambda m: 1)
+    assert not solution_space_equals_perp(g, 1)
+
+
 def test_reparametrization_closure():
     rng = random.Random(29)
     g = random_jet(rng, 1, 3, 3, bound=5, regular=True)
