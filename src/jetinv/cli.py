@@ -33,8 +33,7 @@ from .jets import (
 from .embedding import phi
 from .orbits import (
     codim_report,
-    distinguished_twisted_point,
-    infinitesimal_stabilizer,
+    distinguished_stabilizer,
     limit_of_distinguished,
     probe_stabilizer_conjecture,
     z_closed_form,
@@ -179,7 +178,7 @@ def cmd_test_curve(args) -> int:
     jet = random_jet(rng, p, n, k, bound=args.coeff_bound, regular=True)
     sysm = test_curve_system(jet, N)
     expected = N * sym_dim(p, k)
-    perp = solution_space_equals_perp(jet, N)
+    perp = solution_space_equals_perp(jet, N, sysm)
     rank = sysm.rank()
     payload = {
         "p": p,
@@ -226,8 +225,7 @@ def cmd_orbit(args) -> int:
         _emit(payload, args)
         return EXIT_OK if z == lim else EXIT_VIOLATION
     if args.orbit_cmd == "stabilizer":
-        tp = distinguished_twisted_point(1, args.k, args.M)
-        res = infinitesimal_stabilizer(tp, algebra="sl", mode="affine")
+        res = distinguished_stabilizer(1, args.k, args.M, force=args.force)
         payload = {
             "k": args.k,
             "M": args.M,
@@ -242,12 +240,9 @@ def cmd_orbit(args) -> int:
         if args.k >= 4 and not rep["all_bounds_ok"]:
             return EXIT_VIOLATION
         return EXIT_OK
-    if args.orbit_cmd == "probe-p":
-        rep = probe_stabilizer_conjecture(args.p, args.k, args.M, force=args.force)
-        _emit(rep, args)
-        return EXIT_OK
-    print("unknown orbit subcommand", file=sys.stderr)
-    return EXIT_BAD_INPUT
+    rep = probe_stabilizer_conjecture(args.p, args.k, args.M, force=args.force)
+    _emit(rep, args)
+    return EXIT_OK
 
 
 def _kind(kind: str) -> str:

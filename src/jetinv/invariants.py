@@ -418,7 +418,8 @@ def test_curve_system(gamma: JetMap, N: int = 1) -> TestCurveSystem:
     )
 
 
-def solution_space_equals_perp(gamma: JetMap, N: int = 1) -> bool:
+def solution_space_equals_perp(gamma: JetMap, N: int = 1,
+                               system: TestCurveSystem | None = None) -> bool:
     """Check that the system kernel is exactly the annihilator of the
     embedded column span, tensored with C^N.
 
@@ -433,11 +434,12 @@ def solution_space_equals_perp(gamma: JetMap, N: int = 1) -> bool:
     rowspace(A) for the standard pairing, so "S is orthogonal to K and
     rank S + dim K = cols" holds exactly when "span S lies in rowspace(A) and
     rank S = cols - dim K = rank A", that is, when span S = rowspace(A).
-    `same_span` decides this with three ranks, without a kernel.
+    `same_span` decides this with three ranks, without a kernel.  A caller
+    that already built test_curve_system(gamma, N) passes it as system.
     """
     from .symbasis import orderings_count
 
-    sysm = test_curve_system(gamma, N)
+    sysm = system if system is not None else test_curve_system(gamma, N)
     pm = phi(gamma)
     col_of = {sc: i for i, sc in enumerate(sysm.col_index)}
     span_rows = []

@@ -12,13 +12,17 @@ integer pairs (a, b), summed once per basis position, and compared as tuples:
 a positive scale keeps the lexicographic Q + Q*eps order.  The per-degree
 closed forms are then verified against that limit rather than assumed.
 
-Twist reduction (used for stabilizers of w tensor e_1^K and its p > 1
-analogue): in the equation X.(w ox e_1^K) = 0, the tensor slots that acquire
-a factor e_i with i > 1 are linearly independent across slots, which forces
-X e_1 = c e_1 and X w = -K c w with a single scalar unknown c; for the
-wedge-line twist the constraint becomes X-invariance of span(e_1..e_p) with
-c the trace of X on that span.  The reduction is cross-checked against a
-full tensor expansion at small sizes in the test suite before reliance.
+Span reduction (every stabilizer system): each point is a decomposable wedge
+w = v_1 ^ ... ^ v_r with span V, and the Plucker embedding gives X.w in C w
+iff Sym(X) V lies in V, and then X.w = tr(X|V) w (Harris, Algebraic
+Geometry: A First Course, Lecture 6).  With V in reduced echelon form
+(pivots P), the rows ask Sym(X) v_i to lie in V at every non-pivot position,
+and tr(X|V) = sum_i (Sym(X) v_i)[P_i] is 0 (affine) or the scalar unknown c
+(projective).  A twisted point w^(ox a) ox (e_1 ^ ... ^ e_p)^(ox b) needs X
+to keep span(e_1..e_p) invariant and a tr(X|V) + b sum_{j<=p} X_jj = 0, as
+tensor slots acquiring a factor off the twist line are independent.  The
+kernel, and so its basis, is that of the wedge system; tests cross-check
+both reductions against wedge and full tensor expansions at small sizes.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .jets import _compositions_fixed_length, flat_jet
 from .symbasis import Monomial, defect, defect_of_partition, sym_basis, sym_dim
 
 WEDGE_COST_CEILING = 6000
+SPAN_COST_CEILING = 4_000_000_000
 
 
 @total_ordering
@@ -216,22 +221,18 @@ def z_closed_form(sigma: int, k: int, kind: str, force: bool = False) -> WedgeVe
         raise ValueError("degenerate kind needs 2 <= sigma <= k-1")
     if not force:
         _check_wedge_cost(k, k)
-    basis = sym_basis(k, k)
     cols = phi(flat_jet(1, k)).columns
-    filtered: list[dict[int, Fraction]] = []
-    for i in range(1, k + 1):
-        col = cols[i - 1]
-        keep: dict[int, Fraction] = {}
-        for pos, c in col.items():
-            parts = basis.monomial_at(pos)
-            if kind == "regular":
-                ok = defect_of_partition(sigma, parts) == defect(sigma, i)
-            else:
-                ok = sigma not in parts
-            if ok:
-                keep[pos] = c
-        filtered.append(keep)
-    return wedge_of_sparse_vectors(k, k, filtered)
+    return wedge_of_sparse_vectors(k, k, _closed_form_columns(cols, sym_basis(k, k), sigma, kind))
+
+
+def _closed_form_columns(columns: list[dict], basis, sigma: int, kind: str) -> list[dict]:
+    """The partition filter of z_closed_form on the flat-jet columns."""
+    def keep(i: int, parts: Monomial) -> bool:
+        if kind == "regular":
+            return defect_of_partition(sigma, parts) == defect(sigma, i)
+        return sigma not in parts
+    return [{pos: c for pos, c in col.items() if keep(i, basis.monomial_at(pos))}
+            for i, col in enumerate(columns, start=1)]
 
 
 def limit_of_distinguished(sigma: int, k: int, kind: str, eps: Fraction | None = None,
@@ -341,77 +342,131 @@ def _trace_row(unknowns: list[tuple[int, int]], extra: int = 0) -> list[Fraction
 def _stabilizer_kernel(columns: list[dict], constraints: list[list[Fraction]]) -> list[list[Fraction]]:
     """Kernel of a stabilizer system given by sparse columns (row key ->
     coefficient, one column per unknown) stacked over dense constraint rows.
-
-    The sparse rows are ordered by their sorted keys, then the constraints.
-    """
-    keys = sorted({key for col in columns for key in col})
-    rows = [[col.get(key, Fraction(0)) for col in columns] for key in keys]
+    The sparse rows have few terms and often repeat up to scale: each is
+    scaled to lead with 1 and repeats are dropped, keeping the kernel."""
+    sparse: dict = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            sparse.setdefault(key, {})[j] = c
+    distinct = {tuple((j, c / next(iter(row.values()))) for j, c in row.items())
+                for row in sparse.values()}
+    rows = [[row.get(j, Fraction(0)) for j in range(len(columns))] for row in map(dict, distinct)]
     return kernel_basis(rows + constraints, len(columns))
 
 
-def infinitesimal_stabilizer(
-    target: WedgeVector | TwistedPoint,
-    algebra: str = "sl",
-    mode: str = "affine",
-) -> StabilizerResult:
+def _add_multiple(target: dict, c: Fraction, vec: dict) -> None:
+    """target += c * vec for sparse vectors, dropping entries that cancel."""
+    for pos, x in vec.items():
+        val = target.get(pos, 0) + c * x
+        if val:
+            target[pos] = val
+        else:
+            target.pop(pos, None)
+
+
+def _reduced_span(vectors: list[dict]) -> dict[int, dict[int, Fraction]]:
+    """Reduced echelon form of sparse spanning vectors, keyed by pivot: each
+    vector is 1 at its own pivot and 0 at every other pivot."""
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for vec in vectors:
+        v = {pos: rat(c) for pos, c in vec.items() if c}
+        for piv, u in reduced.items():
+            if piv in v:
+                _add_multiple(v, -v[piv], u)
+        if not v:
+            raise ValueError("stabilizer of the zero vector")
+        piv = min(v)
+        v = {pos: c / v[piv] for pos, c in v.items()}
+        for u in reduced.values():
+            if piv in u:
+                _add_multiple(u, -u[piv], v)
+        reduced[piv] = v
+    return reduced
+
+
+def _span_stabilizer(n: int, k: int, vectors: list[dict], algebra: str, mode: str,
+                     twist: tuple[Fraction, int] | None = None) -> StabilizerResult:
+    """Stabilizer of the wedge of sparse vectors over Sym^{<=k} C^n, solved on
+    their span V (module docstring); twist = (b/a, p) as in TwistedPoint."""
+    if algebra not in ("sl", "gl") or mode not in ("affine", "projective"):
+        raise ValueError("algebra must be sl or gl, and mode affine or projective")
+    basis = sym_basis(n, k)
+    reduced = _reduced_span(vectors)
+    unknowns = _gl_unknowns(n)
+    columns: list[dict] = []
+    trace: list[Fraction] = []  # tr(X|V) = sum_i (Sym(X) v_i)[P_i], a row over the unknowns
+    for a, b in unknowns:
+        col: dict[tuple[int, int], Fraction] = {}
+        trace.append(Fraction(0))
+        for piv, v in reduced.items():
+            image = {basis.index_of(m): mult * c  # Sym(E_{a<-b}) v, without collisions
+                     for pos, c in v.items()
+                     for m, mult in _lie_action_on_monomial(a, b, basis.monomial_at(pos)).items()}
+            residual = dict(image)  # image minus its projection onto V
+            for pos, c in image.items():
+                if pos in reduced:
+                    _add_multiple(residual, -c, reduced[pos])
+            trace[-1] += image.get(piv, 0)
+            col.update(((piv, q), c) for q, c in residual.items())
+        columns.append(col)
+    if mode == "projective":  # the scalar unknown c: tr(X|V) - c = 0
+        columns.append({})
+        constraints = [trace + [Fraction(-1)]]
+    elif twist is None:
+        constraints = [trace]
+    else:  # a tr(X|V) + b sum_{j<=p} X_jj = 0, and X keeps span(e_1..e_p)
+        ratio, p = twist
+        constraints = [[t + ratio if a == b <= p else t for t, (a, b) in zip(trace, unknowns)]]
+        constraints += [[Fraction(u == (a, j)) for u in unknowns]
+                        for j in range(1, p + 1) for a in range(p + 1, n + 1)]
+    if algebra == "sl":
+        constraints.append(_trace_row(unknowns, len(columns) - len(unknowns)))
+    kern = _stabilizer_kernel(columns, constraints)
+    return StabilizerResult(len(kern), [_reshape(vec[: len(unknowns)], n) for vec in kern])
+
+
+def _decompose(w: WedgeVector) -> list[dict[int, Fraction]]:
+    """Vectors v_1..v_r with w = w[I] v_1 ^ ... ^ v_r, for I the first term:
+    v_s is 1 at i_s, 0 at the rest of I, and (-1)^(s-t) w[J]/w[I] at j, for
+    J = I with i_s replaced by j at place t of J.  The product is expanded
+    again, so a wedge that is not decomposable raises ValueError."""
+    if w.is_zero():
+        raise ValueError("stabilizer of the zero vector")
+    first = min(w.terms)
+    inv = 1 / w.terms[first]
+    vectors = [{pos: Fraction(1)} for pos in first]
+    for J, c in w.terms.items():
+        new = set(J).difference(first)
+        if len(new) == 1:
+            (j,) = new
+            (s,) = (i for i, pos in enumerate(first) if pos not in J)
+            vectors[s][j] = -c * inv if (s - J.index(j)) % 2 else c * inv
+    if wedge_of_sparse_vectors(w.n, w.k, vectors) != w.scaled(inv):
+        raise ValueError("the wedge is not decomposable")
+    return vectors
+
+
+def infinitesimal_stabilizer(target: WedgeVector | TwistedPoint, algebra: str = "sl",
+                             mode: str = "affine") -> StabilizerResult:
     """Dimension and basis of the Lie-algebra stabilizer of a wedge point.
 
     affine solves X.w = 0; projective solves X.w in span(w) via one scalar
     unknown (the scalar is determined by X, so the joint kernel dimension is
-    the stabilizer dimension).  For a twisted point the reduced system of the
-    module docstring is solved; only the affine mode applies there.
+    the stabilizer dimension).  The wedge must be decomposable: the span
+    system of the module docstring is solved on the span read off its
+    Plucker coordinates.  Twisted points use only the affine mode.
     """
-    if algebra not in ("sl", "gl"):
-        raise ValueError("algebra must be sl or gl")
+    twist = None
     if isinstance(target, TwistedPoint):
         if mode != "affine":
             raise ValueError("twisted points use the affine mode")
-        return _twisted_stabilizer(target, algebra)
-    w = target
-    if w.is_zero():
-        raise ValueError("stabilizer of the zero vector")
-    n = w.n
-    unknowns = _gl_unknowns(n)
-    columns = [_lie_action_on_wedge(a, b, w) for a, b in unknowns]
-    if mode == "projective":  # the scalar unknown: X.w - c w = 0
-        columns.append({key: -c for key, c in w.terms.items()})
-    constraints = [_trace_row(unknowns, len(columns) - len(unknowns))] if algebra == "sl" else []
-    kern = _stabilizer_kernel(columns, constraints)
-    basis_mats = [_reshape(vec[: len(unknowns)], n) for vec in kern]
-    return StabilizerResult(dimension=len(kern), basis=basis_mats)
+        twist = (Fraction(target.b, target.a), target.twist_dim)
+        target = target.wedge
+    return _span_stabilizer(target.n, target.k, _decompose(target), algebra, mode, twist)
 
 
 def _reshape(entries: list[Fraction], n: int) -> Matrix:
-    data = [[Fraction(0)] * n for _ in range(n)]
-    for (a, b), x in zip(_gl_unknowns(n), entries):
-        data[a - 1][b - 1] = x
-    return Matrix(data)
-
-
-def _twisted_stabilizer(tp: TwistedPoint, algebra: str) -> StabilizerResult:
-    w = tp.wedge
-    n = w.n
-    p = tp.twist_dim
-    unknowns = _gl_unknowns(n)
-    columns = [_lie_action_on_wedge(a, b, w) for a, b in unknowns]
-    ratio = Fraction(tp.b, tp.a)
-    for j in range(1, p + 1):
-        col = columns[unknowns.index((j, j))]
-        for key, c in w.terms.items():
-            val = col.get(key, Fraction(0)) + ratio * c
-            if val:
-                col[key] = val
-            else:
-                col.pop(key, None)
-    constraints = [  # X must keep the twist span invariant: X[a][j] = 0
-        [Fraction(1 if u == (a, j) else 0) for u in unknowns]
-        for j in range(1, p + 1)
-        for a in range(p + 1, n + 1)
-    ]
-    if algebra == "sl":
-        constraints.append(_trace_row(unknowns))
-    kern = _stabilizer_kernel(columns, constraints)
-    return StabilizerResult(dimension=len(kern), basis=[_reshape(v, n) for v in kern])
+    return Matrix([entries[i * n : (i + 1) * n] for i in range(n)])  # unknowns are row-major
 
 
 def stabilizer_full_tensor_e1(w: WedgeVector, K: int, algebra: str = "sl") -> int:
@@ -827,6 +882,21 @@ def distinguished_twisted_point(p: int, k: int, M: int) -> TwistedPoint:
     )
 
 
+def distinguished_stabilizer(p: int, k: int, M: int = 1, force: bool = False) -> StabilizerResult:
+    """sl stabilizer of distinguished_twisted_point(p, k, M), solved on the
+    span of the flat-jet columns without expanding p_point."""
+    if M < 0:
+        raise ValueError("need M >= 0")
+    n = sym_dim(p, k)
+    # rows x unknowns (n vectors over Sym^{<=k} C^n against the n^2 entries of X),
+    # times the unknowns once more: elimination, not the system's size, sets the time
+    cost = n * sym_dim(n, k) * n**4
+    if cost > SPAN_COST_CEILING and not force:
+        raise ResourceLimitError(f"span stabilizer cost {cost} exceeds ceiling {SPAN_COST_CEILING}")
+    twist = (Fraction(twist_exponent(p, k, M)), p)
+    return _span_stabilizer(n, k, phi(flat_jet(p, k)).columns, "sl", "affine", twist)
+
+
 def codim_report(k: int, M: int = 1, force: bool = False) -> dict:
     """Stabilizer dimensions of the distinguished point and of every
     candidate boundary limit, with the codimension-two verdict per candidate.
@@ -837,19 +907,17 @@ def codim_report(k: int, M: int = 1, force: bool = False) -> dict:
     """
     if k < 2 or M < 1:
         raise ValueError("need k >= 2 and M >= 1")
-    if not force:
-        _check_wedge_cost(k, k)
+    base = distinguished_stabilizer(1, k, M, force=force)  # each candidate costs the same
     K = twist_exponent(1, k, M)
-    base = infinitesimal_stabilizer(
-        distinguished_twisted_point(1, k, M), algebra="sl", mode="affine"
-    )
+    cols, basis = phi(flat_jet(1, k)).columns, sym_basis(k, k)
     candidates = []
     specs = [("lambda", s) for s in range(2, k + 1)]
     specs += [("mu", s) for s in range(2, k)]
     for kind, sigma in specs:
-        z = z_closed_form(sigma, k, "regular" if kind == "lambda" else "degenerate",
-                          force=force)
-        stab = infinitesimal_stabilizer(z, algebra="sl", mode="projective")
+        filtered = _closed_form_columns(
+            cols, basis, sigma, "regular" if kind == "lambda" else "degenerate"
+        )
+        stab = _span_stabilizer(k, k, filtered, "sl", "projective")
         codim = stab.dimension - (k - 1)
         candidates.append(
             {
@@ -879,14 +947,8 @@ def probe_stabilizer_conjecture(p: int, k: int, M: int = 1, force: bool = False)
     """
     if p < 1 or k < 1 or M < 1:
         raise ValueError("need p >= 1, k >= 1 and M >= 1")
-    if p > 1 and not force and (p, k) != (2, 2):
-        raise ResourceLimitError(
-            "the conjecture probe is gated to (p, k) = (2, 2); pass force to override"
-        )
     n = sym_dim(p, k)
-    res = infinitesimal_stabilizer(
-        distinguished_twisted_point(p, k, M), algebra="sl", mode="affine"
-    )
+    res = distinguished_stabilizer(p, k, M, force=force)
     predicted = p * n - 1
     return {
         "p": p,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -146,11 +147,30 @@ def test_orbit_codim_report(capsys):
 
 
 def test_orbit_probe_gate(capsys):
-    code, _ = run_cli(["orbit", "probe-p", "--p", "2", "--k", "3"], capsys)
+    code, _ = run_cli(["orbit", "probe-p", "--p", "2", "--k", "5"], capsys)
     assert code == 3
-    code, out = run_cli(["orbit", "probe-p", "--p", "2", "--k", "2", "--json"], capsys)
-    assert code == 0
-    assert json.loads(out)["match"] is True
+    for k in ("2", "3"):
+        code, out = run_cli(["orbit", "probe-p", "--p", "2", "--k", k, "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["match"] is True
+
+
+@pytest.mark.parametrize("cmd", ["stabilizer", "codim-report"])
+def test_orbit_span_cost_gate_exits_3_fast(capsys, cmd):
+    start = time.perf_counter()
+    code = main(["orbit", cmd, "--k", "40"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and elapsed < 1.0
+    assert captured.out == "" and "exceeds ceiling" in captured.err
+
+
+def test_orbit_k8_runs_without_force(capsys):
+    code, out = run_cli(["orbit", "stabilizer", "--k", "8", "--json"], capsys)
+    assert code == 0 and json.loads(out)["dimension"] == 7
+    code, out = run_cli(["orbit", "codim-report", "--k", "8", "--json"], capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["base_stabilizer_dim"] == 7 and rep["all_bounds_ok"]
 
 
 def test_orbit_bad_sigma(capsys):
@@ -166,6 +186,25 @@ def test_test_curve_cli(capsys):
     payload = json.loads(out)
     assert payload["rank"] == 3
     assert payload["solution_space_equals_perp"] is True
+
+
+def test_test_curve_builds_its_system_once(capsys, monkeypatch):
+    import jetinv.cli
+    import jetinv.invariants
+
+    built = []
+    original = jetinv.invariants.test_curve_system
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jetinv.invariants, "test_curve_system", counting)
+    monkeypatch.setattr(jetinv.cli, "test_curve_system", counting)
+    code, out = run_cli(["test-curve", "--k", "3", "--n", "3", "--N", "2", "--seed", "7", "--json"],
+                        capsys)
+    assert code == 0 and json.loads(out)["solution_space_equals_perp"] is True
+    assert len(built) == 1
 
 
 def test_determinism_same_seed(capsys):

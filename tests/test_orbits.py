@@ -14,6 +14,7 @@ from jetinv.orbits import (
     OneParamSubgroup,
     TwistedPoint,
     codim_report,
+    distinguished_stabilizer,
     distinguished_twisted_point,
     extra_direction_is_new,
     extra_stabilizer,
@@ -287,19 +288,11 @@ def test_twist_reduction_vs_full_tensor_k2():
 
 
 def test_wedge_twist_reduction_vs_full_tensor():
-    """Same cross-check for the wedge-line twist at a small synthetic size."""
+    """Same cross-check for the wedge-line twist at a small synthetic size,
+    on the decomposable wedge e1 ^ (e2 + 2 e1e2 - e3)."""
     n, p, K = 3, 2, 2
-    basis = sym_basis(n, 2)
-    w = WedgeVector(
-        n,
-        2,
-        2,
-        {
-            (basis.index_of((1,)), basis.index_of((2,))): Fraction(1),
-            (basis.index_of((1,)), basis.index_of((1, 2))): Fraction(2),
-            (basis.index_of((3,)), basis.index_of((2, 2))): Fraction(-1),
-        },
-    )
+    w = _wedge_of(n, 2, [{(1,): 1}, {(2,): 1, (1, 2): 2, (3,): -1}])
+    assert len(w.terms) == 3
     unknowns = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
     pairs = list(itertools.combinations(range(1, n + 1), p))  # wedge-line basis
 
@@ -351,7 +344,83 @@ def test_wedge_twist_reduction_vs_full_tensor():
     reduced = infinitesimal_stabilizer(
         TwistedPoint(wedge=w, a=1, b=K, twist_dim=p), "sl", "affine"
     )
-    assert full_dim == reduced.dimension
+    assert full_dim == reduced.dimension == 1
+
+
+def _wedge_of(n, k, columns):
+    """Wedge of columns given as {monomial: coefficient} over Sym^{<=k} C^n."""
+    basis = sym_basis(n, k)
+    vectors = [{basis.index_of(m): Fraction(c) for m, c in col.items()} for col in columns]
+    return wedge_of_sparse_vectors(n, k, vectors)
+
+
+def test_non_decomposable_wedge_is_rejected():
+    """e1^e2 + 2 e1^x1x2 - e3^x2^2 has a nonzero wedge square, so it is no
+    Plucker point; the span reduction refuses it."""
+    basis = sym_basis(3, 2)
+    w = WedgeVector(3, 2, 2, {
+        (basis.index_of((1,)), basis.index_of((2,))): Fraction(1),
+        (basis.index_of((1,)), basis.index_of((1, 2))): Fraction(2),
+        (basis.index_of((3,)), basis.index_of((2, 2))): Fraction(-1),
+    })
+    for target, mode in [(w, "affine"), (w, "projective"), (TwistedPoint(w, 1, 2, 2), "affine")]:
+        with pytest.raises(ValueError, match="not decomposable"):
+            infinitesimal_stabilizer(target, "sl", mode)
+
+
+def _wedge_oracle_kernel(w, algebra, mode, twist=None):
+    """The stabilizer system on the expanded wedge: E_{a<-b} on every term."""
+    n = w.n
+    unknowns = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    columns = [_lie_action_on_wedge(a, b, w) for a, b in unknowns]
+    constraints = []
+    if mode == "projective":
+        columns.append({key: -c for key, c in w.terms.items()})
+    if twist is not None:
+        ratio, p = twist
+        for j in range(1, p + 1):
+            col = columns[unknowns.index((j, j))]
+            for key, c in w.terms.items():
+                col[key] = col.get(key, Fraction(0)) + ratio * c
+        constraints += [[Fraction(u == (a, j)) for u in unknowns]
+                        for j in range(1, p + 1) for a in range(p + 1, n + 1)]
+    if algebra == "sl":
+        constraints.append([Fraction(a == b) for a, b in unknowns]
+                           + [Fraction(0)] * (len(columns) - len(unknowns)))
+    keys = sorted({key for col in columns for key in col})
+    rows = [[col.get(key, Fraction(0)) for col in columns] for key in keys]
+    return [vec[: len(unknowns)] for vec in kernel_basis(rows + constraints, len(columns))]
+
+
+@st.composite
+def _decomposable_wedge(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2))
+    size = len(sym_basis(n, k))
+    r = draw(st.integers(1, min(3, size)))
+    entry = st.integers(-3, 3).filter(bool)
+    vectors = [draw(st.dictionaries(st.integers(0, size - 1), entry, min_size=1, max_size=3))
+               for _ in range(r)]
+    return wedge_of_sparse_vectors(n, k, [{pos: Fraction(c) for pos, c in v.items()}
+                                          for v in vectors])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_decomposable_wedge(), st.sampled_from(["sl", "gl"]), st.integers(1, 3),
+       st.integers(1, 2), st.integers(0, 3))
+def test_span_stabilizer_matches_wedge_oracle(w, algebra, p, a, b):
+    if w.is_zero():
+        return
+
+    def flat(res):
+        return [[x for row in X.data for x in row] for X in res.basis]
+
+    for mode in ("affine", "projective"):
+        assert flat(infinitesimal_stabilizer(w, algebra, mode)) == _wedge_oracle_kernel(
+            w, algebra, mode)
+    p = min(p, w.n)
+    twisted = infinitesimal_stabilizer(TwistedPoint(w, a, b, p), algebra, "affine")
+    assert flat(twisted) == _wedge_oracle_kernel(w, algebra, "affine", (Fraction(b, a), p))
 
 
 def test_projective_stabilizer_grassmann_self_consistency():
@@ -550,4 +619,31 @@ def test_probe_conjecture():
     rep1 = probe_stabilizer_conjecture(1, 4, 1)
     assert rep1["measured_dim"] == rep1["predicted_dim"] == 3
     with pytest.raises(ResourceLimitError):
-        probe_stabilizer_conjecture(2, 3, 1)
+        probe_stabilizer_conjecture(2, 5, 1)
+
+
+@pytest.mark.parametrize("p,k,dim", [(2, 3, 17), (3, 2, 26), (2, 4, 27)])
+def test_probe_conjecture_past_2_2(p, k, dim):
+    """Past the old (2, 2) gate the measured dimension is p*n - 1."""
+    rep = probe_stabilizer_conjecture(p, k, 1)
+    assert rep["measured_dim"] == rep["predicted_dim"] == dim
+    assert rep["match"]
+
+
+@pytest.mark.parametrize("k,dims", [
+    (6, [9, 9, 9, 9, 7, 10, 9, 8, 7]),
+    (7, [9, 11, 9, 11, 10, 8, 12, 11, 10, 9, 8]),
+])
+def test_codim_report_k6_k7(k, dims):
+    rep = codim_report(k, 1)
+    assert rep["base_stabilizer_dim"] == k - 1
+    assert [c["proj_stab_dim"] for c in rep["candidates"]] == dims
+    assert rep["all_bounds_ok"]
+
+
+def test_decomposition_reads_the_span_of_the_columns():
+    """The span read off p_point's Plucker coordinates is the span of the
+    flat-jet columns, so both routes give the same stabilizer basis."""
+    for k in (3, 4):
+        tp = distinguished_twisted_point(1, k, 1)
+        assert infinitesimal_stabilizer(tp).basis == distinguished_stabilizer(1, k, 1).basis
