@@ -32,6 +32,7 @@ from .jets import (
 )
 from .embedding import phi
 from .orbits import (
+    closed_form_matches_limit,
     codim_report,
     distinguished_stabilizer,
     limit_of_distinguished,
@@ -44,6 +45,10 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
+
+# Largest output matrix, in cells, that group-matrix, phi and test-curve build
+# without --force (test-curve --k 8 --n 8, 102,952 cells, takes 4 s).
+OUTPUT_CELL_CEILING = 100_000
 
 
 def _emit(payload: dict, args) -> None:
@@ -71,13 +76,33 @@ def _print_human(payload: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
+def _check_sizes(args, n: int, N: int = 1) -> None:
+    """Sizes below 1 are bad input.  The output matrix, sym_dim(n, k) x
+    sym_dim(p, k) cells N^2 times over, is gated before any basis is built."""
+    for flag, value in (("p", args.p), ("k", args.k), ("n", n), ("N", N),
+                        ("coeff-bound", args.coeff_bound)):
+        if value < 1:
+            raise ValueError(f"need --{flag} >= 1, got {value}")
+    cells = sym_dim(args.p, args.k) * sym_dim(n, args.k) * N * N
+    if cells > OUTPUT_CELL_CEILING and not args.force:
+        raise ResourceLimitError(f"output of {cells} cells exceeds ceiling {OUTPUT_CELL_CEILING}")
+
+
+def _jet_of(args, N: int = 1) -> JetMap:
+    """The jet of phi and test-curve: symbolic, or random from --seed."""
+    _check_sizes(args, args.n, N)
+    if args.symbolic:
+        return symbolic_jet(args.p, args.n, args.k)[0]
+    return random_jet(random.Random(args.seed), args.p, args.n, args.k, bound=args.coeff_bound,
+                      regular=True)
+
+
 def cmd_group_matrix(args) -> int:
     p, k = args.p, args.k
-    if p < 1 or k < 1:
-        raise ValueError("need p >= 1 and k >= 1")
+    _check_sizes(args, p)
+    if args.params and p != 1:
+        raise ValueError("--params supports p = 1; use --symbolic for p > 1")
     if args.params:
-        if p != 1:
-            raise ValueError("--params supports p = 1; use --symbolic for p > 1")
         try:
             vals = [Fraction(x) for x in args.params.split(",")]
         except (ValueError, ZeroDivisionError):
@@ -117,13 +142,7 @@ def cmd_group_matrix(args) -> int:
 
 def cmd_phi(args) -> int:
     p, k, n = args.p, args.k, args.n
-    if min(p, k, n) < 1:
-        raise ValueError("need positive sizes")
-    if args.symbolic:
-        jet, _ = symbolic_jet(p, n, k)
-    else:
-        rng = random.Random(args.seed)
-        jet = random_jet(rng, p, n, k, bound=args.coeff_bound, regular=True)
+    jet = _jet_of(args)
     cols = _phi_json(phi(jet), col_key=lambda s: f"[{_csv(s)}]", row_key=lambda m: str(list(m)))
     payload = {"p": p, "k": k, "n": n, "columns": cols}
     if not args.symbolic:
@@ -159,9 +178,9 @@ def cmd_generators(args) -> int:
 
 def cmd_test_curve(args) -> int:
     p, k, n, N = args.p, args.k, args.n, args.N
+    jet = _jet_of(args, N)
+    sysm = test_curve_system(jet, N)
     if args.symbolic:
-        jet, _ = symbolic_jet(p, n, k)
-        sysm = test_curve_system(jet, N)
         rows = {}
         for (m, c), row in zip(sysm.row_index, sysm.matrix.data):
             terms = []
@@ -174,9 +193,6 @@ def cmd_test_curve(args) -> int:
         payload = {"p": p, "k": k, "n": n, "N": N, "rows": rows}
         _emit(payload, args)
         return EXIT_OK
-    rng = random.Random(args.seed)
-    jet = random_jet(rng, p, n, k, bound=args.coeff_bound, regular=True)
-    sysm = test_curve_system(jet, N)
     expected = N * sym_dim(p, k)
     perp = solution_space_equals_perp(jet, N, sysm)
     rank = sysm.rank()
@@ -218,12 +234,9 @@ def cmd_orbit(args) -> int:
         return EXIT_OK
     if args.orbit_cmd == "closed-form":
         z = z_closed_form(args.sigma, args.k, _kind(args.kind), force=args.force)
-        lim = limit_of_distinguished(args.sigma, args.k, _kind(args.kind),
-                                     force=args.force)
-        payload = z.to_json()
-        payload["matches_limit"] = z == lim
-        _emit(payload, args)
-        return EXIT_OK if z == lim else EXIT_VIOLATION
+        match = closed_form_matches_limit(args.sigma, args.k, _kind(args.kind))
+        _emit({**z.to_json(), "matches_limit": match}, args)
+        return EXIT_OK if match else EXIT_VIOLATION
     if args.orbit_cmd == "stabilizer":
         res = distinguished_stabilizer(1, args.k, args.M, force=args.force)
         payload = {
@@ -377,35 +390,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     orb = sub.add_parser("orbit", help="one-parameter-subgroup limit analysis")
     orbsub = orb.add_subparsers(dest="orbit_cmd", required=True)
-    ol = orbsub.add_parser("limit")
-    ol.add_argument("--k", type=int, required=True)
-    ol.add_argument("--sigma", type=int, required=True)
-    ol.add_argument("--kind", choices=["lambda", "mu"], required=True)
-    ol.add_argument("--eps", help="rational epsilon instead of the formal symbol")
-    common(ol)
-    ol.set_defaults(func=cmd_orbit)
-    oc = orbsub.add_parser("closed-form")
-    oc.add_argument("--k", type=int, required=True)
-    oc.add_argument("--sigma", type=int, required=True)
-    oc.add_argument("--kind", choices=["lambda", "mu"], required=True)
-    common(oc)
-    oc.set_defaults(func=cmd_orbit)
-    os_ = orbsub.add_parser("stabilizer")
-    os_.add_argument("--k", type=int, required=True)
-    os_.add_argument("--M", type=int, default=1)
-    common(os_)
-    os_.set_defaults(func=cmd_orbit)
-    ocr = orbsub.add_parser("codim-report")
-    ocr.add_argument("--k", type=int, required=True)
-    ocr.add_argument("--M", type=int, default=1)
-    common(ocr)
-    ocr.set_defaults(func=cmd_orbit)
-    op = orbsub.add_parser("probe-p")
-    op.add_argument("--p", type=int, required=True)
-    op.add_argument("--k", type=int, required=True)
-    op.add_argument("--M", type=int, default=1)
-    common(op)
-    op.set_defaults(func=cmd_orbit)
+    for name in ("limit", "closed-form", "stabilizer", "codim-report", "probe-p"):
+        o = orbsub.add_parser(name)
+        if name == "probe-p":
+            o.add_argument("--p", type=int, required=True)
+        o.add_argument("--k", type=int, required=True)
+        if name in ("limit", "closed-form"):
+            o.add_argument("--sigma", type=int, required=True)
+            o.add_argument("--kind", choices=["lambda", "mu"], required=True)
+        else:
+            o.add_argument("--M", type=int, default=1)
+        if name == "limit":
+            o.add_argument("--eps", help="rational epsilon instead of the formal symbol")
+        common(o)
+        o.set_defaults(func=cmd_orbit)
 
     fx = sub.add_parser("fixtures", help="golden fixtures for the worked examples")
     fxsub = fx.add_subparsers(dest="fixtures_cmd", required=True)

@@ -158,6 +158,8 @@ def generator_set(
     maximal minors only.  With materialize the polynomials are expanded and
     deduplicated; otherwise provenance-only entries are returned.
     """
+    if min(n, k, p) < 1:
+        raise ValueError(f"need n, k and p >= 1, got n={n}, k={k}, p={p}")
     basis = sym_basis(n, k)
     positions_by_degree: dict[int, list[int]] = {}
     for pos, m in enumerate(basis.monomials):

@@ -6,11 +6,15 @@ Weights live in Q + Q*eps with eps an infinitesimal positive formal symbol,
 ordered lexicographically; this is the exact small-eps limit of the "fix
 0 < eps < 1" convention and removes all genericity tuning.  The projective
 limit of a wedge point under a diagonal one-parameter subgroup is its
-minimal-total-weight part, computed by brute force over the expanded terms.
-The weights of a subgroup are scaled by the lcm of their denominators into
-integer pairs (a, b), summed once per basis position, and compared as tuples:
-a positive scale keeps the lexicographic Q + Q*eps order.  The per-degree
-closed forms are then verified against that limit rather than assumed.
+minimal-total-weight part.  The weights of a subgroup are scaled by the lcm
+of their denominators into integer pairs (a, b), summed once per basis
+position, and compared as tuples: a positive scale keeps the lexicographic
+Q + Q*eps order.  Column s of phi(flat_jet(p, k)) lives on the monomials
+whose letters sum to s, so these columns, and any restrictions of them, have
+disjoint supports: each term of their wedge picks one position per column,
+with no cancellation.  The limit of the distinguished point is therefore the
+wedge of the per-column minimal-weight parts, and the per-degree closed forms
+are verified against it column by column rather than assumed.
 
 Span reduction (every stabilizer system): each point is a decomposable wedge
 w = v_1 ^ ... ^ v_r with span V, and the Plucker embedding gives X.w in C w
@@ -23,6 +27,10 @@ to keep span(e_1..e_p) invariant and a tr(X|V) + b sum_{j<=p} X_jj = 0, as
 tensor slots acquiring a factor off the twist line are independent.  The
 kernel, and so its basis, is that of the wedge system; tests cross-check
 both reductions against wedge and full tensor expansions at small sizes.
+Every V arrives reduced up to scale, so no elimination runs (zero or
+unreduced input raises ValueError): flat-jet columns and their restrictions
+have disjoint supports, and each v_s of _decompose is 1 at i_s, 0 on the rest
+of the least term I and nonzero only above i_s, or I would not be least.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 from .exact import (
     Matrix,
@@ -51,8 +58,7 @@ WEDGE_COST_CEILING = 6000
 SPAN_COST_CEILING = 4_000_000_000
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class EpsWeight:
     """Value a + b*eps with eps infinitesimal positive; lexicographic order."""
 
@@ -77,14 +83,6 @@ class EpsWeight:
         return EpsWeight(self.a * c, self.b * c)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EpsWeight):
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __lt__(self, other: "EpsWeight") -> bool:
-        return (self.a, self.b) < (other.a, other.b)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -182,6 +180,18 @@ def _position_weights(
     return pa, pb
 
 
+def _minimal_weight_columns(lam: OneParamSubgroup, k: int) -> list[dict]:
+    """The flat-jet columns (p = 1), each cut to its minimal-weight positions
+    under lam: their wedge is the limit of the distinguished point."""
+    basis = sym_basis(k, k)
+    out = []
+    for col in phi(flat_jet(1, k)).columns:
+        weights = list(zip(*_position_weights(lam, [basis.monomial_at(pos) for pos in col])))
+        best = min(weights)
+        out.append({pos: c for (pos, c), wt in zip(col.items(), weights) if wt == best})
+    return out
+
+
 def limit_point(w: WedgeVector, lam: OneParamSubgroup) -> WedgeVector:
     """The projective limit of lam(t).w as t -> 0: the minimal-weight part.
 
@@ -193,16 +203,16 @@ def limit_point(w: WedgeVector, lam: OneParamSubgroup) -> WedgeVector:
     if w.is_zero():
         raise ValueError("limit of the zero vector")
     pa, pb = _position_weights(lam, w.basis().monomials)
-    best: tuple[int, int] | None = None
-    kept: dict[tuple[int, ...], Fraction] = {}
-    for factors, c in w.terms.items():
-        total = (sum(map(pa.__getitem__, factors)), sum(map(pb.__getitem__, factors)))
-        if best is None or total < best:
-            best = total
-            kept = {factors: c}
-        elif total == best:
-            kept[factors] = c
-    return WedgeVector(w.n, w.k, w.r, kept)
+    totals = {f: (sum(map(pa.__getitem__, f)), sum(map(pb.__getitem__, f))) for f in w.terms}
+    best = min(totals.values())
+    return WedgeVector(w.n, w.k, w.r, {f: c for f, c in w.terms.items() if totals[f] == best})
+
+
+def _subgroup(sigma: int, k: int, kind: str, eps: Fraction | None = None) -> OneParamSubgroup:
+    """lambda_sigma for the regular kind, mu_sigma for the degenerate one."""
+    if kind not in ("regular", "degenerate"):
+        raise ValueError("kind must be regular or degenerate")
+    return lambda_sigma(sigma, k, eps) if kind == "regular" else mu_sigma(sigma, k, eps)
 
 
 def z_closed_form(sigma: int, k: int, kind: str, force: bool = False) -> WedgeVector:
@@ -211,52 +221,49 @@ def z_closed_form(sigma: int, k: int, kind: str, force: bool = False) -> WedgeVe
     regular: keep degree-i partitions of maximal defect (= defect of i);
     degenerate: keep partitions avoiding sigma as a part.  Coefficients are
     inherited from the distinguished point, so the result must equal the
-    brute-force limit exactly (a verified theorem, not a definition).
+    limit exactly (a verified theorem, not a definition).
     """
-    if kind not in ("regular", "degenerate"):
-        raise ValueError("kind must be regular or degenerate")
-    if kind == "regular" and not 2 <= sigma <= k:
-        raise ValueError("regular kind needs 2 <= sigma <= k")
-    if kind == "degenerate" and not 2 <= sigma <= k - 1:
-        raise ValueError("degenerate kind needs 2 <= sigma <= k-1")
+    _subgroup(sigma, k, kind)  # validates sigma and kind
     if not force:
         _check_wedge_cost(k, k)
-    cols = phi(flat_jet(1, k)).columns
-    return wedge_of_sparse_vectors(k, k, _closed_form_columns(cols, sym_basis(k, k), sigma, kind))
+    return wedge_of_sparse_vectors(k, k, _closed_form_columns(sigma, k, kind))
 
 
-def _closed_form_columns(columns: list[dict], basis, sigma: int, kind: str) -> list[dict]:
-    """The partition filter of z_closed_form on the flat-jet columns."""
+def _closed_form_columns(sigma: int, k: int, kind: str) -> list[dict]:
+    """The partition filter of z_closed_form on the flat-jet columns (p = 1)."""
+    basis = sym_basis(k, k)
+
     def keep(i: int, parts: Monomial) -> bool:
         if kind == "regular":
             return defect_of_partition(sigma, parts) == defect(sigma, i)
         return sigma not in parts
     return [{pos: c for pos, c in col.items() if keep(i, basis.monomial_at(pos))}
-            for i, col in enumerate(columns, start=1)]
+            for i, col in enumerate(phi(flat_jet(1, k)).columns, start=1)]
 
 
 def limit_of_distinguished(sigma: int, k: int, kind: str, eps: Fraction | None = None,
                            force: bool = False) -> WedgeVector:
-    """Brute-force limit of the distinguished point under the (sigma, kind)
-    subgroup; numeric eps substitutes a rational for the formal symbol."""
+    """Limit of the distinguished point under the (sigma, kind) subgroup, as
+    the wedge of the minimal-weight columns; numeric eps substitutes a
+    rational for the formal symbol."""
     if not force:
         _check_wedge_cost(k, k)
-    lam = lambda_sigma(sigma, k, eps) if kind == "regular" else mu_sigma(sigma, k, eps)
-    return limit_point(p_point(1, k), lam)
+    return wedge_of_sparse_vectors(k, k, _minimal_weight_columns(_subgroup(sigma, k, kind, eps), k))
+
+
+def closed_form_matches_limit(sigma: int, k: int, kind: str) -> bool:
+    """Whether z_closed_form equals limit_of_distinguished: with disjoint
+    supports, equal wedges means equal columns, so no wedge is expanded."""
+    lam = _subgroup(sigma, k, kind)
+    return _closed_form_columns(sigma, k, kind) == _minimal_weight_columns(lam, k)
 
 
 def toral_dimension(lam: OneParamSubgroup, k: int) -> int:
     """Number of degrees whose minimal-weight column part is the single
     coordinate monomial of that degree."""
-    basis = sym_basis(k, k)
-    pa, pb = _position_weights(lam, basis.monomials)
-    count = 0
-    for i, col in enumerate(phi(flat_jet(1, k)).columns, start=1):
-        best = min((pa[pos], pb[pos]) for pos in col)
-        argbest = [pos for pos in col if (pa[pos], pb[pos]) == best]
-        if argbest == [basis.index_of((i,))]:
-            count += 1
-    return count
+    index_of = sym_basis(k, k).index_of
+    return sum(list(col) == [index_of((i,))]
+               for i, col in enumerate(_minimal_weight_columns(lam, k), start=1))
 
 
 # -- infinitesimal stabilizers ---------------------------------------------
@@ -364,26 +371,6 @@ def _add_multiple(target: dict, c: Fraction, vec: dict) -> None:
             target.pop(pos, None)
 
 
-def _reduced_span(vectors: list[dict]) -> dict[int, dict[int, Fraction]]:
-    """Reduced echelon form of sparse spanning vectors, keyed by pivot: each
-    vector is 1 at its own pivot and 0 at every other pivot."""
-    reduced: dict[int, dict[int, Fraction]] = {}
-    for vec in vectors:
-        v = {pos: rat(c) for pos, c in vec.items() if c}
-        for piv, u in reduced.items():
-            if piv in v:
-                _add_multiple(v, -v[piv], u)
-        if not v:
-            raise ValueError("stabilizer of the zero vector")
-        piv = min(v)
-        v = {pos: c / v[piv] for pos, c in v.items()}
-        for u in reduced.values():
-            if piv in u:
-                _add_multiple(u, -u[piv], v)
-        reduced[piv] = v
-    return reduced
-
-
 def _span_stabilizer(n: int, k: int, vectors: list[dict], algebra: str, mode: str,
                      twist: tuple[Fraction, int] | None = None) -> StabilizerResult:
     """Stabilizer of the wedge of sparse vectors over Sym^{<=k} C^n, solved on
@@ -391,7 +378,12 @@ def _span_stabilizer(n: int, k: int, vectors: list[dict], algebra: str, mode: st
     if algebra not in ("sl", "gl") or mode not in ("affine", "projective"):
         raise ValueError("algebra must be sl or gl, and mode affine or projective")
     basis = sym_basis(n, k)
-    reduced = _reduced_span(vectors)
+    if not all(vectors):
+        raise ValueError("stabilizer of the zero vector")
+    pivots = [min(v) for v in vectors]  # each in its own vector only (module docstring)
+    if sum(piv in u for piv in pivots for u in vectors) > len(vectors):
+        raise ValueError("the spanning vectors are not in reduced echelon form")
+    reduced = {piv: {pos: rat(c) / v[piv] for pos, c in v.items()} for piv, v in zip(pivots, vectors)}
     unknowns = _gl_unknowns(n)
     columns: list[dict] = []
     trace: list[Fraction] = []  # tr(X|V) = sum_i (Sym(X) v_i)[P_i], a row over the unknowns
@@ -909,14 +901,11 @@ def codim_report(k: int, M: int = 1, force: bool = False) -> dict:
         raise ValueError("need k >= 2 and M >= 1")
     base = distinguished_stabilizer(1, k, M, force=force)  # each candidate costs the same
     K = twist_exponent(1, k, M)
-    cols, basis = phi(flat_jet(1, k)).columns, sym_basis(k, k)
     candidates = []
     specs = [("lambda", s) for s in range(2, k + 1)]
     specs += [("mu", s) for s in range(2, k)]
     for kind, sigma in specs:
-        filtered = _closed_form_columns(
-            cols, basis, sigma, "regular" if kind == "lambda" else "degenerate"
-        )
+        filtered = _closed_form_columns(sigma, k, "regular" if kind == "lambda" else "degenerate")
         stab = _span_stabilizer(k, k, filtered, "sl", "projective")
         codim = stab.dimension - (k - 1)
         candidates.append(

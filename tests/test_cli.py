@@ -122,6 +122,11 @@ def test_orbit_limit_bad_eps_exits_2(capsys, eps):
         ["group-matrix", "--k", "0"],
         ["group-matrix", "--k", "2", "--params", "1"],
         ["phi", "--k", "0", "--n", "2"],
+        ["test-curve", "--k", "2", "--n", "2", "--N", "0"],
+        ["test-curve", "--k", "2", "--n", "2", "--N", "-1"],
+        ["phi", "--k", "2", "--n", "2", "--coeff-bound", "0"],
+        ["test-curve", "--k", "2", "--n", "2", "--coeff-bound", "0"],
+        ["generators", "--n", "2", "--k", "2", "--p", "0"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -130,6 +135,38 @@ def test_bad_input_exits_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+    for flag in ("--N", "--coeff-bound"):
+        if flag in argv:
+            assert flag in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group-matrix", "--p", "3", "--k", "40", "--symbolic"],
+        ["phi", "--p", "1", "--k", "30", "--n", "30"],
+        ["test-curve", "--k", "20", "--n", "20"],
+    ],
+)
+def test_output_size_gate_exits_3_fast(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and elapsed < 1.0
+    assert captured.out == "" and "exceeds ceiling" in captured.err
+
+
+def test_output_size_gate_yields_to_force(capsys, monkeypatch):
+    import jetinv.cli
+
+    monkeypatch.setattr(jetinv.cli, "OUTPUT_CELL_CEILING", 3)
+    for argv in (["group-matrix", "--k", "2", "--symbolic"], ["phi", "--k", "2", "--n", "2"],
+                 ["test-curve", "--k", "2", "--n", "2"]):
+        code, _ = run_cli(argv, capsys)
+        assert code == 3
+        code, _ = run_cli(argv + ["--force"], capsys)
+        assert code == 0
 
 
 def test_orbit_stabilizer(capsys):
@@ -277,6 +314,9 @@ GOLDEN_STDOUT = {
     "generators --n 2 --k 2 --verify --trials 5 --seed 1": "af8c6b6286f96d4d6b0f935e70d161fe9eaa0a1609414b784bc7e48bd6397177",
     "orbit probe-p --p 2 --k 2": "ab41a1b1f4eb067da80f133aab2063720a7abf1b7d40730a95dc14df17e25094",
     "orbit probe-p --p 1 --k 4 --M 2": "c78283f4398a51f0721ffde26128252abed317600b3dbf1411a7aeca98c6dfb8",
+    "orbit limit --k 6 --sigma 4 --kind mu": "d9323ff8135ae49c156a09a216777d39bb65db80a730515e41e1254fc8926a0d",
+    "orbit limit --k 6 --sigma 3 --kind lambda --eps 1/8": "ff39591b310b2e387536a5946e4e90bc0659f3400404bbc7ece096bf1ab7d70a",
+    "orbit closed-form --k 6 --sigma 5 --kind mu": "41fad4679aeac32d72c21b3cca42850f5302db91c3ee3364c06f80a462054835",
 }
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jetinv.exact import Matrix, PolyRing
 from jetinv.jets import (
@@ -174,6 +176,39 @@ def test_invert_hand_case_and_two_sided():
             assert compose(psi, inv) == identity_jet(p, k)
             assert compose(inv, psi) == identity_jet(p, k)
             assert invert(inv) == psi
+
+
+_coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_property = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+
+@st.composite
+def _reparams(draw, p, k):
+    """Rational reparametrization jets with an invertible linear block."""
+    coeffs = {s: tuple(draw(_coefficients) for _ in range(p)) for s in sym_basis(p, k).exponents}
+    jet = JetMap(p, p, k, coeffs)
+    assume(jet.linear_matrix().det() != 0)
+    return jet
+
+
+_shapes = st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
+
+
+@_property
+@given(_shapes.flatmap(lambda pk: st.tuples(_reparams(*pk), _reparams(*pk))))
+def test_group_law_property(pair):
+    psi, chi = pair
+    assert group_matrix(compose(psi, chi)) == group_matrix(psi) @ group_matrix(chi)
+
+
+@_property
+@given(_shapes.flatmap(lambda pk: _reparams(*pk)))
+def test_invert_round_trips(psi):
+    inv = invert(psi)
+    identity = identity_jet(psi.p, psi.k)
+    assert compose(psi, inv) == identity
+    assert compose(inv, psi) == identity
+    assert invert(inv) == psi
 
 
 def test_invert_rejects_symbolic_and_singular():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from jetinv.orbits import (
     EpsWeight,
     OneParamSubgroup,
     TwistedPoint,
+    closed_form_matches_limit,
     codim_report,
     distinguished_stabilizer,
     distinguished_twisted_point,
@@ -36,6 +38,8 @@ from jetinv.orbits import (
     twist_exponent,
     z_closed_form,
     _lie_action_on_wedge,
+    _minimal_weight_columns,
+    _span_stabilizer,
 )
 from jetinv.symbasis import partitions_of, sym_basis
 
@@ -108,8 +112,31 @@ def test_closed_form_equals_limit(k):
     pk = p_point(1, k)
     for sigma in range(2, k + 1):
         assert z_closed_form(sigma, k, "regular") == limit_point(pk, lambda_sigma(sigma, k))
+        assert closed_form_matches_limit(sigma, k, "regular")
     for sigma in range(2, k):
         assert z_closed_form(sigma, k, "degenerate") == limit_point(pk, mu_sigma(sigma, k))
+        assert closed_form_matches_limit(sigma, k, "degenerate")
+
+
+@pytest.mark.parametrize("k", [8, 9, 10])
+def test_closed_form_matches_limit_k8_to_k10(k):
+    for sigma in range(2, k + 1):
+        assert closed_form_matches_limit(sigma, k, "regular")
+    for sigma in range(2, k):
+        assert closed_form_matches_limit(sigma, k, "degenerate")
+
+
+def test_closed_form_verdict_tells_a_wrong_filter_apart(monkeypatch):
+    """The sigma + 1 filter against the lambda_sigma limit is refuted, and
+    `orbit closed-form` exits 1 on it."""
+    import jetinv.orbits
+    from jetinv.cli import main
+
+    right = jetinv.orbits._closed_form_columns
+    monkeypatch.setattr(jetinv.orbits, "_closed_form_columns",
+                        lambda sigma, k, kind: right(sigma + 1, k, kind))
+    assert not closed_form_matches_limit(2, 6, "regular")
+    assert main(["orbit", "closed-form", "--k", "6", "--sigma", "2", "--kind", "lambda"]) == 1
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -152,13 +179,19 @@ def _wedge_and_subgroup(draw):
         vec = st.dictionaries(st.integers(0, size - 1), _small_rationals.filter(bool),
                               min_size=1, max_size=5)
         w = wedge_of_sparse_vectors(k, d, draw(st.lists(vec, min_size=1, max_size=3)))
+    return w, draw(_subgroups(k))
+
+
+@st.composite
+def _subgroups(draw, k):
+    """Diagonal subgroups of any sign, with a formal or a rational eps part."""
     pairs = draw(st.lists(st.tuples(_small_rationals, _small_rationals), min_size=k, max_size=k))
     if draw(st.booleans()):
         weights = tuple(EpsWeight(a, b) for a, b in pairs)
     else:
         eps = draw(st.builds(Fraction, st.integers(1, 7), st.just(8)))
         weights = tuple(EpsWeight(a + b * eps) for a, b in pairs)
-    return w, OneParamSubgroup(weights)
+    return OneParamSubgroup(weights)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -168,6 +201,19 @@ def test_limit_point_matches_eps_weight_oracle(case):
     if w.is_zero():
         return
     assert limit_point(w, lam).terms == _reference_limit(w, lam)
+
+
+@lru_cache(maxsize=None)
+def _p_point(k):
+    return p_point(1, k)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(st.integers(2, 6).flatmap(_subgroups))
+def test_minimal_weight_columns_wedge_to_the_limit(lam):
+    k = lam.k
+    limit = wedge_of_sparse_vectors(k, k, _minimal_weight_columns(lam, k))
+    assert limit == limit_point(_p_point(k), lam)
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +412,21 @@ def test_non_decomposable_wedge_is_rejected():
     for target, mode in [(w, "affine"), (w, "projective"), (TwistedPoint(w, 1, 2, 2), "affine")]:
         with pytest.raises(ValueError, match="not decomposable"):
             infinitesimal_stabilizer(target, "sl", mode)
+
+
+def test_span_stabilizer_needs_nonzero_reduced_vectors():
+    """Spanning vectors must be reduced up to scale: each vector's smallest
+    position occurs in no other vector."""
+    one = Fraction(1)
+    with pytest.raises(ValueError, match="zero vector"):
+        _span_stabilizer(2, 2, [{0: one}, {}], "sl", "affine")
+    for vectors in ([{0: one, 1: one}, {1: one}],  # the second pivot occurs in the first
+                    [{0: one, 2: one}, {0: one, 1: one}]):  # one pivot shared
+        with pytest.raises(ValueError, match="reduced echelon"):
+            _span_stabilizer(2, 2, vectors, "sl", "affine")
+    scaled = _span_stabilizer(2, 2, [{0: Fraction(3), 3: one}, {1: Fraction(-2)}], "gl", "projective")
+    unit = _span_stabilizer(2, 2, [{0: one, 3: Fraction(1, 3)}, {1: one}], "gl", "projective")
+    assert scaled.dimension == unit.dimension and scaled.basis == unit.basis
 
 
 def _wedge_oracle_kernel(w, algebra, mode, twist=None):
