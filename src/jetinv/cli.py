@@ -1,7 +1,7 @@
 """Command-line surface: every computation with machine-readable output.
 
 Exit codes: 0 success, 1 a computation reported a violated expectation,
-2 invalid input, 3 resource limit exceeded.
+2 invalid input, 3 resource limit exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import invariants
+from .exact import ResourceLimitError
 from .invariants import (
-    ResourceLimitError,
     generator_set,
     solution_space_equals_perp,
     test_curve_system,
@@ -23,7 +22,6 @@ from .invariants import (
 )
 from .jets import (
     JetMap,
-    gk_entry,
     gkp_entry,
     group_matrix,
     random_jet,
@@ -45,6 +43,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 # Largest output matrix, in cells, that group-matrix, phi and test-curve build
 # without --force (test-curve --k 8 --n 8, 102,952 cells, takes 4 s).
@@ -123,16 +122,9 @@ def cmd_group_matrix(args) -> int:
         "matrix": m.to_strings(),
     }
     if args.closed_form:
-        basis = sym_basis(p, k)
-        match = True
-        for i, tau in enumerate(basis.monomials):
-            for j, nu in enumerate(basis.monomials):
-                if p == 1:
-                    expected = gk_entry(len(tau), len(nu), ring)
-                else:
-                    expected = gkp_entry(tau, nu, p, k, ring)
-                if m.data[i][j] != expected:
-                    match = False
+        monomials = sym_basis(p, k).monomials
+        match = all(m.data[i][j] == gkp_entry(tau, nu, p, k, ring)
+                    for i, tau in enumerate(monomials) for j, nu in enumerate(monomials))
         payload["closed_form_matches_oracle"] = match
         _emit(payload, args)
         return EXIT_OK if match else EXIT_VIOLATION
@@ -152,8 +144,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_generators(args) -> int:
-    limit = None if args.force else invariants.MINOR_COUNT_CEILING
-    gens = generator_set(args.n, args.k, args.p, limit=limit)
+    gens = generator_set(args.n, args.k, args.p, force=args.force)
     by_degree: dict[str, int] = {}
     for g in gens:
         key = str(g.weighted_degree)
@@ -426,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -19,10 +19,11 @@ matrix), which equals the expanded polynomial's value exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
-from .exact import Matrix, ResourceLimitError, SparsePolynomial, kernel_basis, rat
+from .exact import Matrix, ResourceLimitError, SparsePolynomial, kernel_basis, rank, rat
 from .jets import (
     JetMap,
     compose,
@@ -32,7 +33,7 @@ from .jets import (
     random_rational,
     symbolic_jet,
 )
-from .embedding import PhiMatrix, phi, same_span
+from .embedding import PhiMatrix, phi
 from .symbasis import Exponent, Monomial, sym_basis
 
 
@@ -90,19 +91,32 @@ class InvariantPoly:
         }
 
 
-def _staircase_row_sets(degrees: list[int], positions_by_degree: dict[int, list[int]], s: int):
-    """Row position subsets whose sorted degrees d_1 <= ... <= d_s satisfy
-    d_j <= j; any other choice meets a structurally zero submatrix."""
-    all_rows = [(d, pos) for d in degrees for pos in positions_by_degree[d]]
+def _generator_families(k: int, p: int) -> list[tuple[tuple[Exponent, ...], tuple[int, ...], object]]:
+    """The generator families as (columns, sorted column degrees, weighted
+    degree): for p = 1 the first s columns, s = 1..k (flag Plücker minors);
+    for p > 1 all columns (maximal minors)."""
+    if p == 1:
+        return [(tuple((d,) for d in range(1, s + 1)), tuple(range(1, s + 1)), s * (s + 1) // 2)
+                for s in range(1, k + 1)]
+    cols = tuple(sym_basis(p, k).exponents)
+    return [(cols, tuple(sorted(map(sum, cols))), tuple(map(sum, zip(*cols))))]
+
+
+def _staircase_row_sets(positions_by_degree: dict[int, list[int]], c: tuple[int, ...]):
+    """Row position sets whose sorted degrees d_1 <= ... <= d_s satisfy
+    d_j <= c_j.  A column of degree c vanishes on rows of degree above c, so
+    any other row set has no perfect matching on the support (Hall's
+    condition) and gives a structurally zero minor."""
+    all_rows = [(d, pos) for d in sorted(positions_by_degree) for pos in positions_by_degree[d]]
 
     def rec(chosen: list[int], start: int):
         j = len(chosen)
-        if j == s:
+        if j == len(c):
             yield tuple(chosen)
             return
         for idx in range(start, len(all_rows)):
             d, pos = all_rows[idx]
-            if d > j + 1:
+            if d > c[j]:
                 break  # rows are degree-sorted; all later rows fail too
             chosen.append(pos)
             yield from rec(chosen, idx + 1)
@@ -112,36 +126,29 @@ def _staircase_row_sets(degrees: list[int], positions_by_degree: dict[int, list[
 
 
 def count_candidate_minors(n: int, k: int, p: int = 1) -> int:
-    """Number of structurally nonzero minor candidates, before deduplication."""
-    basis = sym_basis(n, k)
-    counts: dict[int, int] = {}
-    for m in basis.monomials:
-        counts[len(m)] = counts.get(len(m), 0) + 1
-    if p > 1:
-        cols = sorted(sum(s) for s in sym_basis(p, k).exponents)
-        return _profile_count(counts, cols)
-    return sum(_profile_count(counts, list(range(1, s + 1))) for s in range(1, k + 1))
+    """Number of structurally nonzero minor candidates, before deduplication:
+    the row sets of `_staircase_row_sets`, counted without enumerating them."""
+    counts = {d: comb(n + d - 1, d) for d in range(1, k + 1)}  # rows of each degree
+    return sum(_profile_count(counts, c) for _, c, _ in _generator_families(k, p))
 
 
-def _profile_count(counts: dict[int, int], col_degrees: list[int]) -> int:
-    """Count row-position subsets whose sorted degrees fit under col_degrees."""
-    from math import comb
+def _profile_count(counts: dict[int, int], col_degrees: tuple[int, ...]) -> int:
+    """Count row-position subsets whose sorted degrees fit under col_degrees.
 
+    For d from the top degree down, ways[j] counts the fillings of sorted
+    positions j.. by rows of degree >= d: skip degree d, or put r of its
+    counts[d] rows at positions j..j+r-1, which needs d <= col_degrees[j].
+    """
     s = len(col_degrees)
-    total = 0
-
-    def rec(j: int, min_d: int, acc: int):
-        nonlocal total
-        if j == s:
-            total += acc
-            return
-        for d in range(min_d, col_degrees[j] + 1):
-            avail = counts.get(d, 0)
-            for r in range(1, min(avail, s - j) + 1):
-                rec(j + r, d + 1, acc * comb(avail, r))
-
-    rec(0, 1, 1)
-    return total
+    ways = [0] * s + [1]
+    for d in range(max(col_degrees), 0, -1):
+        ways = [
+            ways[j] + sum(comb(counts[d], r) * ways[j + r]
+                          for r in range(1, min(counts[d], s - j) + 1))
+            if j == s or d <= col_degrees[j] else 0
+            for j in range(s + 1)
+        ]
+    return ways[0]
 
 
 def generator_set(
@@ -149,68 +156,47 @@ def generator_set(
     k: int,
     p: int = 1,
     materialize: bool = True,
-    limit: int | None = MINOR_COUNT_CEILING,
+    force: bool = False,
 ) -> list[InvariantPoly]:
     """All flag Plücker minors of the symbolic embedded matrix.
 
-    p = 1: every s x s minor of the first s columns, s = 1..k (structurally
-    zero row choices skipped, duplicates up to scalar removed).  p > 1:
-    maximal minors only.  With materialize the polynomials are expanded and
-    deduplicated; otherwise provenance-only entries are returned.
+    p = 1: every s x s minor of the first s columns, s = 1..k; p > 1:
+    maximal minors only.  Structurally zero row choices are skipped.  With
+    materialize the polynomials are expanded, zeros dropped and duplicates
+    up to scalar removed; otherwise provenance-only entries are returned.
+    More than MINOR_COUNT_CEILING candidates raise ResourceLimitError before
+    any is built, unless force.
     """
     if min(n, k, p) < 1:
         raise ValueError(f"need n, k and p >= 1, got n={n}, k={k}, p={p}")
+    if not force:
+        count = count_candidate_minors(n, k, p)
+        if count > MINOR_COUNT_CEILING:
+            raise ResourceLimitError(
+                f"{count} candidate minors exceed the ceiling {MINOR_COUNT_CEILING}; "
+                "pass force to override"
+            )
     basis = sym_basis(n, k)
     positions_by_degree: dict[int, list[int]] = {}
     for pos, m in enumerate(basis.monomials):
         positions_by_degree.setdefault(len(m), []).append(pos)
-
-    jobs: list[tuple[tuple[int, ...], tuple[Exponent, ...], object]] = []
-    if p == 1:
-        for s in range(1, k + 1):
-            cols = tuple((d,) for d in range(1, s + 1))
-            wd = s * (s + 1) // 2
-            degrees = sorted(d for d in positions_by_degree if d <= s)
-            for rows in _staircase_row_sets(degrees, positions_by_degree, s):
-                jobs.append((rows, cols, wd))
-    else:
-        domain = sym_basis(p, k)
-        cols = tuple(domain.exponents)
-        r = len(cols)
-        wd = tuple(sum(s[c] for s in domain.exponents) for c in range(p))
-        degrees = sorted(positions_by_degree)
-        for rows in _staircase_row_sets(degrees, positions_by_degree, r):
-            jobs.append((rows, cols, wd))
-
-    if limit is not None and len(jobs) > limit:
-        raise ResourceLimitError(
-            f"{len(jobs)} candidate minors exceed the ceiling {limit}; "
-            "pass force/limit=None to override"
-        )
-
-    gamma, _ = symbolic_jet(p, n, k)
-    pm = phi(gamma)
+    pm = phi(symbolic_jet(p, n, k)[0]) if materialize else None
     out: list[InvariantPoly] = []
     seen: set[tuple] = set()
-    for rows, cols, wd in jobs:
-        inv = InvariantPoly(
-            n=n,
-            k=k,
-            p=p,
-            rows=tuple(basis.monomial_at(r) for r in rows),
-            cols=cols,
-            weighted_degree=wd,
-        )
-        if materialize:
-            poly = inv._minor_of(pm)
-            if isinstance(poly, Fraction) or poly.is_zero():
-                continue
-            inv._poly = poly
-            key = inv.key()
-            if key in seen:
-                continue
-            seen.add(key)
-        out.append(inv)
+    for cols, c, wd in _generator_families(k, p):
+        for rows in _staircase_row_sets(positions_by_degree, c):
+            inv = InvariantPoly(n=n, k=k, p=p, rows=tuple(map(basis.monomial_at, rows)), cols=cols,
+                                weighted_degree=wd)
+            if materialize:
+                poly = inv._minor_of(pm)
+                if isinstance(poly, Fraction) or poly.is_zero():
+                    continue
+                inv._poly = poly
+                key = inv.key()
+                if key in seen:
+                    continue
+                seen.add(key)
+            out.append(inv)
     return out
 
 
@@ -376,9 +362,12 @@ class TestCurveSystem:
     row_index: list[tuple[Exponent, int]]
     col_index: list[tuple[Exponent, int]]
     matrix: Matrix
+    _rank: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def rank(self) -> int:
-        return self.matrix.rank()
+        if self._rank is None:
+            self._rank = self.matrix.rank()
+        return self._rank
 
     def kernel_jets(self) -> list[JetMap]:
         out = []
@@ -436,8 +425,9 @@ def solution_space_equals_perp(gamma: JetMap, N: int = 1,
     rowspace(A) for the standard pairing, so "S is orthogonal to K and
     rank S + dim K = cols" holds exactly when "span S lies in rowspace(A) and
     rank S = cols - dim K = rank A", that is, when span S = rowspace(A).
-    `same_span` decides this with three ranks, without a kernel.  A caller
-    that already built test_curve_system(gamma, N) passes it as system.
+    Three ranks decide this, without a kernel: rank S = rank A = rank(S + A),
+    with rank A the system's own, computed once.  A caller that already built
+    test_curve_system(gamma, N) passes it as system.
     """
     from .symbasis import orderings_count
 
@@ -453,4 +443,4 @@ def solution_space_equals_perp(gamma: JetMap, N: int = 1,
                 weight = orderings_count(pm.basis.monomial_at(rpos))
                 vec[col_of[(s, c)]] = rat(val) / weight
             span_rows.append(vec)
-    return same_span(span_rows, sysm.matrix.data)
+    return rank(span_rows) == sysm.rank() == rank(span_rows + sysm.matrix.data)

@@ -16,7 +16,6 @@ entry is tested against that extraction.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,40 +194,6 @@ def group_matrix(psi: JetMap) -> Matrix:
         mono = _monomial_of_coords(coords, s, psi.k, cache)
         rows.append([mono.get(t, Fraction(0)) for t in basis.exponents])
     return Matrix(rows)
-
-
-def _compositions_fixed_length(j: int, i: int) -> list[tuple[int, ...]]:
-    """Ordered compositions of j into exactly i positive parts."""
-    if i < 1 or j < i:
-        return []
-    out = []
-    for cuts in itertools.combinations(range(1, j), i - 1):
-        prev = 0
-        parts = []
-        for c in cuts + (j,):
-            parts.append(c - prev)
-            prev = c
-        out.append(tuple(parts))
-    return out
-
-
-def gk_param_ring(k: int) -> PolyRing:
-    return PolyRing([f"a{i}" for i in range(1, k + 1)])
-
-
-def gk_entry(i: int, j: int, ring: PolyRing) -> SparsePolynomial:
-    """Closed form for the one-variable group matrix entry (i, j).
-
-    Sum over ordered compositions j = s_1 + ... + s_i of a_{s_1} ... a_{s_i};
-    zero above the diagonal transpose (i > j).
-    """
-    out = ring.zero()
-    for parts in _compositions_fixed_length(j, i):
-        term = ring.one()
-        for s in parts:
-            term = term * ring.var(f"a{s}")
-        out = out + term
-    return out
 
 
 def group_param_name(l: int, s: Exponent) -> str:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,10 +52,10 @@ from .exact import (
     rat_str,
 )
 from .embedding import WedgeVector, p_point, phi, wedge_of_sparse_vectors
-from .jets import _compositions_fixed_length, flat_jet
-from .symbasis import Monomial, defect, defect_of_partition, sym_basis, sym_dim
+from .jets import flat_jet, group_matrix, symbolic_reparam
+from .symbasis import Monomial, defect, defect_of_partition, partitions_of, sym_basis, sym_dim
 
-WEDGE_COST_CEILING = 6000
+WEDGE_TERM_CEILING = 6000
 SPAN_COST_CEILING = 4_000_000_000
 
 
@@ -159,14 +160,6 @@ def head(lam: OneParamSubgroup) -> tuple[int, str] | None:
     return None
 
 
-def _check_wedge_cost(n_letters: int, k: int):
-    cost = k * sym_dim(n_letters, k)
-    if cost > WEDGE_COST_CEILING:
-        raise ResourceLimitError(
-            f"wedge cost {cost} exceeds ceiling {WEDGE_COST_CEILING}"
-        )
-
-
 def _position_weights(
     lam: OneParamSubgroup, monomials: list[Monomial]
 ) -> tuple[list[int], list[int]]:
@@ -180,16 +173,24 @@ def _position_weights(
     return pa, pb
 
 
-def _minimal_weight_columns(lam: OneParamSubgroup, k: int) -> list[dict]:
-    """The flat-jet columns (p = 1), each cut to its minimal-weight positions
-    under lam: their wedge is the limit of the distinguished point."""
-    basis = sym_basis(k, k)
-    out = []
-    for col in phi(flat_jet(1, k)).columns:
-        weights = list(zip(*_position_weights(lam, [basis.monomial_at(pos) for pos in col])))
+def _minimal_weight_parts(lam: OneParamSubgroup, k: int) -> Iterator[list[Monomial]]:
+    """Per degree i = 1..k, the partitions of i of minimal weight under lam.
+    Column i of the flat jet (p = 1) has a nonzero entry at every partition
+    of i and nowhere else, so the columns cut to these parts wedge to the
+    limit of the distinguished point."""
+    for i in range(1, k + 1):
+        parts = partitions_of(i)
+        weights = list(zip(*_position_weights(lam, parts)))
         best = min(weights)
-        out.append({pos: c for (pos, c), wt in zip(col.items(), weights) if wt == best})
-    return out
+        yield [m for m, wt in zip(parts, weights) if wt == best]
+
+
+def _cut_columns(k: int, parts_by_degree: Iterable[list[Monomial]]) -> list[dict]:
+    """The flat-jet columns (p = 1), column i cut to the given partitions of i."""
+    index_of = sym_basis(k, k).index_of
+    cuts = [{index_of(m) for m in parts} for parts in parts_by_degree]
+    return [{pos: c for pos, c in col.items() if pos in keep}
+            for col, keep in zip(phi(flat_jet(1, k)).columns, cuts)]
 
 
 def limit_point(w: WedgeVector, lam: OneParamSubgroup) -> WedgeVector:
@@ -208,6 +209,22 @@ def limit_point(w: WedgeVector, lam: OneParamSubgroup) -> WedgeVector:
     return WedgeVector(w.n, w.k, w.r, {f: c for f, c in w.terms.items() if totals[f] == best})
 
 
+def _wedge_of_parts(k: int, parts_by_degree: Iterable[list[Monomial]], force: bool) -> WedgeVector:
+    """The wedge of the flat-jet columns cut to the given parts.  Their
+    supports are disjoint, so it has exactly the product of the part counts
+    as terms.  The product only grows degree by degree, so unless force it
+    raises ResourceLimitError at the first degree where it passes
+    WEDGE_TERM_CEILING, before any basis is built."""
+    kept, terms = [], 1
+    for parts in parts_by_degree:
+        kept.append(parts)
+        terms *= len(parts)
+        if terms > WEDGE_TERM_CEILING and not force:
+            raise ResourceLimitError(
+                f"wedge of at least {terms} terms exceeds ceiling {WEDGE_TERM_CEILING}")
+    return wedge_of_sparse_vectors(k, k, _cut_columns(k, kept))
+
+
 def _subgroup(sigma: int, k: int, kind: str, eps: Fraction | None = None) -> OneParamSubgroup:
     """lambda_sigma for the regular kind, mu_sigma for the degenerate one."""
     if kind not in ("regular", "degenerate"):
@@ -224,21 +241,16 @@ def z_closed_form(sigma: int, k: int, kind: str, force: bool = False) -> WedgeVe
     limit exactly (a verified theorem, not a definition).
     """
     _subgroup(sigma, k, kind)  # validates sigma and kind
-    if not force:
-        _check_wedge_cost(k, k)
-    return wedge_of_sparse_vectors(k, k, _closed_form_columns(sigma, k, kind))
+    return _wedge_of_parts(k, _closed_form_parts(sigma, k, kind), force)
 
 
-def _closed_form_columns(sigma: int, k: int, kind: str) -> list[dict]:
-    """The partition filter of z_closed_form on the flat-jet columns (p = 1)."""
-    basis = sym_basis(k, k)
-
-    def keep(i: int, parts: Monomial) -> bool:
+def _closed_form_parts(sigma: int, k: int, kind: str) -> Iterator[list[Monomial]]:
+    """Per degree i = 1..k, the partitions of i that z_closed_form keeps."""
+    for i in range(1, k + 1):
         if kind == "regular":
-            return defect_of_partition(sigma, parts) == defect(sigma, i)
-        return sigma not in parts
-    return [{pos: c for pos, c in col.items() if keep(i, basis.monomial_at(pos))}
-            for i, col in enumerate(phi(flat_jet(1, k)).columns, start=1)]
+            yield [m for m in partitions_of(i) if defect_of_partition(sigma, m) == defect(sigma, i)]
+        else:
+            yield [m for m in partitions_of(i) if sigma not in m]
 
 
 def limit_of_distinguished(sigma: int, k: int, kind: str, eps: Fraction | None = None,
@@ -246,24 +258,20 @@ def limit_of_distinguished(sigma: int, k: int, kind: str, eps: Fraction | None =
     """Limit of the distinguished point under the (sigma, kind) subgroup, as
     the wedge of the minimal-weight columns; numeric eps substitutes a
     rational for the formal symbol."""
-    if not force:
-        _check_wedge_cost(k, k)
-    return wedge_of_sparse_vectors(k, k, _minimal_weight_columns(_subgroup(sigma, k, kind, eps), k))
+    return _wedge_of_parts(k, _minimal_weight_parts(_subgroup(sigma, k, kind, eps), k), force)
 
 
 def closed_form_matches_limit(sigma: int, k: int, kind: str) -> bool:
     """Whether z_closed_form equals limit_of_distinguished: with disjoint
-    supports, equal wedges means equal columns, so no wedge is expanded."""
+    supports, equal wedges means equal column cuts, so no wedge is expanded."""
     lam = _subgroup(sigma, k, kind)
-    return _closed_form_columns(sigma, k, kind) == _minimal_weight_columns(lam, k)
+    return list(_closed_form_parts(sigma, k, kind)) == list(_minimal_weight_parts(lam, k))
 
 
 def toral_dimension(lam: OneParamSubgroup, k: int) -> int:
     """Number of degrees whose minimal-weight column part is the single
     coordinate monomial of that degree."""
-    index_of = sym_basis(k, k).index_of
-    return sum(list(col) == [index_of((i,))]
-               for i, col in enumerate(_minimal_weight_columns(lam, k), start=1))
+    return sum(parts == [(i,)] for i, parts in enumerate(_minimal_weight_parts(lam, k), start=1))
 
 
 # -- infinitesimal stabilizers ---------------------------------------------
@@ -563,34 +571,31 @@ def limit_stabilizer_matrix(sigma: int, k: int) -> LimitStabilizerMatrix:
     substitute b_i = t^(-n_i) a_i, verify polynomiality in t, take t -> 0.
 
     Entry (i, j) of the conjugated family is t^(lambda_i - lambda_j) times
-    the sum over ordered compositions j = a_1 + ... + a_i of the parameter
-    products; after the substitution each term carries t to the power
-    lambda_i - lambda_j + n_{a_1} + ... + n_{a_i}, which must be >= 0.
+    entry (i, j) of the group matrix, read off the composition oracle.  After
+    the substitution its term prod_s a_s^(e_s) carries t to the power
+    lambda_i - lambda_j + sum_s e_s n_s, which must be >= 0; the terms of
+    power zero survive, with b_s in place of a_s.
     """
     if not 2 <= sigma <= k:
         raise ValueError("need 2 <= sigma <= k")
     lam = lambda_sigma(sigma, k)
     ns = n_sigma_exponents(sigma, k)
     ring = PolyRing([f"b{i}" for i in range(1, k + 1)])
+    g = group_matrix(symbolic_reparam(1, k)[0])
     entries = []
-    for i in range(1, k + 1):
-        row = []
-        for j in range(1, k + 1):
-            limit = ring.zero()
-            for parts in _compositions_fixed_length(j, i):
-                expo = lam.weights[i - 1] - lam.weights[j - 1]
-                for a in parts:
-                    expo = expo + ns[a - 1]
+    for i in range(k):
+        row = [ring.zero()] * i  # the group matrix is upper triangular
+        for j in range(i, k):
+            kept = {}
+            for exp, c in g.data[i][j].terms.items():
+                expo = lam.weights[i] - lam.weights[j]
+                for e, n_s in zip(exp, ns):
+                    expo = expo + n_s * e
                 if expo < ZERO_W:
-                    raise NegativePowerError(
-                        f"entry ({i},{j}) composition {parts} has t-power {expo}"
-                    )
+                    raise NegativePowerError(f"entry ({i + 1},{j + 1}) term {exp} has t-power {expo}")
                 if expo.is_zero():
-                    term = ring.one()
-                    for a in parts:
-                        term = term * ring.var(f"b{a}")
-                    limit = limit + term
-            row.append(limit)
+                    kept[exp] = c
+            row.append(ring.poly(kept))
         entries.append(row)
     return LimitStabilizerMatrix(sigma=sigma, k=k, ring=ring, entries=entries, n_exponents=ns)
 
@@ -905,7 +910,8 @@ def codim_report(k: int, M: int = 1, force: bool = False) -> dict:
     specs = [("lambda", s) for s in range(2, k + 1)]
     specs += [("mu", s) for s in range(2, k)]
     for kind, sigma in specs:
-        filtered = _closed_form_columns(sigma, k, "regular" if kind == "lambda" else "degenerate")
+        parts = _closed_form_parts(sigma, k, "regular" if kind == "lambda" else "degenerate")
+        filtered = _cut_columns(k, parts)
         stab = _span_stabilizer(k, k, filtered, "sl", "projective")
         codim = stab.dimension - (k - 1)
         candidates.append(

@@ -202,6 +202,52 @@ def test_orbit_span_cost_gate_exits_3_fast(capsys, cmd):
     assert captured.out == "" and "exceeds ceiling" in captured.err
 
 
+@pytest.mark.parametrize("n,k", [(5, 5), (40, 40)])
+def test_generators_gate_exits_3_before_enumerating(capsys, n, k):
+    start = time.perf_counter()
+    code = main(["generators", "--n", str(n), "--k", str(k)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and elapsed < 1.0
+    assert captured.out == "" and "exceed the ceiling" in captured.err
+
+
+def test_orbit_limit_k8_lambda_runs_without_force(capsys):
+    # the wedge has 1,152 terms: the exact term count admits it
+    code, out = run_cli(["orbit", "limit", "--k", "8", "--sigma", "3", "--kind", "lambda", "--json"],
+                        capsys)
+    assert code == 0 and len(json.loads(out)["terms"]) == 1152
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "closed-form", "--k", "8", "--sigma", "8", "--kind", "lambda"],  # 34,650 terms
+    ["orbit", "limit", "--k", "10", "--sigma", "5", "--kind", "mu"],  # 389,025,000 terms
+    ["orbit", "limit", "--k", "20", "--sigma", "2", "--kind", "lambda"],
+    ["orbit", "closed-form", "--k", "20", "--sigma", "2", "--kind", "lambda"],
+    ["orbit", "limit", "--k", "60", "--sigma", "7", "--kind", "mu", "--eps", "1/8"],
+])
+def test_orbit_wedge_gate_exits_3_fast(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and elapsed < 1.0
+    assert captured.out == "" and "exceeds ceiling" in captured.err
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    import jetinv.cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(jetinv.cli, "cmd_group_matrix", broken)
+    code = main(["group-matrix", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == "" and captured.err == "internal error: RuntimeError: boom\n"
+
+
 def test_orbit_k8_runs_without_force(capsys):
     code, out = run_cli(["orbit", "stabilizer", "--k", "8", "--json"], capsys)
     assert code == 0 and json.loads(out)["dimension"] == 7
@@ -242,6 +288,35 @@ def test_test_curve_builds_its_system_once(capsys, monkeypatch):
                         capsys)
     assert code == 0 and json.loads(out)["solution_space_equals_perp"] is True
     assert len(built) == 1
+
+
+def test_test_curve_ranks_its_system_once(capsys, monkeypatch):
+    import jetinv.cli
+    import jetinv.embedding
+    import jetinv.exact
+    import jetinv.invariants
+
+    systems, ranked = [], []
+    build, rank = jetinv.invariants.test_curve_system, jetinv.exact.rank
+
+    def building(*args, **kwargs):
+        systems.append(build(*args, **kwargs))
+        return systems[-1]
+
+    def ranking(rows):
+        ranked.append([list(row) for row in rows])
+        return rank(rows)
+
+    monkeypatch.setattr(jetinv.cli, "test_curve_system", building)
+    for module in (jetinv.exact, jetinv.embedding, jetinv.invariants):
+        monkeypatch.setattr(module, "rank", ranking, raising=False)
+    code, out = run_cli(["test-curve", "--k", "3", "--n", "3", "--N", "2", "--seed", "7", "--json"],
+                        capsys)
+    assert code == 0 and json.loads(out)["solution_space_equals_perp"] is True
+    (sysm,) = systems
+    # rank S, rank A and rank(S + A) decide the perp check; the reported rank
+    # is rank A again, so no fourth matrix of the system's width is ranked
+    assert sum(len(rows[0]) == len(sysm.col_index) for rows in ranked) == 3
 
 
 def test_determinism_same_seed(capsys):
@@ -317,6 +392,9 @@ GOLDEN_STDOUT = {
     "orbit limit --k 6 --sigma 4 --kind mu": "d9323ff8135ae49c156a09a216777d39bb65db80a730515e41e1254fc8926a0d",
     "orbit limit --k 6 --sigma 3 --kind lambda --eps 1/8": "ff39591b310b2e387536a5946e4e90bc0659f3400404bbc7ece096bf1ab7d70a",
     "orbit closed-form --k 6 --sigma 5 --kind mu": "41fad4679aeac32d72c21b3cca42850f5302db91c3ee3364c06f80a462054835",
+    "generators --p 2 --n 3 --k 2": "75f65be8701880cf06b8710dd82192f4d0d5987aa788cf240e76138734dd0530",
+    "generators --p 2 --n 2 --k 3": "564758ec102906ad7a3997298e506c5239e1917a67c70e2ab003ef3767ff5cba",
+    "group-matrix --p 1 --k 4 --symbolic --closed-form": "38e0ad38c7b0377433d56dd9e557b9a633c4e842440388c2847e0531216d9936",
 }
 
 

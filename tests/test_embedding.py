@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jetinv.exact import Matrix
@@ -308,3 +308,25 @@ def test_wedge_json_roundtrip():
     w = p_point(1, 3)
     again = WedgeVector.from_json(w.to_json())
     assert again == w
+
+
+_coefficients = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _jet_and_reparam(draw):
+    """A rational jet C^p -> C^n and a reparametrization of C^p, p in {1, 2}."""
+    p, k, n = draw(st.sampled_from([(1, 2, 1), (1, 3, 2), (1, 4, 2), (1, 3, 3),
+                                    (2, 2, 2), (2, 3, 2), (2, 2, 3)]))
+    exponents = sym_basis(p, k).exponents
+    gamma = JetMap(p, n, k, {s: tuple(draw(_coefficients) for _ in range(n)) for s in exponents})
+    psi = JetMap(p, p, k, {s: tuple(draw(_coefficients) for _ in range(p)) for s in exponents})
+    assume(psi.is_reparam())
+    return gamma, psi
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_jet_and_reparam())
+def test_phi_intertwines_composition_and_group_matrix(pair):
+    gamma, psi = pair
+    assert phi(compose(gamma, psi)).dense() == phi(gamma).dense() @ group_matrix(psi)

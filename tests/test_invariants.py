@@ -129,11 +129,39 @@ def test_zero_trials_never_report_ok(trials):
 def test_generator_count_limit():
     assert count_candidate_minors(4, 4) > 20000
     with pytest.raises(ResourceLimitError):
-        generator_set(4, 4, 1, limit=1000)
+        generator_set(4, 4, 1)
+
+
+def test_count_equals_enumeration():
+    """One staircase rule: the count is the number of enumerated candidates
+    on every shape small enough to enumerate."""
+    shapes = 0
+    for p in (1, 2, 3):
+        for n in range(1, 6):
+            for k in range(1, 5):
+                count = count_candidate_minors(n, k, p)
+                if count > 30000:
+                    continue
+                assert count == len(generator_set(n, k, p, materialize=False, force=True)), (n, k, p)
+                shapes += 1
+    assert shapes == 48
+    assert count_candidate_minors(3, 2, 2) == 75
+    assert count_candidate_minors(4, 2, 2) == 910
+
+
+def test_generator_gate_runs_before_any_candidate(monkeypatch):
+    import jetinv.invariants
+
+    def no_enumeration(*args):
+        raise AssertionError("candidates enumerated past the gate")
+
+    monkeypatch.setattr(jetinv.invariants, "_staircase_row_sets", no_enumeration)
+    with pytest.raises(ResourceLimitError):
+        generator_set(5, 5, 1)
 
 
 def test_generator_set_p2_maximal_minors():
-    gens = generator_set(3, 2, 2, limit=None)
+    gens = generator_set(3, 2, 2, force=True)
     assert gens, "maximal minors should exist for n=3, p=k=2"
     for g in gens:
         assert len(g.cols) == sym_dim(2, 2) == 5

@@ -10,8 +10,6 @@ from jetinv.exact import Matrix, PolyRing
 from jetinv.jets import (
     JetMap,
     compose,
-    gk_entry,
-    gk_param_ring,
     gkp_entry,
     group_matrix,
     group_param_name,
@@ -66,12 +64,12 @@ def test_group_matrix_identity():
 
 
 def test_gk_entry_fixtures():
-    ring = gk_param_ring(4)
+    _, ring = symbolic_reparam(1, 4)
     a = {i: ring.var(f"a{i}") for i in range(1, 5)}
-    assert gk_entry(2, 3, ring) == 2 * a[1] * a[2]
-    assert gk_entry(3, 2, ring) == 0
+    assert gkp_entry((1, 1), (1, 1, 1), 1, 4, ring) == 2 * a[1] * a[2]
+    assert gkp_entry((1, 1, 1), (1, 1), 1, 4, ring) == 0
     for j in range(1, 5):
-        assert gk_entry(1, j, ring) == a[j]
+        assert gkp_entry((1,), (1,) * j, 1, 4, ring) == a[j]
 
 
 @pytest.mark.parametrize("p,k", [(1, 4), (2, 2), (2, 3)])
@@ -81,11 +79,7 @@ def test_closed_form_matches_oracle(p, k):
     basis = sym_basis(p, k)
     for i, tau in enumerate(basis.monomials):
         for j, nu in enumerate(basis.monomials):
-            if p == 1:
-                expected = gk_entry(len(tau), len(nu), ring)
-            else:
-                expected = gkp_entry(tau, nu, p, k, ring)
-            assert m.data[i][j] == expected, (tau, nu)
+            assert m.data[i][j] == gkp_entry(tau, nu, p, k, ring), (tau, nu)
 
 
 def test_example_2_1_pinned_entries():

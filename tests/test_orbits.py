@@ -38,7 +38,8 @@ from jetinv.orbits import (
     twist_exponent,
     z_closed_form,
     _lie_action_on_wedge,
-    _minimal_weight_columns,
+    _cut_columns,
+    _minimal_weight_parts,
     _span_stabilizer,
 )
 from jetinv.symbasis import partitions_of, sym_basis
@@ -132,8 +133,8 @@ def test_closed_form_verdict_tells_a_wrong_filter_apart(monkeypatch):
     import jetinv.orbits
     from jetinv.cli import main
 
-    right = jetinv.orbits._closed_form_columns
-    monkeypatch.setattr(jetinv.orbits, "_closed_form_columns",
+    right = jetinv.orbits._closed_form_parts
+    monkeypatch.setattr(jetinv.orbits, "_closed_form_parts",
                         lambda sigma, k, kind: right(sigma + 1, k, kind))
     assert not closed_form_matches_limit(2, 6, "regular")
     assert main(["orbit", "closed-form", "--k", "6", "--sigma", "2", "--kind", "lambda"]) == 1
@@ -212,7 +213,7 @@ def _p_point(k):
 @given(st.integers(2, 6).flatmap(_subgroups))
 def test_minimal_weight_columns_wedge_to_the_limit(lam):
     k = lam.k
-    limit = wedge_of_sparse_vectors(k, k, _minimal_weight_columns(lam, k))
+    limit = wedge_of_sparse_vectors(k, k, _cut_columns(k, _minimal_weight_parts(lam, k)))
     assert limit == limit_point(_p_point(k), lam)
 
 
@@ -708,3 +709,116 @@ def test_decomposition_reads_the_span_of_the_columns():
     for k in (3, 4):
         tp = distinguished_twisted_point(1, k, 1)
         assert infinitesimal_stabilizer(tp).basis == distinguished_stabilizer(1, k, 1).basis
+
+
+# Entries of limit_stabilizer_matrix(sigma, k) for 2 <= sigma <= k <= 6, as
+# computed by an explicit sum over ordered compositions; rows joined by " | ".
+LIMIT_STABILIZER_PINS = {
+    (2, 2): [
+        "b1 | b2",
+        "0 | b1^2",
+    ],
+    (2, 3): [
+        "b1 | 0 | b3",
+        "0 | b1^2 | 2*b1*b2",
+        "0 | 0 | b1^3",
+    ],
+    (3, 3): [
+        "b1 | b2 | b3",
+        "0 | b1^2 | 0",
+        "0 | 0 | b1^3",
+    ],
+    (2, 4): [
+        "b1 | 0 | b3 | b4",
+        "0 | b1^2 | 2*b1*b2 | 2*b1*b3",
+        "0 | 0 | b1^3 | 0",
+        "0 | 0 | 0 | b1^4",
+    ],
+    (3, 4): [
+        "b1 | b2 | b3 | b4",
+        "0 | b1^2 | 0 | 2*b1*b3",
+        "0 | 0 | b1^3 | 3*b1^2*b2",
+        "0 | 0 | 0 | b1^4",
+    ],
+    (4, 4): [
+        "b1 | b2 | b3 | b4",
+        "0 | b1^2 | 2*b1*b2 | 0",
+        "0 | 0 | b1^3 | 0",
+        "0 | 0 | 0 | b1^4",
+    ],
+    (2, 5): [
+        "b1 | 0 | b3 | 0 | b5",
+        "0 | b1^2 | 2*b1*b2 | 2*b1*b3 | 2*b1*b4 + 2*b2*b3",
+        "0 | 0 | b1^3 | 0 | 3*b1^2*b3",
+        "0 | 0 | 0 | b1^4 | 4*b1^3*b2",
+        "0 | 0 | 0 | 0 | b1^5",
+    ],
+    (3, 5): [
+        "b1 | b2 | 0 | b4 | b5",
+        "0 | b1^2 | 0 | 0 | 2*b1*b4",
+        "0 | 0 | b1^3 | 3*b1^2*b2 | 3*b1^2*b3 + 3*b1*b2^2",
+        "0 | 0 | 0 | b1^4 | 4*b1^3*b2",
+        "0 | 0 | 0 | 0 | b1^5",
+    ],
+    (4, 5): [
+        "b1 | b2 | b3 | b4 | b5",
+        "0 | b1^2 | 2*b1*b2 | 0 | 2*b1*b4",
+        "0 | 0 | b1^3 | 0 | 0",
+        "0 | 0 | 0 | b1^4 | 4*b1^3*b2",
+        "0 | 0 | 0 | 0 | b1^5",
+    ],
+    (5, 5): [
+        "b1 | b2 | b3 | b4 | b5",
+        "0 | b1^2 | 2*b1*b2 | 2*b1*b3 + b2^2 | 0",
+        "0 | 0 | b1^3 | 3*b1^2*b2 | 0",
+        "0 | 0 | 0 | b1^4 | 0",
+        "0 | 0 | 0 | 0 | b1^5",
+    ],
+    (2, 6): [
+        "b1 | 0 | b3 | 0 | b5 | b6",
+        "0 | b1^2 | 2*b1*b2 | 2*b1*b3 | 2*b1*b4 + 2*b2*b3 | 2*b1*b5 + b3^2",
+        "0 | 0 | b1^3 | 0 | 3*b1^2*b3 | 0",
+        "0 | 0 | 0 | b1^4 | 4*b1^3*b2 | 4*b1^3*b3",
+        "0 | 0 | 0 | 0 | b1^5 | 0",
+        "0 | 0 | 0 | 0 | 0 | b1^6",
+    ],
+    (3, 6): [
+        "b1 | b2 | 0 | b4 | b5 | b6",
+        "0 | b1^2 | 0 | 0 | 2*b1*b4 | 0",
+        "0 | 0 | b1^3 | 3*b1^2*b2 | 3*b1^2*b3 + 3*b1*b2^2 | 3*b1^2*b4",
+        "0 | 0 | 0 | b1^4 | 4*b1^3*b2 | 0",
+        "0 | 0 | 0 | 0 | b1^5 | 0",
+        "0 | 0 | 0 | 0 | 0 | b1^6",
+    ],
+    (4, 6): [
+        "b1 | b2 | b3 | b4 | b5 | b6",
+        "0 | b1^2 | 2*b1*b2 | 0 | 2*b1*b4 | 2*b1*b5 + 2*b2*b4",
+        "0 | 0 | b1^3 | 0 | 0 | 3*b1^2*b4",
+        "0 | 0 | 0 | b1^4 | 4*b1^3*b2 | 4*b1^3*b3 + 6*b1^2*b2^2",
+        "0 | 0 | 0 | 0 | b1^5 | 5*b1^4*b2",
+        "0 | 0 | 0 | 0 | 0 | b1^6",
+    ],
+    (5, 6): [
+        "b1 | b2 | b3 | b4 | b5 | b6",
+        "0 | b1^2 | 2*b1*b2 | 2*b1*b3 + b2^2 | 0 | 2*b1*b5",
+        "0 | 0 | b1^3 | 3*b1^2*b2 | 0 | 0",
+        "0 | 0 | 0 | b1^4 | 0 | 0",
+        "0 | 0 | 0 | 0 | b1^5 | 5*b1^4*b2",
+        "0 | 0 | 0 | 0 | 0 | b1^6",
+    ],
+    (6, 6): [
+        "b1 | b2 | b3 | b4 | b5 | b6",
+        "0 | b1^2 | 2*b1*b2 | 2*b1*b3 + b2^2 | 2*b1*b4 + 2*b2*b3 | 0",
+        "0 | 0 | b1^3 | 3*b1^2*b2 | 3*b1^2*b3 + 3*b1*b2^2 | 0",
+        "0 | 0 | 0 | b1^4 | 4*b1^3*b2 | 0",
+        "0 | 0 | 0 | 0 | b1^5 | 0",
+        "0 | 0 | 0 | 0 | 0 | b1^6",
+    ],
+}
+
+
+def test_limit_stabilizer_matches_pinned_entries():
+    for (sigma, k), rows in LIMIT_STABILIZER_PINS.items():
+        lsm = limit_stabilizer_matrix(sigma, k)
+        assert [" | ".join(map(str, row)) for row in lsm.entries] == rows, (sigma, k)
+        assert all(e.ring == lsm.ring for row in lsm.entries for e in row)
