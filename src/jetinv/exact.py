@@ -13,9 +13,11 @@ jet composition and the symmetric algebra behind the jet embedding.
 Every linear solve over the rationals (rank, kernel, determinant, unique
 solution, inverse, row-space basis) goes through one Bareiss fraction-free
 elimination, so intermediate entries stay integral after row scaling, and one
-back substitution on its echelon rows; determinants of matrices with
-polynomial entries fall back to division-free Laplace expansion with
-memoisation.
+back substitution on its echelon rows.  Division-free minors, for
+polynomial entries and for the many minors of one matrix that invariance
+checks read, come from one ``MinorTable`` per matrix: Laplace expansion along
+the last column, with every sub-minor computed once and shared by all the
+minors whose columns extend it.
 """
 
 from __future__ import annotations
@@ -543,42 +545,58 @@ def _det_bareiss(rows: list[list[Fraction]]) -> Fraction:
     return Fraction(sign) * ech[n - 1][pivots[-1]] / scale
 
 
-def _det_laplace(data: Sequence[Sequence[Coef]]) -> Coef:
-    """Division-free determinant: Laplace along rows, memoised on column sets.
+class MinorTable:
+    """Division-free minors of one matrix given by sparse columns, over any
+    commutative ring.
 
-    Valid over any commutative ring; intended for polynomial entries at the
-    modest sizes that occur here.
+    Expanding along the last column, det(R; c_1..c_s) = sum_i (-1)^(i+s)
+    a[R_i][c_s] det(R minus R_i; c_1..c_{s-1}), so minors whose column tuples
+    share a prefix share sub-minors.  One memo per column prefix, keyed by
+    the sorted row tuple, holds each once; zero entries and zero sub-minors
+    are skipped.
     """
-    n = len(data)
-    if n == 0:
-        return Fraction(1)
-    cache: dict[tuple[int, ...], Coef] = {}
 
-    def minor(row: int, cols: tuple[int, ...]) -> Coef:
-        if row == n:
-            return Fraction(1)
-        got = cache.get(cols)
-        if got is not None:
-            return got
-        acc = None
-        for idx, c in enumerate(cols):
-            x = data[row][c]
-            if isinstance(x, Fraction) and x == 0:
-                continue
-            if isinstance(x, SparsePolynomial) and x.is_zero():
-                continue
-            rest = cols[:idx] + cols[idx + 1 :]
-            sub = minor(row + 1, rest)
-            term = x * sub
-            if idx % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = Fraction(0)
-        cache[cols] = acc
+    def __init__(self, columns: Sequence[Mapping[int, Coef]]):
+        self.columns = columns
+        self.memo: dict[tuple[int, ...], dict[tuple[int, ...], Coef]] = {(): {(): 1}}
+
+    def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Coef:
+        """The minor on rows, in the given order, and columns cols."""
+        key, cols = tuple(sorted(rows)), tuple(cols)
+        if len(key) != len(cols):
+            raise ValueError("a minor needs as many rows as columns")
+        value = self.memo.get(cols, {}).get(key)
+        if value is None:
+            value = self._minor(cols, key)
+        odd = key != tuple(rows) and sum(a > b for i, a in enumerate(rows)
+                                         for b in rows[i + 1:]) % 2
+        return -value if odd else value
+
+    def _minor(self, cols: tuple[int, ...], rows: tuple[int, ...]) -> Coef:
+        column, sub = self.columns[cols[-1]], cols[:-1]
+        known = self.memo.setdefault(sub, {})
+        acc = 0
+        negate = not len(rows) % 2  # the sign (-1)^(i+s) at i = 1
+        for i, r in enumerate(rows):
+            x = column.get(r)
+            if x:
+                rest_rows = rows[:i] + rows[i + 1:]
+                rest = known.get(rest_rows)
+                if rest is None:
+                    rest = self._minor(sub, rest_rows)
+                if rest:
+                    acc = acc - x * rest if negate else acc + x * rest
+            negate = not negate
+        self.memo.setdefault(cols, {})[rows] = acc
         return acc
 
-    return minor(0, tuple(range(n)))
+
+def _det_laplace(data: Sequence[Sequence[Coef]]) -> Coef:
+    """Division-free determinant of a dense square matrix, off a MinorTable."""
+    n = len(data)
+    columns = [{i: row[j] for i, row in enumerate(data) if row[j]} for j in range(n)]
+    det = MinorTable(columns).minor(range(n), range(n))
+    return det if isinstance(det, SparsePolynomial) else rat(det)
 
 
 def solve_unique(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list[Fraction] | None:

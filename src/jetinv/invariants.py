@@ -12,8 +12,11 @@ Invariance checks default to exact evaluation at random rational points: a
 polynomial identity that fails does so outside a measure-zero set, so any
 failing generator is refuted with probability 1 per trial, and the identity
 direction is additionally provable symbolically at small k.  Evaluation goes
-through the minor's provenance (a determinant of the numerically embedded
-matrix), which equals the expanded polynomial's value exactly.
+through the minor's provenance: the columns of every generator are a prefix of
+the embedded matrix's, so one ``MinorTable`` per embedded matrix reads them
+all.  A rational matrix is tabled in integers: a minor is linear in each
+column, so scaling column j by the lcm s_j of its denominators gives
+minor(R; J) = integer minor(R; J) / prod_{j in J} s_j, exactly.
 """
 
 from __future__ import annotations
@@ -21,12 +24,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 
-from .exact import Matrix, ResourceLimitError, SparsePolynomial, kernel_basis, rank, rat
+from .exact import (Matrix, MinorTable, PolyRing, ResourceLimitError, SparsePolynomial,
+                    kernel_basis, rank, rat)
 from .jets import (
     JetMap,
     compose,
+    group_matrix,
+    jet_var_name,
     _monomial_of_coords,
     random_jet,
     random_reparam,
@@ -34,7 +40,7 @@ from .jets import (
     symbolic_jet,
 )
 from .embedding import PhiMatrix, phi
-from .symbasis import Exponent, Monomial, sym_basis
+from .symbasis import Exponent, Monomial, sym_basis, sym_dim
 
 
 MINOR_COUNT_CEILING = 20000
@@ -61,14 +67,13 @@ class InvariantPoly:
     def poly(self) -> SparsePolynomial:
         if self._poly is None:
             gamma, _ = symbolic_jet(self.p, self.n, self.k)
-            self._poly = self._minor_of(phi(gamma))
+            self._poly = _minors_of(phi(gamma))(*self.positions())
         return self._poly
 
-    def _minor_of(self, pm: PhiMatrix) -> SparsePolynomial | Fraction:
-        basis = pm.basis
-        row_pos = [basis.index_of(m) for m in self.rows]
-        col_idx = [pm.col_index.index(s) for s in self.cols]
-        return pm.submatrix(row_pos, col_idx).det()
+    def positions(self) -> tuple[list[int], list[int]]:
+        """Row and column positions of the minor in the embedded matrix."""
+        rows, cols = sym_basis(self.n, self.k).position, sym_basis(self.p, self.k).exponent_position
+        return [rows[m] for m in self.rows], [cols[s] for s in self.cols]
 
     def key(self) -> tuple:
         """Scalar-normalized term signature used for deduplication."""
@@ -91,15 +96,29 @@ class InvariantPoly:
         }
 
 
-def _generator_families(k: int, p: int) -> list[tuple[tuple[Exponent, ...], tuple[int, ...], object]]:
-    """The generator families as (columns, sorted column degrees, weighted
-    degree): for p = 1 the first s columns, s = 1..k (flag Plücker minors);
-    for p > 1 all columns (maximal minors)."""
+def _minors_of(pm: PhiMatrix):
+    """Minor reader (row positions, column positions) -> value of pm, off one
+    MinorTable; rational columns are tabled in integers by column scales."""
+    if not all(isinstance(x, Fraction) for col in pm.columns for x in col.values()):
+        return MinorTable(pm.columns).minor
+    scales = [lcm(*(x.denominator for x in col.values())) for col in pm.columns]
+    table = MinorTable([{r: x.numerator * (d // x.denominator) for r, x in col.items()}
+                        for col, d in zip(pm.columns, scales)])
+    return lambda rows, cols: Fraction(table.minor(rows, cols), prod(scales[c] for c in cols))
+
+
+def _generator_families(n: int, k: int, p: int) -> list[tuple[tuple[int, ...], object]]:
+    """The generator families as (column degrees, weighted degree), taking
+    the first len(column degrees) domain columns, with no basis built: for
+    p = 1 the first s columns, s = 1..k (flag Plücker minors); for p > 1 all
+    comb(p + d - 1, d) columns of each degree d (maximal minors, none if the
+    columns outnumber the rows), each weight coordinate 1/p of the degree sum."""
     if p == 1:
-        return [(tuple((d,) for d in range(1, s + 1)), tuple(range(1, s + 1)), s * (s + 1) // 2)
-                for s in range(1, k + 1)]
-    cols = tuple(sym_basis(p, k).exponents)
-    return [(cols, tuple(sorted(map(sum, cols))), tuple(map(sum, zip(*cols))))]
+        return [(tuple(range(1, s + 1)), s * (s + 1) // 2) for s in range(1, k + 1)]
+    if sym_dim(p, k) > sym_dim(n, k):
+        return []
+    degrees = tuple(d for d in range(1, k + 1) for _ in range(comb(p + d - 1, d)))
+    return [(degrees, (sum(degrees) // p,) * p)]
 
 
 def _staircase_row_sets(positions_by_degree: dict[int, list[int]], c: tuple[int, ...]):
@@ -129,7 +148,7 @@ def count_candidate_minors(n: int, k: int, p: int = 1) -> int:
     """Number of structurally nonzero minor candidates, before deduplication:
     the row sets of `_staircase_row_sets`, counted without enumerating them."""
     counts = {d: comb(n + d - 1, d) for d in range(1, k + 1)}  # rows of each degree
-    return sum(_profile_count(counts, c) for _, c, _ in _generator_families(k, p))
+    return sum(_profile_count(counts, c) for c, _ in _generator_families(n, k, p))
 
 
 def _profile_count(counts: dict[int, int], col_degrees: tuple[int, ...]) -> int:
@@ -176,20 +195,25 @@ def generator_set(
                 f"{count} candidate minors exceed the ceiling {MINOR_COUNT_CEILING}; "
                 "pass force to override"
             )
+    families = _generator_families(n, k, p)
+    if not families:
+        return []
     basis = sym_basis(n, k)
     positions_by_degree: dict[int, list[int]] = {}
     for pos, m in enumerate(basis.monomials):
         positions_by_degree.setdefault(len(m), []).append(pos)
-    pm = phi(symbolic_jet(p, n, k)[0]) if materialize else None
+    domain = sym_basis(p, k).exponents
+    minor = _minors_of(phi(symbolic_jet(p, n, k)[0])) if materialize else None
     out: list[InvariantPoly] = []
     seen: set[tuple] = set()
-    for cols, c, wd in _generator_families(k, p):
+    for c, wd in families:
+        cols = tuple(domain[: len(c)])
         for rows in _staircase_row_sets(positions_by_degree, c):
             inv = InvariantPoly(n=n, k=k, p=p, rows=tuple(map(basis.monomial_at, rows)), cols=cols,
                                 weighted_degree=wd)
             if materialize:
-                poly = inv._minor_of(pm)
-                if isinstance(poly, Fraction) or poly.is_zero():
+                poly = minor(rows, range(len(c)))
+                if not isinstance(poly, SparsePolynomial) or poly.is_zero():
                     continue
                 inv._poly = poly
                 key = inv.key()
@@ -224,29 +248,15 @@ def verify_invariance_symbolic(q: InvariantPoly) -> bool:
     the minor at gamma, as polynomials.  Practical for k <= 3."""
     if q.p != 1:
         raise NotImplementedError("symbolic proof implemented for curves only")
-    names: list[str] = []
-    from .jets import jet_var_name
-
-    dom = sym_basis(1, q.k)
-    for s in dom.exponents:
-        for j in range(1, q.n + 1):
-            names.append(jet_var_name("u", s, j))
-    anames = [f"a{i}" for i in range(2, q.k + 1)]
-    from .exact import PolyRing
-
-    ring = PolyRing(names + anames)
-    coeffs = {
-        s: tuple(ring.var(jet_var_name("u", s, j)) for j in range(1, q.n + 1))
-        for s in dom.exponents
-    }
-    gamma = JetMap(1, q.n, q.k, coeffs)
-    pcoeffs = {(1,): (ring.one(),)}
-    for i in range(2, q.k + 1):
-        pcoeffs[(i,)] = (ring.var(f"a{i}"),)
-    psi = JetMap(1, 1, q.k, pcoeffs)
-    before = q._minor_of(phi(gamma))
-    after = q._minor_of(phi(compose(gamma, psi)))
-    return before == after
+    names = {s: [jet_var_name("u", s, j) for j in range(1, q.n + 1)]
+             for s in sym_basis(1, q.k).exponents}
+    ring = PolyRing([x for row in names.values() for x in row]
+                    + [f"a{i}" for i in range(2, q.k + 1)])
+    gamma = JetMap(1, q.n, q.k, {s: tuple(map(ring.var, row)) for s, row in names.items()})
+    psi = JetMap(1, 1, q.k, {(i,): (ring.var(f"a{i}") if i > 1 else ring.one(),)
+                             for i in range(1, q.k + 1)})
+    where = q.positions()
+    return _minors_of(phi(gamma))(*where) == _minors_of(phi(compose(gamma, psi)))(*where)
 
 
 def verify_generator_suite(
@@ -269,33 +279,25 @@ def verify_generator_suite(
     if not gens:
         return {"ok": True, "trials": trials, "witness": None, "generators": 0}
     n, k, p = gens[0].n, gens[0].k, gens[0].p
-    basis = sym_basis(n, k)
+    where = [g.positions() for g in gens]
     rng = random.Random(seed)
     witness = None
     for t in range(trials):
         gamma = random_jet(rng, p, n, k, bound=bound)
         psi = random_reparam(rng, p, k, bound=bound, unipotent=(p == 1), special=(p > 1))
         lam = tuple(_nonzero_rational(rng, bound) for _ in range(p))
-        pm0 = phi(gamma)
-        pm1 = phi(compose(gamma, psi))
-        pml = phi(scale_jet(gamma, lam))
-        for g in gens:
-            rows = [basis.index_of(m) for m in g.rows]
-            cols = [pm0.col_index.index(s) for s in g.cols]
-            v0 = rat(pm0.submatrix(rows, cols).det())
-            v1 = rat(pm1.submatrix(rows, cols).det())
+        minor0 = _minors_of(phi(gamma))
+        minor1 = _minors_of(phi(compose(gamma, psi)))
+        minorl = _minors_of(phi(scale_jet(gamma, lam)))
+        for g, (rows, cols) in zip(gens, where):
+            v0 = minor0(rows, cols)
+            v1 = minor1(rows, cols)
             if v0 != v1:
                 witness = {"trial": t, "generator": g.to_json()["provenance"], "kind": "invariance"}
                 break
             wd = g.weighted_degree
-            if isinstance(wd, int):
-                expected = lam[0] ** wd * v0
-            else:
-                expected = v0
-                for l, w in zip(lam, wd):
-                    expected *= l**w
-            vl = rat(pml.submatrix(rows, cols).det())
-            if vl != expected:
+            weights = (wd,) if isinstance(wd, int) else wd
+            if minorl(rows, cols) != v0 * prod(l**w for l, w in zip(lam, weights)):
                 witness = {"trial": t, "generator": g.to_json()["provenance"], "kind": "homogeneity"}
                 break
         if witness:
@@ -320,8 +322,6 @@ def bulk_invariance_check(
     this implies every s x s minor of the first s columns is unchanged, so a
     pass certifies the whole generator set for these trials.
     """
-    from .jets import group_matrix
-
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     rng = random.Random(seed)

@@ -331,7 +331,10 @@ def random_jet(
     bound: int = 20,
     regular: bool = False,
 ) -> JetMap:
-    """Random rational jet; with `regular`, the linear block has full rank p."""
+    """Random rational jet; with `regular`, the linear block has full rank p,
+    which a q x p block can have only when q >= p."""
+    if regular and q < p:
+        raise ValueError(f"a regular jet needs n >= p, got n={q} < p={p}")
     while True:
         coeffs = {}
         for s in sym_basis(p, k).exponents:

@@ -212,6 +212,14 @@ def test_generators_gate_exits_3_before_enumerating(capsys, n, k):
     assert captured.out == "" and "exceed the ceiling" in captured.err
 
 
+def test_generators_with_more_columns_than_rows_prints_none_fast(capsys):
+    # 125,969 columns against 90 rows: no maximal minor, decided before any basis
+    start = time.perf_counter()
+    code, out = run_cli(["generators", "--n", "2", "--k", "12", "--p", "8", "--json"], capsys)
+    assert code == 0 and time.perf_counter() - start < 1.0
+    assert json.loads(out)["count"] == 0
+
+
 def test_orbit_limit_k8_lambda_runs_without_force(capsys):
     # the wedge has 1,152 terms: the exact term count admits it
     code, out = run_cli(["orbit", "limit", "--k", "8", "--sigma", "3", "--kind", "lambda", "--json"],
@@ -361,17 +369,31 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["dimension"] == 1
 
 
-def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "jetinv.cli", "orbit", "stabilizer", "--k", "2", "--json"],
+def _run_module(args, timeout=None):
+    return subprocess.run(
+        [sys.executable, "-m", "jetinv.cli", *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
+        timeout=timeout,
     )
+
+
+def test_console_entry_point():
+    proc = _run_module(["orbit", "stabilizer", "--k", "2", "--json"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 1
+
+
+@pytest.mark.parametrize("cmd", ["phi", "test-curve"])
+def test_regular_jet_with_n_below_p_exits_2(cmd):
+    # a 2 x 3 linear block never reaches rank 3, so no random draw can succeed;
+    # run in a subprocess so that a retry loop fails the test instead of hanging it
+    proc = _run_module([cmd, "--p", "3", "--k", "2", "--n", "2"], timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1 and "n >= p" in proc.stderr
 
 
 # SHA-256 of the --json stdout of fixed invocations: identical invocations
@@ -395,6 +417,8 @@ GOLDEN_STDOUT = {
     "generators --p 2 --n 3 --k 2": "75f65be8701880cf06b8710dd82192f4d0d5987aa788cf240e76138734dd0530",
     "generators --p 2 --n 2 --k 3": "564758ec102906ad7a3997298e506c5239e1917a67c70e2ab003ef3767ff5cba",
     "group-matrix --p 1 --k 4 --symbolic --closed-form": "38e0ad38c7b0377433d56dd9e557b9a633c4e842440388c2847e0531216d9936",
+    "generators --n 3 --k 3 --verify --trials 10 --seed 5": "4ddd96b25373990fc941fd457c605957d4d16ea5c3436f6e65aa317bd224f117",
+    "generators --n 2 --k 4 --verify --trials 10 --seed 5": "3f9ff7a3d0c3a8770f5e07ab888bc3b118e234e7341fb907ad1f2512ccdf6d4a",
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from jetinv.embedding import same_span
 from jetinv.exact import (
     Matrix,
+    MinorTable,
     PolyRing,
     _det_laplace,
     kernel_basis,
@@ -277,6 +278,41 @@ def test_row_space_basis_spans_the_rows(a):
 @given(_square_matrices())
 def test_bareiss_det_equals_laplace_det(a):
     assert Matrix(a).det() == _det_laplace(a)
+
+
+def _sparse_columns(a):
+    return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(len(a[0]))]
+
+
+@st.composite
+def _matrix_with_minors(draw):
+    """A zero-heavy matrix and minor queries on it: row lists in any order
+    (so the row permutation sign is exercised) against column prefixes."""
+    a = draw(_matrices(rows=st.integers(1, 6)))
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        s = draw(st.integers(1, min(len(a), len(a[0]))))
+        queries.append(draw(st.permutations(range(len(a))))[:s])
+    return a, queries
+
+
+@_property
+@given(_matrix_with_minors())
+def test_minor_table_equals_bareiss_on_every_prefix_minor(case):
+    a, queries = case
+    table = MinorTable(_sparse_columns(a))  # one table shared by all queries
+    for rows in queries:
+        s = len(rows)
+        expected = Matrix([[a[r][j] for j in range(s)] for r in rows]).det()
+        assert table.minor(rows, range(s)) == expected
+
+
+def test_minor_table_repeated_rows_and_shape():
+    table = MinorTable(_sparse_columns([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]))
+    assert table.minor([1, 1], [0, 1]) == 0
+    assert table.minor([1, 0], [0, 1]) == 2 == -table.minor([0, 1], [0, 1])
+    with pytest.raises(ValueError):
+        table.minor([0, 1], [0])
 
 
 # -- properties of the shared sparse product --------------------------------

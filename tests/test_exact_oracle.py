@@ -1,5 +1,6 @@
 """The exact core against an independent implementation: sympy's rank,
-determinant and nullspace on zero-heavy rational matrices."""
+determinant and nullspace on zero-heavy rational matrices, and sympy's
+determinant on polynomial matrices."""
 
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetinv.exact import Matrix, kernel_basis, rank
+from jetinv.exact import Matrix, MinorTable, PolyRing, SparsePolynomial, kernel_basis, rank
 
 sympy = pytest.importorskip("sympy")
 
@@ -42,3 +43,32 @@ def test_rank_and_kernel_dimension_agree_with_sympy(a):
 def test_det_agrees_with_sympy(a):
     det = _oracle(a).det()
     assert Matrix(a).det() == Fraction(int(det.p), int(det.q))
+
+
+_RING = PolyRing(["x", "y"])
+_X, _Y = sympy.symbols("x y")
+# sparse, low-degree polynomials with zeros among them, so terms cancel
+_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)),
+                         max_size=3).map(_RING.poly)
+
+
+def _to_sympy(f):
+    if not isinstance(f, SparsePolynomial):  # a rational, or the table's integer zero
+        return sympy.Rational(f.numerator, f.denominator)
+    return sum((sympy.Rational(c.numerator, c.denominator) * _X**e[0] * _Y**e[1]
+                for e, c in f.terms.items()), sympy.Integer(0))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.lists(st.lists(_polys, min_size=n, max_size=n), min_size=n, max_size=n),
+                        st.permutations(range(n)), st.integers(1, n))))
+def test_polynomial_minors_agree_with_sympy(case):
+    a, order, s = case
+    oracle = sympy.Matrix([[_to_sympy(x) for x in row] for row in a])
+    assert sympy.expand(_to_sympy(Matrix(a).det()) - oracle.det(method="berkowitz")) == 0
+    rows = order[:s]
+    table = MinorTable([{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(len(a))])
+    minor = oracle.extract(list(rows), list(range(s))).det(method="berkowitz")
+    assert sympy.expand(_to_sympy(table.minor(rows, range(s))) - minor) == 0

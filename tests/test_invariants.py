@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from jetinv.invariants import test_curve_system as curve_system
 from jetinv.invariants import (
     InvariantPoly,
     ResourceLimitError,
+    _generator_families,
     bulk_invariance_check,
     count_candidate_minors,
     generator_set,
@@ -95,6 +97,18 @@ def test_verify_invariance_detects_noninvariant():
     assert rep["witness"]["kind"] == "invariance"
 
 
+@pytest.mark.parametrize("n,k,p,wrong", [(2, 2, 1, 2), (3, 2, 2, (4, 3))])
+def test_verify_wrong_weighted_degree_gives_homogeneity_witness(n, k, p, wrong):
+    """An invariant minor with a misstated torus weight passes the invariance
+    comparison and fails the homogeneity one."""
+    g = generator_set(n, k, p, force=True)[0]
+    assert g.weighted_degree != wrong
+    fake = dataclasses.replace(g, weighted_degree=wrong)
+    rep = verify_generator_suite([g, fake], trials=5, seed=3)
+    assert not rep["ok"]
+    assert rep["witness"]["kind"] == "homogeneity" and rep["witness"]["trial"] == 0
+
+
 def test_verify_invariance_symbolic_small():
     gens = generator_set(2, 2, 1)
     for g in gens:
@@ -147,6 +161,26 @@ def test_count_equals_enumeration():
     assert shapes == 48
     assert count_candidate_minors(3, 2, 2) == 75
     assert count_candidate_minors(4, 2, 2) == 910
+
+
+def test_generator_families_need_no_basis(monkeypatch):
+    """Column degrees and weighted degrees come from binomial counts; they
+    equal those read off the domain basis, which the families never build."""
+    import jetinv.invariants
+
+    for p in (2, 3):
+        for k in (1, 2, 3, 4):
+            cols = sym_basis(p, k).exponents
+            assert _generator_families(60, k, p) == [
+                (tuple(map(sum, cols)), tuple(map(sum, zip(*cols))))]
+
+    def no_basis(*args):
+        raise AssertionError("basis built")
+
+    monkeypatch.setattr(jetinv.invariants, "sym_basis", no_basis)
+    assert _generator_families(2, 12, 8) == []  # 125,969 columns, 90 rows
+    assert count_candidate_minors(2, 12, 8) == 0
+    assert generator_set(2, 12, 8) == []
 
 
 def test_generator_gate_runs_before_any_candidate(monkeypatch):

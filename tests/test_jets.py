@@ -281,6 +281,12 @@ def test_composition_matches_partition_expansion():
         assert composed.coeffs[(m,)][0] == rhs, m
 
 
+def test_regular_random_jet_needs_n_at_least_p():
+    with pytest.raises(ValueError):
+        random_jet(random.Random(0), 3, 2, 2, regular=True)
+    assert random_jet(random.Random(0), 3, 2, 2).q == 2  # non-regular draws still work
+
+
 def test_jet_json_roundtrip():
     rng = random.Random(12)
     jet = random_jet(rng, 2, 3, 2, bound=9)
