@@ -23,13 +23,12 @@ sign-normalizes as it inserts factors.  Dense exterior powers are never built.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
-from .exact import Matrix, rank, rat, rat_str, row_space_basis, sparse_product
+from .exact import Matrix, integral, rank, rat, rat_str, row_space_basis, sparse_product
 from .jets import JetMap, flat_jet
 from .symbasis import Exponent, Monomial, SymBasis, sym_basis
 
@@ -209,13 +208,13 @@ def wedge_of_sparse_vectors(
     n: int, k: int, vectors: list[dict[int, Fraction]]
 ) -> WedgeVector:
     """Exterior product of sparse rational vectors over the Sym basis,
-    sign-normalized.  Each vector is scaled to integers by the lcm of its
-    denominators; the product of the scales is divided out once at the end."""
+    sign-normalized.  Each vector is scaled to integers by ``exact.integral``;
+    the product of the scales is divided out once at the end."""
     terms: dict[tuple[int, ...], int] = {(): 1}
     scale = 1
     for vec in vectors:
-        d = math.lcm(*(v.denominator for v in vec.values()))
-        ivec = [(pos, v.numerator * (d // v.denominator)) for pos, v in vec.items()]
+        ints, d = integral(list(vec.values()))
+        ivec = list(zip(vec, ints))
         scale *= d
         nxt: dict[tuple[int, ...], int] = {}
         for factors, c in terms.items():

@@ -12,12 +12,14 @@ jet composition and the symmetric algebra behind the jet embedding.
 
 Every linear solve over the rationals (rank, kernel, determinant, unique
 solution, inverse, row-space basis) goes through one Bareiss fraction-free
-elimination, so intermediate entries stay integral after row scaling, and one
-back substitution on its echelon rows.  Division-free minors, for
-polynomial entries and for the many minors of one matrix that invariance
-checks read, come from one ``MinorTable`` per matrix: Laplace expansion along
-the last column, with every sub-minor computed once and shared by all the
-minors whose columns extend it.
+elimination, so intermediate entries stay integral, and one back substitution
+on its echelon rows.  ``integral``, the lcm-of-denominators scaling, is the
+one conversion into integers: the elimination applies it to each row as given
+(ints, Fractions or both), and so do minor tables, wedges and orbit weights.
+Division-free minors, for polynomial entries and for the many minors of one
+matrix that invariance checks read, come from one ``MinorTable`` per matrix:
+Laplace expansion along the last column, with every sub-minor computed once
+and shared by all the minors whose columns extend it.
 """
 
 from __future__ import annotations
@@ -391,12 +393,10 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def _rational_rows(self) -> list[list[Fraction]]:
-        for row in self.data:
-            for x in row:
-                if isinstance(x, SparsePolynomial):
-                    raise TypeError("operation requires rational entries")
-        return [[rat(x) for x in row] for row in self.data]
+    def _rational_rows(self) -> list[list[Scalar]]:
+        if any(isinstance(x, SparsePolynomial) for row in self.data for x in row):
+            raise TypeError("operation requires rational entries")
+        return self.data
 
     def rank(self) -> int:
         return rank(self._rational_rows())
@@ -434,27 +434,25 @@ class Matrix:
 # -- fraction-free elimination ------------------------------------------
 
 
-def _scale_rows_integral(rows: list[list[Fraction]]) -> tuple[list[list[int]], Fraction]:
-    """Scale each row to integers; returns rows and the product of scalings."""
-    out = []
-    scale = Fraction(1)
-    for row in rows:
-        l = 1
-        for x in row:
-            l = l * x.denominator // math.gcd(l, x.denominator)
-        scale *= l
-        out.append([int(x * l) for x in row])
-    return out, scale
+def integral(values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """The values times d, the lcm of their denominators, as ints; and d.
+
+    Integer operations only: x * d is x.numerator * (d // x.denominator).
+    """
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
-def _bareiss(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int], int, Fraction]:
+def _bareiss(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free echelon form.
 
-    Returns (integer echelon rows, pivot column list, permutation sign,
-    row-scaling product).  The echelon rows below each pivot are zeroed; the
-    division by the previous pivot is exact at every step.
+    Each row is scaled to integers by ``integral``.  Returns (integer echelon
+    rows, pivot column list, permutation sign, product of the row scales).
+    The echelon rows below each pivot are zeroed; the division by the
+    previous pivot is exact at every step.
     """
-    m, scale = _scale_rows_integral(rows)
+    scaled = [integral(row) for row in rows]
+    m, scale = [ints for ints, _ in scaled], math.prod(d for _, d in scaled)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
@@ -483,7 +481,7 @@ def _bareiss(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int], in
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    _, pivots, _, _ = _bareiss([[rat(x) for x in row] for row in rows])
+    _, pivots, _, _ = _bareiss(rows)
     return len(pivots)
 
 
@@ -513,12 +511,11 @@ def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> 
     One basis vector per free column, with a 1 in that column and 0 in the
     other free columns; the pivot entries come from back substitution.
     """
-    frac = [[rat(x) for x in row] for row in rows]
     if ncols is None:
-        if not frac:
+        if not rows:
             raise ValueError("ncols required for an empty matrix")
-        ncols = len(frac[0])
-    ech, pivots, _, _ = _bareiss(frac)
+        ncols = len(rows[0])
+    ech, pivots, _, _ = _bareiss(rows)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
@@ -531,11 +528,11 @@ def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> 
 
 def row_space_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     """Basis of the row space: the nonzero rows of the fraction-free echelon."""
-    ech, pivots, _, _ = _bareiss([[rat(x) for x in row] for row in rows])
+    ech, pivots, _, _ = _bareiss(rows)
     return [[Fraction(x) for x in row] for row in ech[: len(pivots)]]
 
 
-def _det_bareiss(rows: list[list[Fraction]]) -> Fraction:
+def _det_bareiss(rows: Sequence[Sequence[Scalar]]) -> Fraction:
     n = len(rows)
     if n == 0:
         return Fraction(1)
@@ -605,9 +602,8 @@ def solve_unique(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> lis
         raise ValueError("solve_unique needs at least one equation")
     if len(rhs) != len(rows):
         raise ValueError("solve_unique needs one right-hand side per equation")
-    m = [[rat(x) for x in row] + [rat(b)] for row, b in zip(rows, rhs)]
     ncols = len(rows[0])
-    ech, pivots, _, _ = _bareiss(m)
+    ech, pivots, _, _ = _bareiss([[*row, b] for row, b in zip(rows, rhs)])
     if pivots != list(range(ncols)):
         return None  # underdetermined, or inconsistent (a pivot in the b column)
     return _back_substitute(ech, pivots, [Fraction(0)] * ncols + [Fraction(-1)])[:ncols]

@@ -6,13 +6,13 @@ Weights live in Q + Q*eps with eps an infinitesimal positive formal symbol,
 ordered lexicographically; this is the exact small-eps limit of the "fix
 0 < eps < 1" convention and removes all genericity tuning.  The projective
 limit of a wedge point under a diagonal one-parameter subgroup is its
-minimal-total-weight part.  The weights of a subgroup are scaled by the lcm
-of their denominators into integer pairs (a, b), summed once per basis
-position, and compared as tuples: a positive scale keeps the lexicographic
-Q + Q*eps order.  Column s of phi(flat_jet(p, k)) lives on the monomials
-whose letters sum to s, so these columns, and any restrictions of them, have
-disjoint supports: each term of their wedge picks one position per column,
-with no cancellation.  The limit of the distinguished point is therefore the
+minimal-total-weight part.  The weights of a subgroup are scaled to integer
+pairs (a, b) by ``exact.integral``, summed once per basis position, and
+compared as tuples: a positive scale keeps the lexicographic Q + Q*eps
+order.  Column s of phi(flat_jet(p, k)) lives on the monomials whose letters
+sum to s, so these columns, and any restrictions of them, have disjoint
+supports: each term of their wedge picks one position per column, with no
+cancellation.  The limit of the distinguished point is therefore the
 wedge of the per-column minimal-weight parts, and the per-degree closed forms
 are verified against it column by column rather than assumed.
 
@@ -36,7 +36,6 @@ of the least term I and nonzero only above i_s, or I would not be least.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +45,7 @@ from .exact import (
     PolyRing,
     ResourceLimitError,
     SparsePolynomial,
+    integral,
     kernel_basis,
     rank,
     rat,
@@ -164,10 +164,9 @@ def _position_weights(
     lam: OneParamSubgroup, monomials: list[Monomial]
 ) -> tuple[list[int], list[int]]:
     """a- and b-parts of each monomial's weight under lam, scaled to integers
-    by D, the lcm of all denominators of lam's weights (D > 0 keeps the order)."""
-    scale = math.lcm(*(x.denominator for wt in lam.weights for x in (wt.a, wt.b)))
-    la = [int(wt.a * scale) for wt in lam.weights]
-    lb = [int(wt.b * scale) for wt in lam.weights]
+    together by ``exact.integral`` (its scale is positive, so it keeps the order)."""
+    ints, _ = integral([x for wt in lam.weights for x in (wt.a, wt.b)])
+    la, lb = ints[0::2], ints[1::2]
     pa = [sum(la[i - 1] for i in m) for m in monomials]
     pb = [sum(lb[i - 1] for i in m) for m in monomials]
     return pa, pb
@@ -198,8 +197,9 @@ def limit_point(w: WedgeVector, lam: OneParamSubgroup) -> WedgeVector:
 
     Every expanded term's total weight is the sum of its factor weights; the
     terms achieving the minimum survive with their original coefficients.
-    Weights are integer pairs (a, b) for a + b*eps, scaled by the lcm of their
-    denominators, one per basis position; tuple order is the Q + Q*eps order.
+    Weights are integer pairs (a, b) for a + b*eps, scaled by
+    ``exact.integral``, one per basis position; tuple order is the Q + Q*eps
+    order.
     """
     if w.is_zero():
         raise ValueError("limit of the zero vector")
@@ -365,7 +365,7 @@ def _stabilizer_kernel(columns: list[dict], constraints: list[list[Fraction]]) -
             sparse.setdefault(key, {})[j] = c
     distinct = {tuple((j, c / next(iter(row.values()))) for j, c in row.items())
                 for row in sparse.values()}
-    rows = [[row.get(j, Fraction(0)) for j in range(len(columns))] for row in map(dict, distinct)]
+    rows = [[row.get(j, 0) for j in range(len(columns))] for row in map(dict, distinct)]
     return kernel_basis(rows + constraints, len(columns))
 
 
@@ -660,7 +660,7 @@ def extra_direction_is_new(sigma: int, k: int) -> bool:
 
 
 def _flatten(m: Matrix) -> list[Fraction]:
-    return [rat(x) for row in m.data for x in row]
+    return [x for row in m.data for x in row]
 
 
 # -- Hilbert-Mumford torus criterion -----------------------------------------

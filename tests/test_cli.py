@@ -220,6 +220,14 @@ def test_generators_with_more_columns_than_rows_prints_none_fast(capsys):
     assert json.loads(out)["count"] == 0
 
 
+def test_verifying_an_empty_generator_set_exits_2(capsys):
+    # a check that ran no trial never reports ok
+    code = main(["generators", "--n", "2", "--k", "12", "--p", "8", "--verify", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and "generator" in captured.err
+
+
 def test_orbit_limit_k8_lambda_runs_without_force(capsys):
     # the wedge has 1,152 terms: the exact term count admits it
     code, out = run_cli(["orbit", "limit", "--k", "8", "--sigma", "3", "--kind", "lambda", "--json"],
@@ -322,9 +330,9 @@ def test_test_curve_ranks_its_system_once(capsys, monkeypatch):
                         capsys)
     assert code == 0 and json.loads(out)["solution_space_equals_perp"] is True
     (sysm,) = systems
-    # rank S, rank A and rank(S + A) decide the perp check; the reported rank
-    # is rank A again, so no fourth matrix of the system's width is ranked
-    assert sum(len(rows[0]) == len(sysm.col_index) for rows in ranked) == 3
+    # the perp check compares entries and ranks nothing; the reported rank is
+    # the only matrix of the system's width that is ranked
+    assert sum(len(rows[0]) == len(sysm.col_index) for rows in ranked) == 1
 
 
 def test_determinism_same_seed(capsys):
@@ -419,6 +427,10 @@ GOLDEN_STDOUT = {
     "group-matrix --p 1 --k 4 --symbolic --closed-form": "38e0ad38c7b0377433d56dd9e557b9a633c4e842440388c2847e0531216d9936",
     "generators --n 3 --k 3 --verify --trials 10 --seed 5": "4ddd96b25373990fc941fd457c605957d4d16ea5c3436f6e65aa317bd224f117",
     "generators --n 2 --k 4 --verify --trials 10 --seed 5": "3f9ff7a3d0c3a8770f5e07ab888bc3b118e234e7341fb907ad1f2512ccdf6d4a",
+    "test-curve --k 5 --n 5 --seed 11": "7c6d3851d66e53248d2460c6ab53478029aa9a9c82cffec200a47f75a0fe1168",
+    "test-curve --p 2 --k 3 --n 4 --seed 11": "65734596586f76583d688c4871e3d7c6193abb9124651f0dd1c5b5646542cd15",
+    "test-curve --k 4 --n 4 --N 2 --seed 11": "d5016cc20c4df1a9c749303aa52ec0098a3172d2116ee4341ccafb9e24db5905",
+    "orbit codim-report --k 5": "2e9e3ff8d604dd45a09c17138e095e7f524484c49ba1f62b944823c8e6a96c22",
 }
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from jetinv.exact import (
     MinorTable,
     PolyRing,
     _det_laplace,
+    integral,
     kernel_basis,
     parse_rat,
     rank,
@@ -263,6 +265,52 @@ def test_inverse_or_singular(a):
     else:
         with pytest.raises(ZeroDivisionError):
             m.inverse()
+
+
+@_property
+@given(st.lists(st.one_of(st.integers(-50, 50), _entries,
+                          st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))),
+                max_size=8))
+def test_integral_scales_by_the_lcm_of_the_denominators(values):
+    ints, d = integral(values)
+    assert d == math.lcm(*(Fraction(v).denominator for v in values))
+    assert len(ints) == len(values) and all(type(i) is int for i in ints)
+    assert all(Fraction(i, d) == v for i, v in zip(ints, values))
+
+
+def test_integral_of_nothing_is_empty():
+    assert integral([]) == ([], 1)
+    assert integral([0, Fraction(0)]) == ([0, 0], 1)
+    assert integral([-3, Fraction(-1, 4), Fraction(5, 6)]) == ([-36, -3, 10], 12)
+
+
+@st.composite
+def _systems(draw):
+    """A zero-heavy rational system (a, b), with integral values only half
+    the time, so the int-only form comes up often."""
+    a, b = draw(_matrices()), draw(st.lists(_entries, min_size=5, max_size=5))
+    if draw(st.booleans()):
+        a, b = [[Fraction(x.numerator) for x in row] for row in a], [Fraction(x.numerator) for x in b]
+    return a, b[: len(a)]
+
+
+def _as_int_where_whole(row):
+    return [int(x) if x.denominator == 1 else x for x in row]
+
+
+@_property
+@given(_systems())
+def test_elimination_ignores_the_entry_types(system):
+    """int-only, Fraction-only and mixed rows of the same values give
+    identical ranks, kernels, row-space bases and unique solutions."""
+    a, b = system
+    variants = [(a, b), ([_as_int_where_whole(row) for row in a], _as_int_where_whole(b))]
+    if all(x.denominator == 1 for row in a + [b] for x in row):
+        variants.append(([[int(x) for x in row] for row in a], [int(x) for x in b]))
+    results = [(rank(m), kernel_basis(m), row_space_basis(m), solve_unique(m, rhs),
+                Matrix(m).rank(), Matrix(m).kernel_basis())
+               for m, rhs in variants]
+    assert all(r == results[0] for r in results)
 
 
 @_property

@@ -3,7 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jetinv.embedding import phi
+from jetinv.exact import Matrix, rank
 from jetinv.jets import (
     JetMap,
     compose,
@@ -25,7 +29,7 @@ from jetinv.invariants import (
     verify_generator_suite,
     verify_invariance_symbolic,
 )
-from jetinv.symbasis import sym_basis, sym_dim
+from jetinv.symbasis import orderings_count, sym_basis, sym_dim
 
 
 def test_generator_set_2_2_contents():
@@ -138,6 +142,12 @@ def test_zero_trials_never_report_ok(trials):
         verify_generator_suite([], trials=trials)
     with pytest.raises(ValueError):
         bulk_invariance_check(2, 2, trials=trials)
+
+
+def test_empty_generator_suite_is_refused():
+    # a check over no generator draws no jet, so it must not report ok
+    with pytest.raises(ValueError, match="at least one generator"):
+        verify_generator_suite([])
 
 
 def test_generator_count_limit():
@@ -258,6 +268,75 @@ def test_solution_space_equals_perp_fails_on_misweighted_rows(monkeypatch):
     # unit weights break the monomial/hom pairing on coordinates such as u^(1,2)
     monkeypatch.setattr(jetinv.symbasis, "orderings_count", lambda m: 1)
     assert not solution_space_equals_perp(g, 1)
+
+
+_property = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def _jets(draw):
+    """Random jets with p in {1, 2}, k, n <= 4 and N <= 3, regular or not;
+    half of the irregular ones have a vanishing linear block."""
+    p, k, regular = draw(st.integers(1, 2)), draw(st.integers(1, 4)), draw(st.booleans())
+    n, N = draw(st.integers(p if regular else 1, 4)), draw(st.integers(1, 3))
+    gamma = random_jet(random.Random(draw(st.integers(0, 10**6))), p, n, k, bound=5,
+                       regular=regular)
+    if not regular and draw(st.booleans()):
+        gamma = JetMap(p, n, k, {s: v if sum(s) > 1 else (Fraction(0),) * n
+                                 for s, v in gamma.coeffs.items()})
+    return gamma, N
+
+
+def _spans_agree(gamma, N):
+    """The former perp check, kept as a reference oracle: span S = rowspace A
+    by rank S = rank A = rank(S + A), with S the embedded columns weighted by
+    1 / orderings and tensored with C^N."""
+    sysm = curve_system(gamma, N)
+    pm = phi(gamma)
+    col_of = {sc: i for i, sc in enumerate(sysm.col_index)}
+    span_rows = []
+    for col in pm.columns:
+        for c in range(N):
+            vec = [Fraction(0)] * len(sysm.col_index)
+            for pos, val in col.items():
+                vec[col_of[(pm.basis.exponents[pos], c)]] = val / orderings_count(
+                    pm.basis.monomial_at(pos))
+            span_rows.append(vec)
+    return rank(span_rows) == sysm.rank() == rank(span_rows + sysm.matrix.data)
+
+
+@_property
+@given(_jets())
+def test_perp_check_agrees_with_the_span_oracle(case):
+    gamma, N = case
+    assert solution_space_equals_perp(gamma, N)
+    assert _spans_agree(gamma, N)
+
+
+@_property
+@given(_jets(), st.data())
+def test_perp_check_refutes_any_changed_entry(case, data):
+    gamma, N = case
+    sysm = curve_system(gamma, N)
+    i = data.draw(st.integers(0, sysm.matrix.rows - 1))
+    j = data.draw(st.integers(0, sysm.matrix.cols - 1))
+    rows = [list(row) for row in sysm.matrix.data]
+    rows[i][j] += data.draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-5, 3)]))
+    assert solution_space_equals_perp(gamma, N, sysm)
+    assert not solution_space_equals_perp(gamma, N, dataclasses.replace(sysm, matrix=Matrix(rows)))
+    # every row must be there: a system missing its last equation is refuted
+    short = dataclasses.replace(sysm, row_index=sysm.row_index[:-1],
+                                matrix=Matrix(sysm.matrix.data[:-1]))
+    assert not solution_space_equals_perp(gamma, N, short)
+
+
+@pytest.mark.parametrize("p,k,n", [(1, 3, 2), (2, 2, 2), (1, 3, 3)])
+@pytest.mark.parametrize("N", [1, 2])
+def test_perp_identity_holds_for_symbolic_jets(p, k, n, N):
+    # entries are polynomials in the jet coefficients, so this proves the
+    # identity at these sizes; a rank-based check cannot run on them
+    gamma, _ = symbolic_jet(p, n, k)
+    assert solution_space_equals_perp(gamma, N)
 
 
 def test_reparametrization_closure():
