@@ -331,6 +331,8 @@ def cmd_fixtures(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; each command names its handler, which main looks
+    up when it runs the command."""
     parser = argparse.ArgumentParser(
         prog="jetinv",
         description="Exact computations for reparametrization-invariant jets",
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     gm.add_argument("--params", help="comma-separated rational coefficients (p=1)")
     gm.add_argument("--closed-form", action="store_true", dest="closed_form")
     common(gm)
-    gm.set_defaults(func=cmd_group_matrix)
+    gm.set_defaults(func="cmd_group_matrix")
 
     ph = sub.add_parser("phi", help="embedded matrix of a jet")
     ph.add_argument("--p", type=int, default=1)
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--n", type=int, required=True)
     ph.add_argument("--symbolic", action="store_true")
     common(ph)
-    ph.set_defaults(func=cmd_phi)
+    ph.set_defaults(func="cmd_phi")
 
     ge = sub.add_parser("generators", help="invariant generator set")
     ge.add_argument("--n", type=int, required=True)
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     ge.add_argument("--verify", action="store_true")
     ge.add_argument("--trials", type=int, default=100)
     common(ge)
-    ge.set_defaults(func=cmd_generators)
+    ge.set_defaults(func="cmd_generators")
 
     tc = sub.add_parser("test-curve", help="vanishing linear system of a jet")
     tc.add_argument("--p", type=int, default=1)
@@ -377,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--N", type=int, default=1)
     tc.add_argument("--symbolic", action="store_true")
     common(tc)
-    tc.set_defaults(func=cmd_test_curve)
+    tc.set_defaults(func="cmd_test_curve")
 
     orb = sub.add_parser("orbit", help="one-parameter-subgroup limit analysis")
     orbsub = orb.add_subparsers(dest="orbit_cmd", required=True)
@@ -394,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "limit":
             o.add_argument("--eps", help="rational epsilon instead of the formal symbol")
         common(o)
-        o.set_defaults(func=cmd_orbit)
+        o.set_defaults(func="cmd_orbit")
 
     fx = sub.add_parser("fixtures", help="golden fixtures for the worked examples")
     fxsub = fx.add_subparsers(dest="fixtures_cmd", required=True)
@@ -402,15 +404,20 @@ def build_parser() -> argparse.ArgumentParser:
         f = fxsub.add_parser(name)
         f.add_argument("--dir", default="tests/fixtures")
         common(f)
-        f.set_defaults(func=cmd_fixtures)
+        f.set_defaults(func="cmd_fixtures")
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on the first call, not at import
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except ResourceLimitError as e:
         print(str(e), file=sys.stderr)
         return EXIT_RESOURCE

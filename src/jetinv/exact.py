@@ -505,25 +505,65 @@ def _back_substitute(ech: list[list[int]], pivots: list[int], x: list[Fraction])
     return x
 
 
+def _blocks(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[list[int], list[list[Scalar]]]]:
+    """The connected blocks of a system, in the order of their first columns:
+    two columns share a block when some nonzero row touches both.  A block is
+    its ascending columns and its rows cut to them; a column that no row
+    touches is a block without rows, and zero rows are dropped."""
+    parent = list(range(ncols))
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    supports = [[j for j, x in enumerate(row) if x] for row in rows]
+    for support in supports:
+        for j in support[1:]:
+            parent[find(j)] = find(support[0])
+    blocks: dict[int, tuple[list[int], list[list[Scalar]]]] = {}
+    for j in range(ncols):
+        blocks.setdefault(find(j), ([], []))[0].append(j)
+    for row, support in zip(rows, supports):
+        if support:
+            cols, block = blocks[find(support[0])]
+            block.append([row[j] for j in cols])
+    return list(blocks.values())
+
+
 def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> list[list[Fraction]]:
     """Basis of the right null space {x : M x = 0}, via fraction-free echelon.
 
     One basis vector per free column, with a 1 in that column and 0 in the
     other free columns; the pivot entries come from back substitution.
+
+    Each block of ``_blocks`` is eliminated on its own columns, and the
+    vectors are merged in free-column order.  The basis is the one a single
+    elimination of the whole system gives: a column is a pivot iff it is not
+    in the span of the columns before it, which depends on the column matroid
+    only, and in a block-diagonal system a column lies in the span of earlier
+    columns iff it lies in the span of the earlier columns of its own block.
+    So a column is free iff it is free in its block, and the kernel vector
+    that is 1 there and 0 at every other free column is unique: the block's
+    vector, zero off the block.
     """
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    ech, pivots, _, _ = _bareiss(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f not in pivot_set:
-            x = [Fraction(0)] * ncols
-            x[f] = Fraction(1)
-            basis.append(_back_substitute(ech, pivots, x))
-    return basis
+    basis = {}
+    for cols, block in _blocks(rows, ncols):
+        ech, pivots, _, _ = _bareiss(block)
+        pivot_set = set(pivots)
+        for f in range(len(cols)):
+            if f not in pivot_set:
+                x = [Fraction(0)] * len(cols)
+                x[f] = Fraction(1)
+                vec = [Fraction(0)] * ncols
+                for j, v in zip(cols, _back_substitute(ech, pivots, x)):
+                    vec[j] = v
+                basis[cols[f]] = vec
+    return [basis[f] for f in sorted(basis)]
 
 
 def row_space_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:

@@ -31,11 +31,26 @@ Every V arrives reduced up to scale, so no elimination runs (zero or
 unreduced input raises ValueError): flat-jet columns and their restrictions
 have disjoint supports, and each v_s of _decompose is 1 at i_s, 0 on the rest
 of the least term I and nonzero only above i_s, or I would not be least.
+
+Graded systems: letter a of Sym^{<=k} C^n, n = sym_dim(p, k), is a monomial
+of Sym^{<=k} C^p with exponent vector w(a) in N^p.  Flat-jet column s, and
+every cut of it, is homogeneous of weight s, and Sym(E_{a<-b}) shifts weight
+by w(a) - w(b), so row (P_i, q) of the system touches only the unknowns of
+the one grade w(a) - w(b) = w(q) - s; the trace and twist rows touch the
+diagonal grade, and the twist's span rows one unknown each.  The systems are
+block diagonal: the stabilizer of a torus weight vector is torus-stable, hence
+graded (the weight-space argument; Humphreys, Introduction to Lie Algebras and
+Representation Theory).  ``exact.kernel_basis`` finds the blocks from the
+rows' own supports, so a wedge with no grading is solved the same way, and
+the blocks are small: the largest has 8 of the 64 unknowns of the base
+system at k = 8, and 19 of 361 at (p, k) = (3, 3).  The rows are built in
+integers (see _span_stabilizer).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +71,9 @@ from .jets import flat_jet, group_matrix, symbolic_reparam
 from .symbasis import Monomial, defect, defect_of_partition, partitions_of, sym_basis, sym_dim
 
 WEDGE_TERM_CEILING = 6000
-SPAN_COST_CEILING = 4_000_000_000
+# Largest span-stabilizer cost, in monomials of Sym^{<=k} C^n, solved without
+# --force: about 1.3 s and 140 MB (distinguished_stabilizer).
+SPAN_COST_CEILING = 250_000
 
 
 @dataclass(frozen=True, order=True)
@@ -349,27 +366,36 @@ def _gl_unknowns(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
 
 
-def _trace_row(unknowns: list[tuple[int, int]], extra: int = 0) -> list[Fraction]:
+def _trace_row(unknowns: list[tuple[int, int]], extra: int = 0) -> list[int]:
     """The sl constraint tr X = 0, padded with zeros for extra unknowns."""
-    return [Fraction(1 if a == b else 0) for a, b in unknowns] + [Fraction(0)] * extra
+    return [int(a == b) for a, b in unknowns] + [0] * extra
 
 
-def _stabilizer_kernel(columns: list[dict], constraints: list[list[Fraction]]) -> list[list[Fraction]]:
+def _stabilizer_kernel(columns: list[dict], constraints: list[list]) -> list[list[Fraction]]:
     """Kernel of a stabilizer system given by sparse columns (row key ->
     coefficient, one column per unknown) stacked over dense constraint rows.
     The sparse rows have few terms and often repeat up to scale: each is
-    scaled to lead with 1 and repeats are dropped, keeping the kernel."""
+    scaled by ``integral`` to coprime integers with a positive first entry,
+    and repeats are dropped, keeping the kernel."""
     sparse: dict = {}
     for j, col in enumerate(columns):
         for key, c in col.items():
             sparse.setdefault(key, {})[j] = c
-    distinct = {tuple((j, c / next(iter(row.values()))) for j, c in row.items())
-                for row in sparse.values()}
-    rows = [[row.get(j, 0) for j in range(len(columns))] for row in map(dict, distinct)]
+    distinct = {}
+    for row in sparse.values():
+        ints, _ = integral(list(row.values()))
+        g = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
+        distinct[tuple(zip(row, [x // g for x in ints]))] = None
+    rows = []
+    for terms in distinct:
+        row = [0] * len(columns)
+        for j, c in terms:
+            row[j] = c
+        rows.append(row)
     return kernel_basis(rows + constraints, len(columns))
 
 
-def _add_multiple(target: dict, c: Fraction, vec: dict) -> None:
+def _add_multiple(target: dict, c: int, vec: dict) -> None:
     """target += c * vec for sparse vectors, dropping entries that cancel."""
     for pos, x in vec.items():
         val = target.get(pos, 0) + c * x
@@ -382,7 +408,12 @@ def _add_multiple(target: dict, c: Fraction, vec: dict) -> None:
 def _span_stabilizer(n: int, k: int, vectors: list[dict], algebra: str, mode: str,
                      twist: tuple[Fraction, int] | None = None) -> StabilizerResult:
     """Stabilizer of the wedge of sparse vectors over Sym^{<=k} C^n, solved on
-    their span V (module docstring); twist = (b/a, p) as in TwistedPoint."""
+    their span V (module docstring); twist = (b/a, p) as in TwistedPoint.
+
+    The reduced vectors are scaled together to integers u_i = D v_i by
+    ``integral``, so every residual is computed in ints as D^2 times the
+    residual of v_i, and the trace as D times tr(X|V): each row of the system
+    is scaled by a constant, which keeps its kernel."""
     if algebra not in ("sl", "gl") or mode not in ("affine", "projective"):
         raise ValueError("algebra must be sl or gl, and mode affine or projective")
     basis = sym_basis(n, k)
@@ -391,18 +422,20 @@ def _span_stabilizer(n: int, k: int, vectors: list[dict], algebra: str, mode: st
     pivots = [min(v) for v in vectors]  # each in its own vector only (module docstring)
     if sum(piv in u for piv in pivots for u in vectors) > len(vectors):
         raise ValueError("the spanning vectors are not in reduced echelon form")
-    reduced = {piv: {pos: rat(c) / v[piv] for pos, c in v.items()} for piv, v in zip(pivots, vectors)}
+    ints, scale = integral([rat(c) / v[piv] for piv, v in zip(pivots, vectors) for c in v.values()])
+    ints = iter(ints)
+    reduced = {piv: {pos: next(ints) for pos in v} for piv, v in zip(pivots, vectors)}
     unknowns = _gl_unknowns(n)
     columns: list[dict] = []
-    trace: list[Fraction] = []  # tr(X|V) = sum_i (Sym(X) v_i)[P_i], a row over the unknowns
+    trace: list[int] = []  # D tr(X|V) = sum_i (Sym(X) u_i)[P_i], a row over the unknowns
     for a, b in unknowns:
-        col: dict[tuple[int, int], Fraction] = {}
-        trace.append(Fraction(0))
-        for piv, v in reduced.items():
-            image = {basis.index_of(m): mult * c  # Sym(E_{a<-b}) v, without collisions
-                     for pos, c in v.items()
+        col: dict[tuple[int, int], int] = {}
+        trace.append(0)
+        for piv, u in reduced.items():
+            image = {basis.index_of(m): mult * c  # Sym(E_{a<-b}) u, without collisions
+                     for pos, c in u.items()
                      for m, mult in _lie_action_on_monomial(a, b, basis.monomial_at(pos)).items()}
-            residual = dict(image)  # image minus its projection onto V
+            residual = {pos: scale * c for pos, c in image.items()}  # D (image minus its projection onto V)
             for pos, c in image.items():
                 if pos in reduced:
                     _add_multiple(residual, -c, reduced[pos])
@@ -411,13 +444,13 @@ def _span_stabilizer(n: int, k: int, vectors: list[dict], algebra: str, mode: st
         columns.append(col)
     if mode == "projective":  # the scalar unknown c: tr(X|V) - c = 0
         columns.append({})
-        constraints = [trace + [Fraction(-1)]]
+        constraints = [trace + [-scale]]
     elif twist is None:
         constraints = [trace]
     else:  # a tr(X|V) + b sum_{j<=p} X_jj = 0, and X keeps span(e_1..e_p)
         ratio, p = twist
-        constraints = [[t + ratio if a == b <= p else t for t, (a, b) in zip(trace, unknowns)]]
-        constraints += [[Fraction(u == (a, j)) for u in unknowns]
+        constraints = [[t + scale * ratio if a == b <= p else t for t, (a, b) in zip(trace, unknowns)]]
+        constraints += [[int(u == (a, j)) for u in unknowns]
                         for j in range(1, p + 1) for a in range(p + 1, n + 1)]
     if algebra == "sl":
         constraints.append(_trace_row(unknowns, len(columns) - len(unknowns)))
@@ -885,9 +918,11 @@ def distinguished_stabilizer(p: int, k: int, M: int = 1, force: bool = False) ->
     if M < 0:
         raise ValueError("need M >= 0")
     n = sym_dim(p, k)
-    # rows x unknowns (n vectors over Sym^{<=k} C^n against the n^2 entries of X),
-    # times the unknowns once more: elimination, not the system's size, sets the time
-    cost = n * sym_dim(n, k) * n**4
+    # The blocks are small, so the time follows what is materialized: the
+    # sym_dim(n, k) monomials of Sym^{<=k} C^n (about 5 us and 0.5 kB each), and
+    # the n^2-wide rows and kernel vectors, at most n^4 cells costing about a
+    # 25th of a monomial each
+    cost = sym_dim(n, k) + n**4 // 25
     if cost > SPAN_COST_CEILING and not force:
         raise ResourceLimitError(f"span stabilizer cost {cost} exceeds ceiling {SPAN_COST_CEILING}")
     twist = (Fraction(twist_exponent(p, k, M)), p)

@@ -184,7 +184,7 @@ def test_orbit_codim_report(capsys):
 
 
 def test_orbit_probe_gate(capsys):
-    code, _ = run_cli(["orbit", "probe-p", "--p", "2", "--k", "5"], capsys)
+    code, _ = run_cli(["orbit", "probe-p", "--p", "2", "--k", "6"], capsys)
     assert code == 3
     for k in ("2", "3"):
         code, out = run_cli(["orbit", "probe-p", "--p", "2", "--k", k, "--json"], capsys)
@@ -440,3 +440,25 @@ def test_golden_stdout(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_consecutive_calls_share_no_options(capsys, tmp_path):
+    """main parses every call with one parser: no option of a call reaches
+    the next one."""
+    mu = "orbit limit --k 6 --sigma 4 --kind mu"
+    eps = "orbit limit --k 6 --sigma 3 --kind lambda --eps 1/8"
+    out_file = tmp_path / "out.json"
+    code = main(mu.split() + ["--eps", "1/8", "--force", "--out", str(out_file)])
+    capsys.readouterr()
+    assert code == 0 and out_file.exists()
+    out_file.unlink()
+    for argv in (mu, eps, mu):
+        code = main(argv.split() + ["--json"])
+        out = capsys.readouterr().out
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+    assert not out_file.exists()
+    for M in ("2", "1", "2"):
+        argv = f"orbit stabilizer --k 4 --M {M}"
+        code = main(argv.split() + ["--json"])
+        out = capsys.readouterr().out
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]

@@ -1,6 +1,7 @@
 """The exact core against an independent implementation: sympy's rank,
-determinant and nullspace on zero-heavy rational matrices, and sympy's
-determinant on polynomial matrices."""
+determinant and nullspace on zero-heavy rational matrices, sympy's nullspace
+vectors on block-diagonal systems, and sympy's determinant on polynomial
+matrices."""
 
 from fractions import Fraction
 
@@ -36,6 +37,45 @@ def test_rank_and_kernel_dimension_agree_with_sympy(a):
     oracle = _oracle(a)
     assert rank(a) == Matrix(a).rank() == oracle.rank()
     assert len(kernel_basis(a, len(a[0]))) == len(oracle.nullspace())
+
+
+# ints and Fractions, many of them zero
+_mixed = st.one_of(st.integers(-4, 4), _entries)
+_nonzero = st.one_of(st.integers(1, 3), st.integers(-3, -1),
+                     st.builds(Fraction, st.integers(1, 5), st.integers(2, 4)))
+
+
+@st.composite
+def _block_systems(draw):
+    """A block-diagonal system with its columns permuted: blocks without rows
+    (columns that no row touches), zero rows, rows repeated up to scale, and
+    int and Fraction entries mixed."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    ncols, rows, start = sum(widths), [], 0
+    for width in widths:
+        for _ in range(draw(st.integers(0, 3))):
+            row = [0] * ncols
+            row[start:start + width] = draw(st.lists(_mixed, min_size=width, max_size=width))
+            rows.append(row)
+        start += width
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        scale = draw(_nonzero)
+        rows.append([scale * x for x in draw(st.sampled_from(rows))])
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    cols = draw(st.permutations(range(ncols)))
+    order = draw(st.permutations(range(len(rows))))
+    return [[rows[i][j] for j in cols] for i in order], ncols
+
+
+@_property
+@given(_block_systems())
+def test_kernel_basis_is_sympys_nullspace(system):
+    """Not just the dimension: the very vectors, 1 at a free column and 0 at
+    the other free columns, in free-column order."""
+    rows, ncols = system
+    oracle = _oracle([[Fraction(x) for x in row] for row in rows]) if rows else sympy.zeros(0, ncols)
+    expected = [[Fraction(int(x.p), int(x.q)) for x in v] for v in oracle.nullspace()]
+    assert kernel_basis(rows, ncols) == expected
 
 
 @_property

@@ -681,10 +681,11 @@ def test_probe_conjecture():
     rep1 = probe_stabilizer_conjecture(1, 4, 1)
     assert rep1["measured_dim"] == rep1["predicted_dim"] == 3
     with pytest.raises(ResourceLimitError):
-        probe_stabilizer_conjecture(2, 5, 1)
+        probe_stabilizer_conjecture(2, 6, 1)
 
 
-@pytest.mark.parametrize("p,k,dim", [(2, 3, 17), (3, 2, 26), (2, 4, 27)])
+@pytest.mark.parametrize("p,k,dim", [(2, 3, 17), (3, 2, 26), (2, 4, 27),
+                                     (2, 5, 39), (3, 4, 101), (4, 3, 135), (5, 2, 99)])
 def test_probe_conjecture_past_2_2(p, k, dim):
     """Past the old (2, 2) gate the measured dimension is p*n - 1."""
     rep = probe_stabilizer_conjecture(p, k, 1)
@@ -700,6 +701,23 @@ def test_codim_report_k6_k7(k, dims):
     rep = codim_report(k, 1)
     assert rep["base_stabilizer_dim"] == k - 1
     assert [c["proj_stab_dim"] for c in rep["candidates"]] == dims
+    assert rep["all_bounds_ok"]
+
+
+@pytest.mark.parametrize("k,dims", [
+    (9, [12, 14, 15, 12, 14, 14, 12, 10, 16, 15, 14, 13, 12, 11, 10]),
+    (10, [15, 16, 16, 15, 15, 16, 15, 13, 11, 18, 17, 16, 15, 14, 13, 12, 11]),
+])
+def test_codim_report_k9_k10(k, dims):
+    """Past the old ceiling, without force: the base stabilizer has dimension
+    k - 1, lambda_k and mu_{k-1} have projective stabilizer k + 1, and mu_sigma
+    has 2k - sigma."""
+    rep = codim_report(k, 1)
+    assert rep["base_stabilizer_dim"] == k - 1
+    assert [c["proj_stab_dim"] for c in rep["candidates"]] == dims
+    by_kind = {(c["kind"], c["sigma"]): c["proj_stab_dim"] for c in rep["candidates"]}
+    assert by_kind[("lambda", k)] == by_kind[("mu", k - 1)] == k + 1
+    assert all(by_kind[("mu", s)] == 2 * k - s for s in range(2, k))
     assert rep["all_bounds_ok"]
 
 
