@@ -53,7 +53,10 @@ OUTPUT_CELL_CEILING = 100_000
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as e:
+            raise ValueError(f"cannot write --out {args.out}: {e.strerror or e}") from None
     if getattr(args, "json", False):
         print(text)
         return
@@ -313,6 +316,8 @@ def cmd_fixtures(args) -> int:
             path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
             print(f"wrote {path}")
         return EXIT_OK
+    if not directory.is_dir():
+        raise ValueError(f"--dir {args.dir} is not a directory")
     mismatches = []
     for name, payload in fixtures.items():
         path = directory / f"{name}.json"

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
-from .exact import Matrix, integral, rank, rat, rat_str, row_space_basis, sparse_product
+from .exact import Matrix, integral, rat, rat_str, row_space_basis, sparse_product
 from .jets import JetMap, flat_jet
 from .symbasis import Exponent, Monomial, SymBasis, sym_basis
 
@@ -57,9 +57,6 @@ class PhiMatrix:
     col_index: list[Exponent]
     columns: list[dict[int, object]]
     basis: SymBasis = field(repr=False)
-
-    def entry(self, row_pos: int, col: int):
-        return self.columns[col].get(row_pos, Fraction(0))
 
     def dense(self) -> Matrix:
         rows = len(self.basis)
@@ -280,16 +277,6 @@ def flag_spans(m: PhiMatrix) -> list[list[list[Fraction]]]:
     return out
 
 
-def same_span(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:
-    """Exact span equality by ranks of the stacked matrices."""
-    if not a and not b:
-        return True
-    ra = rank(a) if a else 0
-    rb = rank(b) if b else 0
-    rab = rank(a + b) if (a or b) else 0
-    return ra == rb == rab
-
-
 # -- induced group actions -------------------------------------------------
 
 
@@ -328,14 +315,3 @@ def apply_group_to_wedge(g: Matrix, w: WedgeVector) -> WedgeVector:
         total = total.add(piece.scaled(coeff))
     return total
 
-
-def sym_matrix_of(g: Matrix, n: int, k: int) -> Matrix:
-    """Dense matrix of the induced action on Sym^{<=k} C^n (columns = images)."""
-    basis = sym_basis(n, k)
-    size = len(basis)
-    data = [[Fraction(0)] * size for _ in range(size)]
-    for col, mono in enumerate(basis.monomials):
-        img = sym_image_of_monomial(g, mono, n)
-        for e, c in img.items():
-            data[basis.exponent_position[e]][col] = c
-    return Matrix(data)

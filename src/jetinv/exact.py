@@ -10,10 +10,10 @@ exponent-keyed maps with rational or polynomial coefficients, optionally
 truncated at a total degree: it serves polynomial multiplication, truncated
 jet composition and the symmetric algebra behind the jet embedding.
 
-Every linear solve over the rationals (rank, kernel, determinant, unique
-solution, inverse, row-space basis) goes through one Bareiss fraction-free
-elimination, so intermediate entries stay integral, and one back substitution
-on its echelon rows.  ``integral``, the lcm-of-denominators scaling, is the
+Every linear solve over the rationals (rank, kernel, determinant, inverse,
+row-space basis) goes through one Bareiss fraction-free elimination, so
+intermediate entries stay integral, and one back substitution on its echelon
+rows.  ``integral``, the lcm-of-denominators scaling, is the
 one conversion into integers: the elimination applies it to each row as given
 (ints, Fractions or both), and so do minor tables, wedges and orbit weights.
 Division-free minors, for polynomial entries and for the many minors of one
@@ -96,9 +96,6 @@ class PolyRing:
         exp = [0] * len(self.names)
         exp[i] = 1
         return SparsePolynomial(self, {tuple(exp): Fraction(1)})
-
-    def gens(self) -> list["SparsePolynomial"]:
-        return [self.var(n) for n in self.names]
 
     def poly(self, terms: Mapping[tuple[int, ...], Scalar]) -> "SparsePolynomial":
         clean = {}
@@ -242,33 +239,6 @@ class SparsePolynomial:
             total += v
         return total
 
-    def subs(self, assignment: Mapping[str, "SparsePolynomial | Scalar"]) -> "SparsePolynomial":
-        """Substitute polynomials (or scalars) for every variable.
-
-        All polynomial values must share one ring; the result lives there.
-        """
-        target: PolyRing | None = None
-        for v in assignment.values():
-            if isinstance(v, SparsePolynomial):
-                target = v.ring
-                break
-        if target is None:
-            raise ValueError("subs needs at least one polynomial value")
-        vals: list[SparsePolynomial] = []
-        for name in self.ring.names:
-            if name not in assignment:
-                raise KeyError(f"missing variable {name!r}")
-            v = assignment[name]
-            vals.append(v if isinstance(v, SparsePolynomial) else target.const(v))
-        out = target.zero()
-        for exp, c in self.terms.items():
-            term = target.const(c)
-            for val, e in zip(vals, exp):
-                if e:
-                    term = term * val**e
-            out = out + term
-        return out
-
     def term_list(self) -> list[tuple[list[int], str]]:
         """Canonical JSON-ready term list, graded-lex descending."""
         out = []
@@ -349,10 +319,6 @@ class Matrix:
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(row) != self.cols for row in self.data):
             raise ValueError("ragged rows")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -635,15 +601,3 @@ def _det_laplace(data: Sequence[Sequence[Coef]]) -> Coef:
     det = MinorTable(columns).minor(range(n), range(n))
     return det if isinstance(det, SparsePolynomial) else rat(det)
 
-
-def solve_unique(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list[Fraction] | None:
-    """Solve M x = b when a solution exists and is unique; None otherwise."""
-    if not rows:
-        raise ValueError("solve_unique needs at least one equation")
-    if len(rhs) != len(rows):
-        raise ValueError("solve_unique needs one right-hand side per equation")
-    ncols = len(rows[0])
-    ech, pivots, _, _ = _bareiss([[*row, b] for row, b in zip(rows, rhs)])
-    if pivots != list(range(ncols)):
-        return None  # underdetermined, or inconsistent (a pivot in the b column)
-    return _back_substitute(ech, pivots, [Fraction(0)] * ncols + [Fraction(-1)])[:ncols]

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .exact import (Matrix, MinorTable, PolyRing, ResourceLimitError, SparsePolynomial,
-                    integral, kernel_basis)
+from .exact import Matrix, MinorTable, PolyRing, ResourceLimitError, SparsePolynomial, integral
 from .jets import (
     JetMap,
     compose,
@@ -370,16 +369,6 @@ class TestCurveSystem:
     def rank(self) -> int:
         return self.matrix.rank()
 
-    def kernel_jets(self) -> list[JetMap]:
-        out = []
-        col_of = {sc: i for i, sc in enumerate(self.col_index)}
-        for vec in kernel_basis(self.matrix.data, len(self.col_index)):
-            coeffs = {}
-            for s in sym_basis(self.n, self.k).exponents:
-                v = tuple(vec[col_of[(s, c)]] for c in range(self.N))
-                coeffs[s] = v
-            out.append(JetMap(self.n, self.N, self.k, coeffs))
-        return out
 
 
 def test_curve_system(gamma: JetMap, N: int = 1) -> TestCurveSystem:

@@ -49,7 +49,6 @@ integers (see _span_stabilizer).
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -66,7 +65,7 @@ from .exact import (
     rat,
     rat_str,
 )
-from .embedding import WedgeVector, p_point, phi, wedge_of_sparse_vectors
+from .embedding import WedgeVector, phi, wedge_of_sparse_vectors
 from .jets import flat_jet, group_matrix, symbolic_reparam
 from .symbasis import Monomial, defect, defect_of_partition, partitions_of, sym_basis, sym_dim
 
@@ -126,12 +125,6 @@ class OneParamSubgroup:
     @property
     def k(self) -> int:
         return len(self.weights)
-
-    def weight_of(self, m: Monomial) -> EpsWeight:
-        total = ZERO_W
-        for i in m:
-            total = total + self.weights[i - 1]
-        return total
 
 
 def lambda_tilde(k: int) -> OneParamSubgroup:
@@ -285,12 +278,6 @@ def closed_form_matches_limit(sigma: int, k: int, kind: str) -> bool:
     return list(_closed_form_parts(sigma, k, kind)) == list(_minimal_weight_parts(lam, k))
 
 
-def toral_dimension(lam: OneParamSubgroup, k: int) -> int:
-    """Number of degrees whose minimal-weight column part is the single
-    coordinate monomial of that degree."""
-    return sum(parts == [(i,)] for i, parts in enumerate(_minimal_weight_parts(lam, k), start=1))
-
-
 # -- infinitesimal stabilizers ---------------------------------------------
 
 
@@ -317,58 +304,16 @@ class StabilizerResult:
     basis: list[Matrix]
 
 
-def _lie_action_on_monomial(a: int, b: int, m: Monomial) -> dict[Monomial, int]:
+def _lie_action_on_monomial(a: int, b: int, m: Monomial) -> tuple[Monomial, int] | None:
     """Derivation action of the elementary matrix E_{a<-b} on a monomial:
-    each occurrence of letter b is replaced by a once."""
-    out: dict[Monomial, int] = {}
+    each occurrence of letter b is replaced by a once, which gives one
+    monomial times the multiplicity of b; None when b does not occur."""
     mult = m.count(b)
     if mult == 0:
-        return out
+        return None
     lst = list(m)
     lst.remove(b)
-    new = tuple(sorted(lst + [a]))
-    out[new] = mult
-    return out
-
-
-def _lie_action_on_wedge(a: int, b: int, w: WedgeVector) -> dict[tuple[int, ...], Fraction]:
-    """E_{a<-b} acting by the Leibniz rule over the wedge factors.
-
-    Replacing the factor in a slot and re-sorting costs one transposition per
-    position moved, so the sign is (-1)^(slot + insertion index).
-    """
-    import bisect
-
-    basis = w.basis()
-    out: dict[tuple[int, ...], Fraction] = {}
-    for factors, c in w.terms.items():
-        for slot, pos in enumerate(factors):
-            m = basis.monomial_at(pos)
-            img = _lie_action_on_monomial(a, b, m)
-            for new_m, mult in img.items():
-                new_pos = basis.index_of(new_m)
-                rest = factors[:slot] + factors[slot + 1 :]
-                lo = bisect.bisect_left(rest, new_pos)
-                if lo < len(rest) and rest[lo] == new_pos:
-                    continue
-                sign = -1 if (slot + lo) % 2 else 1
-                newf = rest[:lo] + (new_pos,) + rest[lo:]
-                val = out.get(newf, Fraction(0)) + c * mult * sign
-                if val:
-                    out[newf] = val
-                else:
-                    out.pop(newf, None)
-    return out
-
-
-def _gl_unknowns(n: int) -> list[tuple[int, int]]:
-    """The unknowns of a stabilizer system: the entries (a, b) of X, row-major."""
-    return [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-
-
-def _trace_row(unknowns: list[tuple[int, int]], extra: int = 0) -> list[int]:
-    """The sl constraint tr X = 0, padded with zeros for extra unknowns."""
-    return [int(a == b) for a, b in unknowns] + [0] * extra
+    return tuple(sorted(lst + [a])), mult
 
 
 def _stabilizer_kernel(columns: list[dict], constraints: list[list]) -> list[list[Fraction]]:
@@ -425,16 +370,18 @@ def _span_stabilizer(n: int, k: int, vectors: list[dict], algebra: str, mode: st
     ints, scale = integral([rat(c) / v[piv] for piv, v in zip(pivots, vectors) for c in v.values()])
     ints = iter(ints)
     reduced = {piv: {pos: next(ints) for pos in v} for piv, v in zip(pivots, vectors)}
-    unknowns = _gl_unknowns(n)
+    unknowns = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]  # X, row-major
     columns: list[dict] = []
     trace: list[int] = []  # D tr(X|V) = sum_i (Sym(X) u_i)[P_i], a row over the unknowns
     for a, b in unknowns:
         col: dict[tuple[int, int], int] = {}
         trace.append(0)
         for piv, u in reduced.items():
-            image = {basis.index_of(m): mult * c  # Sym(E_{a<-b}) u, without collisions
-                     for pos, c in u.items()
-                     for m, mult in _lie_action_on_monomial(a, b, basis.monomial_at(pos)).items()}
+            image = {}  # Sym(E_{a<-b}) u, without collisions
+            for pos, c in u.items():
+                moved = _lie_action_on_monomial(a, b, basis.monomial_at(pos))
+                if moved:
+                    image[basis.index_of(moved[0])] = moved[1] * c
             residual = {pos: scale * c for pos, c in image.items()}  # D (image minus its projection onto V)
             for pos, c in image.items():
                 if pos in reduced:
@@ -452,8 +399,8 @@ def _span_stabilizer(n: int, k: int, vectors: list[dict], algebra: str, mode: st
         constraints = [[t + scale * ratio if a == b <= p else t for t, (a, b) in zip(trace, unknowns)]]
         constraints += [[int(u == (a, j)) for u in unknowns]
                         for j in range(1, p + 1) for a in range(p + 1, n + 1)]
-    if algebra == "sl":
-        constraints.append(_trace_row(unknowns, len(columns) - len(unknowns)))
+    if algebra == "sl":  # tr X = 0
+        constraints.append([int(a == b) for a, b in unknowns] + [0] * (len(columns) - len(unknowns)))
     kern = _stabilizer_kernel(columns, constraints)
     return StabilizerResult(len(kern), [_reshape(vec[: len(unknowns)], n) for vec in kern])
 
@@ -500,27 +447,6 @@ def infinitesimal_stabilizer(target: WedgeVector | TwistedPoint, algebra: str = 
 
 def _reshape(entries: list[Fraction], n: int) -> Matrix:
     return Matrix([entries[i * n : (i + 1) * n] for i in range(n)])  # unknowns are row-major
-
-
-def stabilizer_full_tensor_e1(w: WedgeVector, K: int, algebra: str = "sl") -> int:
-    """Stabilizer dimension of w ox e_1^K from the full tensor expansion.
-
-    Exponential in K; exists to cross-validate the twist reduction at small
-    sizes before the reduced system is relied on.
-    """
-    unknowns = _gl_unknowns(w.n)
-    base_slots = (1,) * K
-    columns = []
-    for a, b in unknowns:
-        col = {(key, base_slots): c for key, c in _lie_action_on_wedge(a, b, w).items()}
-        if b == 1:
-            for slot in range(K):
-                slots = tuple(a if i == slot else 1 for i in range(K))
-                for key, c in w.terms.items():
-                    col[(key, slots)] = col.get((key, slots), Fraction(0)) + c
-        columns.append({kk: v for kk, v in col.items() if v})
-    constraints = [_trace_row(unknowns)] if algebra == "sl" else []
-    return len(_stabilizer_kernel(columns, constraints))
 
 
 # -- limit of the stabilizer group ------------------------------------------
@@ -700,11 +626,15 @@ def _flatten(m: Matrix) -> list[Fraction]:
 
 
 def hilbert_mumford_torus(weights: list[tuple[int, ...]]) -> str:
-    """Exact torus (semi)stability from the weight polytope.
+    """Exact torus (semi)stability from the weight polytope, by one LP.
 
-    semistable: 0 lies in the convex hull (LP feasibility); stable: the hull
-    is full-dimensional and 0 is a strictly positive convex combination
-    (strict LP feasibility), i.e. 0 is interior.
+    semistable: 0 is a convex combination sum c_i p_i of the weights; stable:
+    the weights span Q^d and some such combination has every c_i > 0, i.e. 0
+    is interior.  With c_i = delta + s_i, maximize delta subject to
+    (sum_i p_i) delta + sum_i s_i p_i = 0, m delta + sum_i s_i = 1 and
+    delta, s >= 0: every convex combination is feasible (delta = 0, s = c),
+    so the program is infeasible iff the point is unstable, and its optimum
+    is positive iff a strictly positive combination exists.
     """
     if not weights:
         raise ValueError("empty weight list")
@@ -712,44 +642,15 @@ def hilbert_mumford_torus(weights: list[tuple[int, ...]]) -> str:
     if any(len(w) != d for w in weights):
         raise ValueError("mixed dimensions")
     pts = [tuple(Fraction(x) for x in w) for w in weights]
-    if not _lp_zero_in_hull(pts, strict=False):
+    m = len(pts)
+    rows = [[sum(coord)] + list(coord) for coord in zip(*pts)]  # variables delta, s_1..s_m
+    rows.append([Fraction(m)] + [Fraction(1)] * m)
+    delta = _simplex_max(rows, [Fraction(0)] * d + [Fraction(1)], [Fraction(1)] + [Fraction(0)] * m)
+    if delta is None:
         return "unstable"
-    full_dim = rank([list(p) for p in pts]) == d
-    if full_dim and _lp_zero_in_hull(pts, strict=True):
+    if delta > 0 and rank(pts) == d:
         return "stable"
     return "semistable-not-stable"
-
-
-def _lp_zero_in_hull(pts: list[tuple[Fraction, ...]], strict: bool) -> bool:
-    """Feasibility of sum c_i p_i = 0, sum c_i = 1, c_i >= 0 (or all > 0).
-
-    Strict feasibility is decided by maximizing the common floor delta with
-    c_i >= delta; zero is in the relative interior iff the optimum is > 0.
-    """
-    m = len(pts)
-    d = len(pts[0])
-    # variables: c_1..c_m, delta, s_1..s_m  (c_i - delta - s_i = 0)
-    nvars = m + 1 + m
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for j in range(d):
-        rows.append([pts[i][j] for i in range(m)] + [Fraction(0)] * (m + 1))
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * m + [Fraction(0)] * (m + 1))
-    rhs.append(Fraction(1))
-    for i in range(m):
-        row = [Fraction(0)] * nvars
-        row[i] = Fraction(1)
-        row[m] = Fraction(-1)
-        row[m + 1 + i] = Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(0))
-    objective = [Fraction(0)] * nvars
-    objective[m] = Fraction(1)
-    opt = _simplex_max(rows, rhs, objective)
-    if opt is None:
-        return False
-    return opt > 0 if strict else True
 
 
 def _simplex_max(
@@ -758,8 +659,8 @@ def _simplex_max(
     """Two-phase exact simplex for max c.x with A x = b, x >= 0.
 
     Bland's rule guarantees termination; all arithmetic is rational.  Returns
-    the optimum (assumed bounded here: delta <= 1/m in the usage above) or
-    None when infeasible.
+    the optimum (assumed bounded here: delta <= 1/m in hilbert_mumford_torus)
+    or None when infeasible.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -830,71 +731,6 @@ def _simplex_max(
     return sum(c[basis[i]] * tab[i][-1] for i in range(m) if basis[i] < n)
 
 
-def hilbert_mumford_bruteforce(weights: list[tuple[int, ...]]) -> str:
-    """Independent oracle: Caratheodory subset enumeration for hull
-    membership and separating-ray enumeration for interiority."""
-    if not weights:
-        raise ValueError("empty weight list")
-    d = len(weights[0])
-    pts = [tuple(Fraction(x) for x in w) for w in weights]
-    semistable = _zero_in_hull_caratheodory(pts, d)
-    if not semistable:
-        return "unstable"
-    if rank([list(p) for p in pts]) == d and not _separating_ray_exists(pts, d):
-        return "stable"
-    return "semistable-not-stable"
-
-
-def _zero_in_hull_caratheodory(pts: list[tuple[Fraction, ...]], d: int) -> bool:
-    from .exact import solve_unique
-
-    idx = range(len(pts))
-    for size in range(1, d + 2):
-        for subset in itertools.combinations(idx, size):
-            rows = [[pts[i][j] for i in subset] for j in range(d)]
-            rows.append([Fraction(1)] * size)
-            rhs = [Fraction(0)] * d + [Fraction(1)]
-            sol = solve_unique(rows, rhs)
-            if sol is not None and all(x >= 0 for x in sol):
-                return True
-    return False
-
-
-def _separating_ray_exists(pts: list[tuple[Fraction, ...]], d: int) -> bool:
-    """Is there a nonzero functional weakly nonnegative on all points?
-
-    Candidates: kernel directions of the point matrix (the lineality of the
-    polar cone) and, for a pointed polar cone, extreme rays supported on d-1
-    independent points (perpendiculars and cross products).
-    """
-    candidates: list[tuple[Fraction, ...]] = []
-    kern = kernel_basis([list(p) for p in pts], d)
-    candidates.extend(tuple(v) for v in kern)
-    if d == 1:
-        candidates.extend([(Fraction(1),), (Fraction(-1),)])
-    elif d == 2:
-        for p in pts:
-            candidates.append((-p[1], p[0]))
-            candidates.append((p[1], -p[0]))
-    elif d == 3:
-        for p, q in itertools.combinations(pts, 2):
-            cx = (
-                p[1] * q[2] - p[2] * q[1],
-                p[2] * q[0] - p[0] * q[2],
-                p[0] * q[1] - p[1] * q[0],
-            )
-            candidates.append(cx)
-            candidates.append(tuple(-x for x in cx))
-    else:
-        raise NotImplementedError("oracle implemented for d <= 3")
-    for l in candidates:
-        if all(x == 0 for x in l):
-            continue
-        if all(sum(a * b for a, b in zip(l, p)) >= 0 for p in pts):
-            return True
-    return False
-
-
 # -- reports -----------------------------------------------------------------
 
 
@@ -906,15 +742,10 @@ def twist_exponent(p: int, k: int, M: int) -> int:
     return M * total + 1
 
 
-def distinguished_twisted_point(p: int, k: int, M: int) -> TwistedPoint:
-    return TwistedPoint(
-        wedge=p_point(p, k), a=1, b=twist_exponent(p, k, M), twist_dim=p
-    )
-
-
 def distinguished_stabilizer(p: int, k: int, M: int = 1, force: bool = False) -> StabilizerResult:
-    """sl stabilizer of distinguished_twisted_point(p, k, M), solved on the
-    span of the flat-jet columns without expanding p_point."""
+    """sl stabilizer of the twisted distinguished point, TwistedPoint(p_point(p,
+    k), 1, twist_exponent(p, k, M), p), solved on the span of the flat-jet
+    columns without expanding p_point."""
     if M < 0:
         raise ValueError("need M >= 0")
     n = sym_dim(p, k)

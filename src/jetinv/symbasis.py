@@ -125,25 +125,6 @@ def defect_of_partition(sigma: int, parts: tuple[int, ...]) -> int:
     return sum(defect(sigma, p) for p in parts)
 
 
-def int_compositions(m: int) -> list[tuple[int, ...]]:
-    """Ordered compositions of m into positive parts (2^(m-1) of them)."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    out = []
-    for cut in range(1 << (m - 1)):
-        parts = []
-        run = 1
-        for pos in range(m - 1):
-            if cut & (1 << pos):
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        out.append(tuple(parts))
-    return out
-
-
 def vector_compositions(s: Exponent) -> list[tuple[Exponent, ...]]:
     """Ordered tuples of nonzero vectors in Z_{>=0}^p summing componentwise to s."""
     if sum(s) < 1:

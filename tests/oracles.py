@@ -1,0 +1,205 @@
+"""Independent reference implementations that the tests compare jetinv against.
+
+Each oracle takes the direct, expensive route that the library avoids: the
+stabilizer systems on the expanded wedge and the full tensor, Hilbert-Mumford
+by subset enumeration, unique solutions and span equality read off kernels and
+ranks, orbit limits by EpsWeight sums, and the induced action on
+Sym^{<=k} C^n as a dense matrix.  They use public jetinv names only, so a
+change to a private helper of the library cannot change an oracle with it.
+"""
+
+import bisect
+import itertools
+from fractions import Fraction
+
+from jetinv.embedding import p_point, sym_image_of_monomial
+from jetinv.exact import Matrix, kernel_basis, rank
+from jetinv.orbits import EpsWeight, TwistedPoint, twist_exponent
+from jetinv.symbasis import sym_basis
+
+# -- stabilizer systems on expanded tensors -----------------------------------
+
+
+def lie_action_on_wedge(a, b, w):
+    """E_{a<-b} acting by the Leibniz rule over the wedge factors.
+
+    On a monomial the derivation replaces each occurrence of letter b by a
+    once.  Replacing the factor in a slot and re-sorting costs one
+    transposition per position moved, so the sign is (-1)^(slot + insertion
+    index).
+    """
+    basis = w.basis()
+    out = {}
+    for factors, c in w.terms.items():
+        for slot, pos in enumerate(factors):
+            m = list(basis.monomial_at(pos))
+            mult = m.count(b)
+            if not mult:
+                continue
+            m.remove(b)
+            new_pos = basis.index_of(tuple(sorted(m + [a])))
+            rest = factors[:slot] + factors[slot + 1:]
+            lo = bisect.bisect_left(rest, new_pos)
+            if lo < len(rest) and rest[lo] == new_pos:
+                continue
+            sign = -1 if (slot + lo) % 2 else 1
+            newf = rest[:lo] + (new_pos,) + rest[lo:]
+            val = out.get(newf, Fraction(0)) + c * mult * sign
+            if val:
+                out[newf] = val
+            else:
+                out.pop(newf, None)
+    return out
+
+
+def stabilizer_full_tensor_e1(w, K, algebra="sl"):
+    """Stabilizer dimension of w ox e_1^K from the full tensor expansion.
+
+    Exponential in K; it cross-validates the twist reduction at small sizes.
+    """
+    unknowns = [(a, b) for a in range(1, w.n + 1) for b in range(1, w.n + 1)]  # X, row-major
+    base_slots = (1,) * K
+    columns = []
+    for a, b in unknowns:
+        col = {(key, base_slots): c for key, c in lie_action_on_wedge(a, b, w).items()}
+        if b == 1:
+            for slot in range(K):
+                slots = tuple(a if i == slot else 1 for i in range(K))
+                for key, c in w.terms.items():
+                    col[(key, slots)] = col.get((key, slots), Fraction(0)) + c
+        columns.append(col)
+    keys = sorted({key for col in columns for key in col})
+    rows = [[col.get(key, Fraction(0)) for col in columns] for key in keys]
+    if algebra == "sl":
+        rows.append([Fraction(a == b) for a, b in unknowns])
+    return len(kernel_basis(rows, len(unknowns)))
+
+
+def distinguished_twisted_point(p, k, M):
+    """p_point(p, k) twisted by the wedge line e_1 ^ ... ^ e_p to the power
+    twist_exponent(p, k, M)."""
+    return TwistedPoint(wedge=p_point(p, k), a=1, b=twist_exponent(p, k, M), twist_dim=p)
+
+
+# -- Hilbert-Mumford by enumeration --------------------------------------------
+
+
+def hilbert_mumford_bruteforce(weights):
+    """Caratheodory subset enumeration for hull membership and
+    separating-ray enumeration for interiority."""
+    if not weights:
+        raise ValueError("empty weight list")
+    d = len(weights[0])
+    pts = [tuple(Fraction(x) for x in w) for w in weights]
+    if not zero_in_hull_caratheodory(pts, d):
+        return "unstable"
+    if rank([list(p) for p in pts]) == d and not separating_ray_exists(pts, d):
+        return "stable"
+    return "semistable-not-stable"
+
+
+def zero_in_hull_caratheodory(pts, d):
+    """0 is in the hull iff it is a convex combination of at most d + 1
+    affinely independent points, whose weights are then unique."""
+    for size in range(1, d + 2):
+        for subset in itertools.combinations(range(len(pts)), size):
+            rows = [[pts[i][j] for i in subset] for j in range(d)]
+            rows.append([Fraction(1)] * size)
+            sol = solve_unique(rows, [Fraction(0)] * d + [Fraction(1)])
+            if sol is not None and all(x >= 0 for x in sol):
+                return True
+    return False
+
+
+def separating_ray_exists(pts, d):
+    """Is there a nonzero functional weakly nonnegative on all points?
+
+    Candidates: kernel directions of the point matrix (the lineality of the
+    polar cone) and, for a pointed polar cone, extreme rays supported on d-1
+    independent points (perpendiculars and cross products).
+    """
+    candidates = [tuple(v) for v in kernel_basis([list(p) for p in pts], d)]
+    if d == 1:
+        candidates.extend([(Fraction(1),), (Fraction(-1),)])
+    elif d == 2:
+        for p in pts:
+            candidates.append((-p[1], p[0]))
+            candidates.append((p[1], -p[0]))
+    elif d == 3:
+        for p, q in itertools.combinations(pts, 2):
+            cx = (
+                p[1] * q[2] - p[2] * q[1],
+                p[2] * q[0] - p[0] * q[2],
+                p[0] * q[1] - p[1] * q[0],
+            )
+            candidates.append(cx)
+            candidates.append(tuple(-x for x in cx))
+    else:
+        raise NotImplementedError("oracle implemented for d <= 3")
+    for l in candidates:
+        if any(l) and all(sum(a * b for a, b in zip(l, p)) >= 0 for p in pts):
+            return True
+    return False
+
+
+# -- linear algebra by kernels and ranks -----------------------------------------
+
+
+def solve_unique(rows, rhs):
+    """Solve M x = b when a solution exists and is unique; None otherwise.
+
+    The solutions are the kernel vectors (x, 1) of [M | -b].  There is exactly
+    one iff that kernel is one-dimensional and its vector is nonzero in the
+    last entry: a second kernel vector, or one with last entry 0, is a
+    nonzero kernel vector of M.
+    """
+    if not rows:
+        raise ValueError("solve_unique needs at least one equation")
+    if len(rhs) != len(rows):
+        raise ValueError("solve_unique needs one right-hand side per equation")
+    ncols = len(rows[0])
+    kern = kernel_basis([[*row, -b] for row, b in zip(rows, rhs)], ncols + 1)
+    if len(kern) != 1 or not kern[0][-1]:
+        return None
+    return [x / kern[0][-1] for x in kern[0][:-1]]
+
+
+def same_span(a, b):
+    """Exact span equality by ranks of the stacked matrices."""
+    return rank(a) == rank(b) == rank(a + b)
+
+
+def sym_matrix_of(g, n, k):
+    """Dense matrix of the induced action on Sym^{<=k} C^n (columns = images)."""
+    basis = sym_basis(n, k)
+    size = len(basis)
+    data = [[Fraction(0)] * size for _ in range(size)]
+    for col, mono in enumerate(basis.monomials):
+        for e, c in sym_image_of_monomial(g, mono, n).items():
+            data[basis.exponent_position[e]][col] = c
+    return Matrix(data)
+
+
+# -- orbit limits by EpsWeight sums ----------------------------------------------
+
+
+def weight_of(lam, m):
+    """The weight of a basis monomial under a diagonal subgroup: the sum of
+    its letters' weights."""
+    total = EpsWeight.of(0)
+    for i in m:
+        total = total + lam.weights[i - 1]
+    return total
+
+
+def limit_by_eps_weights(w, lam):
+    """The terms of a wedge of minimal total EpsWeight: its limit under lam."""
+    basis = w.basis()
+    totals = {}
+    for factors in w.terms:
+        total = EpsWeight.of(0)
+        for pos in factors:
+            total = total + weight_of(lam, basis.monomial_at(pos))
+        totals[factors] = total
+    best = min(totals.values())
+    return {f: c for f, c in w.terms.items() if totals[f] == best}

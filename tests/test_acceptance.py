@@ -32,10 +32,8 @@ from jetinv.invariants import (
 from jetinv.orbits import (
     TwistedPoint,
     codim_report,
-    distinguished_twisted_point,
     extra_direction_is_new,
     extra_stabilizer,
-    hilbert_mumford_bruteforce,
     hilbert_mumford_torus,
     infinitesimal_stabilizer,
     lambda_sigma,
@@ -43,10 +41,10 @@ from jetinv.orbits import (
     limit_stabilizer_matrix,
     mu_sigma,
     probe_stabilizer_conjecture,
-    stabilizer_full_tensor_e1,
     z_closed_form,
 )
 from jetinv.symbasis import orderings_count, sym_basis, sym_dim
+from oracles import distinguished_twisted_point, hilbert_mumford_bruteforce, stabilizer_full_tensor_e1
 
 
 class _Budget:

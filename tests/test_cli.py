@@ -127,6 +127,8 @@ def test_orbit_limit_bad_eps_exits_2(capsys, eps):
         ["phi", "--k", "2", "--n", "2", "--coeff-bound", "0"],
         ["test-curve", "--k", "2", "--n", "2", "--coeff-bound", "0"],
         ["generators", "--n", "2", "--k", "2", "--p", "0"],
+        ["orbit", "stabilizer", "--k", "3", "--out", "/nonexistent/x.json"],
+        ["fixtures", "check", "--dir", "/nonexistent"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -358,6 +360,9 @@ def test_fixtures_roundtrip(tmp_path, capsys):
     payload = json.loads(bad.read_text())
     payload["matrix"][0][0] = "tampered"
     bad.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    code, _ = run_cli(["fixtures", "check", "--dir", str(tmp_path)], capsys)
+    assert code == 1
+    bad.unlink()  # a directory that lacks a fixture is a refuted check, not bad input
     code, _ = run_cli(["fixtures", "check", "--dir", str(tmp_path)], capsys)
     assert code == 1
 

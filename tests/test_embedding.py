@@ -23,11 +23,10 @@ from jetinv.embedding import (
     in_affine_chart,
     p_point,
     phi,
-    same_span,
-    sym_matrix_of,
     wedge_columns,
 )
 from jetinv.symbasis import sym_basis
+from oracles import same_span, sym_matrix_of
 
 
 def _column_dict(pm, s):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetinv.embedding import same_span
 from jetinv.exact import (
     Matrix,
     MinorTable,
@@ -18,9 +17,9 @@ from jetinv.exact import (
     rank,
     rat_str,
     row_space_basis,
-    solve_unique,
     sparse_product,
 )
+from oracles import same_span, solve_unique
 
 
 def test_rational_serialization():
@@ -95,17 +94,10 @@ class TestPolynomials:
         q = p.normalized()
         assert q == self.x**2 - 2 * self.y
 
-    def test_subs(self):
-        target = PolyRing(["t"])
-        t = target.var("t")
-        p = self.x**2 + self.y
-        out = p.subs({"x": t + 1, "y": -t, "z": 0})
-        assert out == t**2 + t + 1
-
 
 class TestLinearAlgebra:
     def test_kernel_zero_matrix(self):
-        m = Matrix.zeros(2, 3)
+        m = Matrix([[Fraction(0)] * 3 for _ in range(2)])
         assert len(m.kernel_basis()) == 3
 
     def test_kernel_identity(self):

@@ -17,12 +17,10 @@ from jetinv.orbits import (
     closed_form_matches_limit,
     codim_report,
     distinguished_stabilizer,
-    distinguished_twisted_point,
     extra_direction_is_new,
     extra_stabilizer,
     extra_stabilizer_case,
     head,
-    hilbert_mumford_bruteforce,
     hilbert_mumford_torus,
     infinitesimal_stabilizer,
     lambda_sigma,
@@ -34,15 +32,21 @@ from jetinv.orbits import (
     n_sigma_exponents,
     probe_stabilizer_conjecture,
     theta_choice,
-    toral_dimension,
     twist_exponent,
     z_closed_form,
-    _lie_action_on_wedge,
     _cut_columns,
     _minimal_weight_parts,
     _span_stabilizer,
 )
 from jetinv.symbasis import partitions_of, sym_basis
+from oracles import (
+    distinguished_twisted_point,
+    hilbert_mumford_bruteforce,
+    lie_action_on_wedge,
+    limit_by_eps_weights,
+    stabilizer_full_tensor_e1,
+    weight_of,
+)
 
 
 def test_eps_weight_order():
@@ -69,12 +73,12 @@ def test_distinguished_subgroups():
 
 def test_weight_of():
     lam = OneParamSubgroup((EpsWeight.of(1), EpsWeight.of(2), EpsWeight.of(3)))
-    assert lam.weight_of((1, 2)) == EpsWeight.of(3)
+    assert weight_of(lam, (1, 2)) == EpsWeight.of(3)
     lt = lambda_tilde(6)
     for tau in [(1, 1, 2), (3, 3), (6,)]:
-        assert lt.weight_of(tau) == EpsWeight.of(sum(tau))
+        assert weight_of(lt, tau) == EpsWeight.of(sum(tau))
     l2 = lambda_sigma(2, 4)
-    assert l2.weight_of((2, 2)) == EpsWeight.of(4, -2)
+    assert weight_of(l2, (2, 2)) == EpsWeight.of(4, -2)
 
 
 def test_limit_point_fixtures():
@@ -153,19 +157,6 @@ def test_eps_robustness(k):
             )
 
 
-def _reference_limit(w, lam):
-    """Minimal-weight part by EpsWeight sums from OneParamSubgroup.weight_of."""
-    basis = w.basis()
-    totals = {}
-    for factors in w.terms:
-        total = EpsWeight.of(0)
-        for pos in factors:
-            total = total + lam.weight_of(basis.monomial_at(pos))
-        totals[factors] = total
-    best = min(totals.values())
-    return {f: c for f, c in w.terms.items() if totals[f] == best}
-
-
 _small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 
@@ -201,7 +192,7 @@ def test_limit_point_matches_eps_weight_oracle(case):
     w, lam = case
     if w.is_zero():
         return
-    assert limit_point(w, lam).terms == _reference_limit(w, lam)
+    assert limit_point(w, lam).terms == limit_by_eps_weights(w, lam)
 
 
 @lru_cache(maxsize=None)
@@ -245,19 +236,6 @@ def test_degree2_column_of_degenerate():
         if sum(m) == 2
     }
     assert degree2 == {(1, 1)}  # partitions of 2 avoiding the part 2
-
-
-def test_toral_dimension():
-    assert toral_dimension(lambda_tilde(4), 4) == 1
-    assert toral_dimension(lambda_sigma(2, 4), 4) == 2
-    low2 = OneParamSubgroup(
-        (EpsWeight.of(1), EpsWeight.of(-100), EpsWeight.of(3), EpsWeight.of(4))
-    )
-    # e2 strictly minimal in its column
-    b = sym_basis(4, 4)
-    assert toral_dimension(low2, 4) >= 1
-    cols2 = [t for t in partitions_of(2)]
-    assert low2.weight_of((2,)) < low2.weight_of((1, 1))
 
 
 def test_rho_inequalities():
@@ -323,8 +301,6 @@ def test_stabilizer_basis_spans_unipotent_lie_algebra():
 
 def test_twist_reduction_vs_full_tensor_k2():
     """Full tensor expansion at k=2, K=2 agrees with the reduced system."""
-    from jetinv.orbits import stabilizer_full_tensor_e1
-
     w = p_point(1, 2)
     for K in (2, 3, 4):
         full_dim = stabilizer_full_tensor_e1(w, K, "sl")
@@ -372,7 +348,7 @@ def test_wedge_twist_reduction_vs_full_tensor():
     columns = {}
     for a, b in unknowns:
         col = {}
-        for key, c in _lie_action_on_wedge(a, b, w).items():
+        for key, c in lie_action_on_wedge(a, b, w).items():
             slots = (tuple(range(1, p + 1)),) * K
             col[(key, slots)] = col.get((key, slots), Fraction(0)) + c
         la = line_action(a, b)
@@ -434,7 +410,7 @@ def _wedge_oracle_kernel(w, algebra, mode, twist=None):
     """The stabilizer system on the expanded wedge: E_{a<-b} on every term."""
     n = w.n
     unknowns = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    columns = [_lie_action_on_wedge(a, b, w) for a, b in unknowns]
+    columns = [lie_action_on_wedge(a, b, w) for a, b in unknowns]
     constraints = []
     if mode == "projective":
         columns.append({key: -c for key, c in w.terms.items()})
@@ -498,7 +474,7 @@ def test_projective_stabilizer_grassmann_self_consistency():
     # direct: X.(e1^e2) = (X11+X22) e1^e2 + X21' terms...: brute force over
     # the 4 elementary directions plus scalar
     unknowns = [(a, b) for a in range(1, 3) for b in range(1, 3)]
-    cols = {u: _lie_action_on_wedge(u[0], u[1], w) for u in unknowns}
+    cols = {u: lie_action_on_wedge(u[0], u[1], w) for u in unknowns}
     keys = sorted({kk for c in cols.values() for kk in c} | set(w.terms))
     rows = []
     for key in keys:
@@ -518,7 +494,7 @@ def test_gl_projective_stabilizer_contains_scaling_direction():
     total = {}
     for a in range(1, 4):
         coeff = diag.data[a - 1][a - 1]
-        for key, c in _lie_action_on_wedge(a, a, pk).items():
+        for key, c in lie_action_on_wedge(a, a, pk).items():
             total[key] = total.get(key, Fraction(0)) + coeff * c
     scale = Fraction(1 + 2 + 3)
     assert total == {key: scale * c for key, c in pk.terms.items()}

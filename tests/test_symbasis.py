@@ -6,7 +6,6 @@ from jetinv.symbasis import (
     entries_to_exponent,
     enumerate_sym_basis,
     exponent_to_entries,
-    int_compositions,
     orderings_count,
     partitions_of,
     sym_basis,
@@ -59,7 +58,7 @@ def test_perm():
 def test_perm_sums_to_compositions():
     for m in range(1, 8):
         total = sum(orderings_count(t) for t in partitions_of(m))
-        assert total == len(int_compositions(m)) == 2 ** (m - 1)
+        assert total == len(vector_compositions((m,))) == 2 ** (m - 1)
 
 
 def test_defect():
@@ -75,11 +74,6 @@ def test_defect_monotone_and_superadditive():
         for m in range(1, 10):
             for t in partitions_of(m):
                 assert defect_of_partition(sigma, t) <= defect(sigma, m)
-
-
-def test_int_compositions():
-    assert sorted(int_compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
-    assert sorted(int_compositions(2)) == [(1, 1), (2,)]
 
 
 def test_vector_compositions():
