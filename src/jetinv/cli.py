@@ -11,6 +11,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from .exact import ResourceLimitError
@@ -50,8 +51,34 @@ EXIT_INTERNAL = 4
 OUTPUT_CELL_CEILING = 100_000
 
 
+# C encoder for every scalar but str; a type JSON cannot take raises TypeError
+_scalar = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                         ": ", ", ", True, False, True)
+
+
+def canonical_json(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for str dict
+    keys; newline is the line break and indent of obj's own line."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        elif all(isinstance(x, str) for x in obj):
+            items = map(encode_basestring_ascii, obj)
+        else:
+            items = [canonical_json(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(k) + ": " + canonical_json(v, inner)
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
+    return "".join(_scalar(obj, 0))
+
+
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = canonical_json(payload)
     if getattr(args, "out", None):
         try:
             Path(args.out).write_text(text + "\n")
@@ -310,10 +337,13 @@ def cmd_fixtures(args) -> int:
     directory = Path(args.dir)
     fixtures = compute_fixtures()
     if args.fixtures_cmd == "regenerate":
-        directory.mkdir(parents=True, exist_ok=True)
         for name, payload in fixtures.items():
             path = directory / f"{name}.json"
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+                path.write_text(canonical_json(payload) + "\n")
+            except OSError as e:
+                raise ValueError(f"cannot write --dir {args.dir}: {e.strerror or e}") from None
             print(f"wrote {path}")
         return EXIT_OK
     if not directory.is_dir():

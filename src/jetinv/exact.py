@@ -117,7 +117,8 @@ class SparsePolynomial:
     """Multivariate polynomial with exact rational coefficients.
 
     Immutable by convention: operations return new instances and never mutate
-    ``terms``.  Zero coefficients are never stored.
+    ``terms``.  Zero coefficients are never stored; ``int`` ones occur only
+    inside integer-scaled minor tables, where ``int`` scalars keep them ints.
     """
 
     __slots__ = ("ring", "terms")
@@ -184,10 +185,9 @@ class SparsePolynomial:
 
     def __mul__(self, other) -> "SparsePolynomial":
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            if c == 0:
+            if other == 0:
                 return self.ring.zero()
-            return SparsePolynomial(self.ring, {e: v * c for e, v in self.terms.items()})
+            return SparsePolynomial(self.ring, {e: v * other for e, v in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

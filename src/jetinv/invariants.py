@@ -14,9 +14,9 @@ failing generator is refuted with probability 1 per trial, and the identity
 direction is additionally provable symbolically at small k.  Evaluation goes
 through the minor's provenance: the columns of every generator are a prefix of
 the embedded matrix's, so one ``MinorTable`` per embedded matrix reads them
-all.  A rational matrix is tabled in integers: a minor is linear in each
-column, so if ``exact.integral`` scales column j to integers by s_j, then
-minor(R; J) = integer minor(R; J) / prod_{j in J} s_j, exactly.
+all.  Every matrix is tabled in integers: a minor is linear in each column,
+so if ``exact.integral`` scales column j (all its coefficients) to integers
+by s_j, then minor(R; J) = integer minor(R; J) / prod_{j in J} s_j, exactly.
 
 The test-curve system of gamma holds [u^m] gamma(u)^s at row (m, c), column
 (s, c), and [u^m] gamma(u)^s = phi(gamma)[s, m] / orderings(s) entry by entry.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .exact import Matrix, MinorTable, PolyRing, ResourceLimitError, SparsePolynomial, integral
 from .jets import (
@@ -71,21 +71,13 @@ class InvariantPoly:
     def poly(self) -> SparsePolynomial:
         if self._poly is None:
             gamma, _ = symbolic_jet(self.p, self.n, self.k)
-            self._poly = _minors_of(phi(gamma))(*self.positions())
+            self._poly = _minors_of(phi(gamma))[1](*self.positions())
         return self._poly
 
     def positions(self) -> tuple[list[int], list[int]]:
         """Row and column positions of the minor in the embedded matrix."""
         rows, cols = sym_basis(self.n, self.k).position, sym_basis(self.p, self.k).exponent_position
         return [rows[m] for m in self.rows], [cols[s] for s in self.cols]
-
-    def key(self) -> tuple:
-        """Scalar-normalized term signature used for deduplication."""
-        p = self.poly
-        if isinstance(p, Fraction):
-            return ()
-        norm = p.normalized()
-        return tuple(sorted(norm.terms.items()))
 
     def to_json(self) -> dict:
         wd = self.weighted_degree
@@ -101,13 +93,30 @@ class InvariantPoly:
 
 
 def _minors_of(pm: PhiMatrix):
-    """Minor reader (row positions, column positions) -> value of pm, off one
-    MinorTable; rational columns are tabled in integers by column scales."""
-    if not all(isinstance(x, Fraction) for col in pm.columns for x in col.values()):
-        return MinorTable(pm.columns).minor
-    scaled = [integral(list(col.values())) for col in pm.columns]
-    table = MinorTable([dict(zip(col, ints)) for col, (ints, _) in zip(pm.columns, scaled)])
-    return lambda rows, cols: Fraction(table.minor(rows, cols), prod(scaled[c][1] for c in cols))
+    """(integer, exact) minor readers of pm, (row positions, column positions)
+    -> minor, off one integer MinorTable; integer = exact * column scales."""
+    columns, scales = [], []
+    for col in pm.columns:
+        ints, d = integral([c for x in col.values()
+                            for c in (x.terms.values() if isinstance(x, SparsePolynomial) else (x,))])
+        it = iter(ints)
+        columns.append({r: SparsePolynomial(x.ring, dict(zip(x.terms, it)))
+                        if isinstance(x, SparsePolynomial) else next(it) for r, x in col.items()})
+        scales.append(d)
+    integer = MinorTable(columns).minor
+
+    def exact(rows, cols):
+        value, d = integer(rows, cols), prod(scales[c] for c in cols)
+        return value * Fraction(1, d) if isinstance(value, SparsePolynomial) else Fraction(value, d)
+    return integer, exact
+
+
+def _dedup_key(poly: SparsePolynomial) -> tuple:
+    """Sorted terms of an integer polynomial over its content, signed so the
+    first is positive: equal iff rational multiples (Gauss's lemma)."""
+    terms = sorted(poly.terms.items())
+    g = gcd(*(c for _, c in terms)) * (1 if terms[0][1] > 0 else -1)
+    return tuple((e, c // g) for e, c in terms)
 
 
 def _generator_families(n: int, k: int, p: int) -> list[tuple[tuple[int, ...], object]]:
@@ -206,7 +215,7 @@ def generator_set(
     for pos, m in enumerate(basis.monomials):
         positions_by_degree.setdefault(len(m), []).append(pos)
     domain = sym_basis(p, k).exponents
-    minor = _minors_of(phi(symbolic_jet(p, n, k)[0])) if materialize else None
+    integer, exact = _minors_of(phi(symbolic_jet(p, n, k)[0])) if materialize else (None, None)
     out: list[InvariantPoly] = []
     seen: set[tuple] = set()
     for c, wd in families:
@@ -215,14 +224,14 @@ def generator_set(
             inv = InvariantPoly(n=n, k=k, p=p, rows=tuple(map(basis.monomial_at, rows)), cols=cols,
                                 weighted_degree=wd)
             if materialize:
-                poly = minor(rows, range(len(c)))
+                poly = integer(rows, range(len(c)))
                 if not isinstance(poly, SparsePolynomial) or poly.is_zero():
                     continue
-                inv._poly = poly
-                key = inv.key()
+                key = _dedup_key(poly)
                 if key in seen:
                     continue
                 seen.add(key)
+                inv._poly = exact(rows, range(len(c)))
             out.append(inv)
     return out
 
@@ -259,7 +268,7 @@ def verify_invariance_symbolic(q: InvariantPoly) -> bool:
     psi = JetMap(1, 1, q.k, {(i,): (ring.var(f"a{i}") if i > 1 else ring.one(),)
                              for i in range(1, q.k + 1)})
     where = q.positions()
-    return _minors_of(phi(gamma))(*where) == _minors_of(phi(compose(gamma, psi)))(*where)
+    return _minors_of(phi(gamma))[1](*where) == _minors_of(phi(compose(gamma, psi)))[1](*where)
 
 
 def verify_generator_suite(
@@ -289,9 +298,9 @@ def verify_generator_suite(
         gamma = random_jet(rng, p, n, k, bound=bound)
         psi = random_reparam(rng, p, k, bound=bound, unipotent=(p == 1), special=(p > 1))
         lam = tuple(_nonzero_rational(rng, bound) for _ in range(p))
-        minor0 = _minors_of(phi(gamma))
-        minor1 = _minors_of(phi(compose(gamma, psi)))
-        minorl = _minors_of(phi(scale_jet(gamma, lam)))
+        _, minor0 = _minors_of(phi(gamma))
+        _, minor1 = _minors_of(phi(compose(gamma, psi)))
+        _, minorl = _minors_of(phi(scale_jet(gamma, lam)))
         for g, (rows, cols) in zip(gens, where):
             v0 = minor0(rows, cols)
             v1 = minor1(rows, cols)

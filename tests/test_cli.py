@@ -4,11 +4,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetinv.cli import main
+from jetinv.cli import canonical_json, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -129,6 +132,8 @@ def test_orbit_limit_bad_eps_exits_2(capsys, eps):
         ["generators", "--n", "2", "--k", "2", "--p", "0"],
         ["orbit", "stabilizer", "--k", "3", "--out", "/nonexistent/x.json"],
         ["fixtures", "check", "--dir", "/nonexistent"],
+        ["fixtures", "regenerate", "--dir", str(ROOT / "README.md")],
+        ["fixtures", "regenerate", "--dir", str(ROOT / "README.md" / "fixtures")],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -436,6 +441,7 @@ GOLDEN_STDOUT = {
     "test-curve --p 2 --k 3 --n 4 --seed 11": "65734596586f76583d688c4871e3d7c6193abb9124651f0dd1c5b5646542cd15",
     "test-curve --k 4 --n 4 --N 2 --seed 11": "d5016cc20c4df1a9c749303aa52ec0098a3172d2116ee4341ccafb9e24db5905",
     "orbit codim-report --k 5": "2e9e3ff8d604dd45a09c17138e095e7f524484c49ba1f62b944823c8e6a96c22",
+    "generators --n 3 --k 4 --verify --trials 2 --seed 5": "a881de2b2eb38c2118347b77167b033afddc683f90cf2ae1f4c779419ed46871",
 }
 
 
@@ -467,3 +473,34 @@ def test_consecutive_calls_share_no_options(capsys, tmp_path):
         code = main(argv.split() + ["--json"])
         out = capsys.readouterr().out
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+_TRICKY_TEXT = st.text(alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\n\té€\u2028\U0001f600'))
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(max_value=-(10**30)), st.floats(),
+    st.text(), _TRICKY_TEXT,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | st.lists(st.integers()) | st.lists(st.one_of(st.integers(), st.booleans()))
+    | st.lists(_TRICKY_TEXT),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.one_of(st.text(), _TRICKY_TEXT), inner),
+    max_leaves=25,
+)
+_property = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+
+@_property
+@given(_JSON_VALUES)
+def test_canonical_json_is_json_dumps(value):
+    assert canonical_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@_property
+@given(_JSON_VALUES, st.sampled_from([Fraction(1, 2), {1, 2}, b"x", object(), {1: "a"}]))
+def test_canonical_json_rejects_what_it_does_not_take(value, bad):
+    """A value JSON cannot hold, or a dict key that is not a str, raises
+    TypeError wherever it sits."""
+    for payload in (bad, [value, bad], {"k": (bad,), "v": value}):
+        with pytest.raises(TypeError):
+            canonical_json(payload)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetinv.embedding import phi
-from jetinv.exact import Matrix, kernel_basis, rank
+from jetinv.exact import Matrix, PolyRing, SparsePolynomial, kernel_basis, rank
 from jetinv.jets import (
     JetMap,
     compose,
@@ -20,6 +20,7 @@ from jetinv.invariants import test_curve_system as curve_system
 from jetinv.invariants import (
     InvariantPoly,
     ResourceLimitError,
+    _dedup_key,
     _generator_families,
     bulk_invariance_check,
     count_candidate_minors,
@@ -395,3 +396,36 @@ def test_example_8_3_symbolic_rows():
         for idx, entry in enumerate(row):
             want = expected.get(sysm.col_index[idx], ring.zero())
             assert entry == want, (m, sysm.col_index[idx], str(entry), str(want))
+
+
+_KEY_RING = PolyRing(["x", "y", "z"])
+_INT_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), st.integers(-6, 6).filter(bool), min_size=1, max_size=5,
+).map(lambda terms: SparsePolynomial(_KEY_RING, terms))
+_NONZERO_RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool)
+
+
+@_property
+@given(_INT_POLYS, _NONZERO_RATIONALS)
+def test_dedup_key_ignores_rational_scalars(f, c):
+    g = f * c.denominator  # so that c * g has integer coefficients too
+    cg = SparsePolynomial(_KEY_RING, {e: int(c * v) for e, v in g.terms.items()})
+    assert cg == g * c and _dedup_key(cg) == _dedup_key(g) == _dedup_key(f)
+
+
+@_property
+@given(_INT_POLYS, _INT_POLYS)
+def test_dedup_key_separates_non_proportional_polynomials(f, g):
+    (_, a), (_, b) = f.leading_term(), g.leading_term()
+    assert (_dedup_key(f) == _dedup_key(g)) == (f * b == g * a)
+
+
+def test_generator_set_3_4_counts_and_fraction_coefficients():
+    """The dedup on integer minors keeps 1,363 generators, and what it
+    returns has Fraction coefficients like any other polynomial."""
+    gens = generator_set(3, 4)
+    counts = {}
+    for g in gens:
+        counts[g.weighted_degree] = counts.get(g.weighted_degree, 0) + 1
+    assert counts == {1: 3, 3: 13, 6: 86, 10: 1261}
+    assert all(type(c) is Fraction for g in gens for c in g.poly.terms.values())
