@@ -206,7 +206,7 @@ def cmd_test_curve(args) -> int:
         for (m, c), row in zip(sysm.row_index, sysm.matrix.data):
             terms = []
             for (s, c2), entry in zip(sysm.col_index, row):
-                if c2 == c and str(entry) != "0":
+                if c2 == c and entry:
                     terms.append(
                         {"psi_index": list(s), "coefficient": str(entry)}
                     )
@@ -300,17 +300,13 @@ def compute_fixtures() -> dict[str, dict]:
     }
 
     jet22, _ = symbolic_jet(1, 2, 2)
-    pm = phi(jet22)
+    gens22 = generator_set(2, 2, 1)
     out["example_7_4"] = {
         "n": 2,
         "k": 2,
-        "phi": _phi_json(pm),
-        "minors": sorted(
-            str(g.poly.normalized()) for g in generator_set(2, 2, 1) if g.weighted_degree == 3
-        ),
-        "coordinates": sorted(
-            str(g.poly) for g in generator_set(2, 2, 1) if g.weighted_degree == 1
-        ),
+        "phi": _phi_json(phi(jet22)),
+        "minors": sorted(str(g.poly.normalized()) for g in gens22 if g.weighted_degree == 3),
+        "coordinates": sorted(str(g.poly) for g in gens22 if g.weighted_degree == 1),
     }
 
     jet33, _ = symbolic_jet(1, 3, 3)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
-from .exact import Matrix, integral, rat, rat_str, row_space_basis, sparse_product
+from .exact import Matrix, divided, integral, rat, rat_str, row_space_basis, sparse_product
 from .jets import JetMap, flat_jet
 from .symbasis import Exponent, Monomial, SymBasis, sym_basis
 
@@ -82,11 +82,17 @@ def phi(gamma: JetMap) -> PhiMatrix:
     Columns are built by the first-piece recursion
     C_s = gamma_s + sum_{0 < s' < s} gamma_{s'} * C_{s - s'},
     which enumerates ordered tuples exactly once.
+
+    The recursion runs in integers, on D * gamma from ``JetMap.integral``.
+    An entry in row m is a sum of products of |m| jet coefficients, one per
+    letter of m, so phi(D * gamma)[row m] = D^|m| * phi(gamma)[row m], and
+    each finished entry is divided once, by D^|m|.
     """
     p, n, k = gamma.p, gamma.q, gamma.k
     basis = sym_basis(n, k)
     domain = sym_basis(p, k)
-    heads = {s1: _vector_to_sym(vec, n) for s1, vec in gamma.coeffs.items()}
+    scaled, d = gamma.integral()
+    heads = {s1: _vector_to_sym(vec, n) for s1, vec in scaled.coeffs.items()}
     cols_by_exp: dict[Exponent, dict[Exponent, object]] = {}
     for s in domain.exponents:
         acc = dict(heads.get(s, {}))
@@ -107,7 +113,9 @@ def phi(gamma: JetMap) -> PhiMatrix:
         cols_by_exp[s] = acc
     col_index = list(domain.exponents)
     position = basis.exponent_position
-    columns = [{position[e]: c for e, c in cols_by_exp[s].items()} for s in col_index]
+    powers = [d**r for r in range(k + 1)]
+    columns = [{position[e]: divided(c, powers[sum(e)]) for e, c in cols_by_exp[s].items()}
+               for s in col_index]
     return PhiMatrix(n=n, k=k, p=p, col_index=col_index, columns=columns, basis=basis)
 
 

@@ -15,7 +15,10 @@ row-space basis) goes through one Bareiss fraction-free elimination, so
 intermediate entries stay integral, and one back substitution on its echelon
 rows.  ``integral``, the lcm-of-denominators scaling, is the
 one conversion into integers: the elimination applies it to each row as given
-(ints, Fractions or both), and so do minor tables, wedges and orbit weights.
+(ints, Fractions or both), and so do wedges and orbit weights.  Minor
+tables, the jet embedding and the test-curve systems scale through
+``integral_entries``, which covers polynomial coefficients too, and take the
+scale back out of each finished entry with ``divided``.
 Division-free minors, for polynomial entries and for the many minors of one
 matrix that invariance checks read, come from one ``MinorTable`` per matrix:
 Laplace expansion along the last column, with every sub-minor computed once
@@ -221,7 +224,7 @@ class SparsePolynomial:
         if not self.terms:
             return self
         _, lc = self.leading_term()
-        return self * (1 / lc)
+        return divided(self, lc)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a full rational assignment of the ring variables."""
@@ -407,6 +410,25 @@ def integral(values: Sequence[Scalar]) -> tuple[list[int], int]:
     """
     d = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def integral_entries(values: Sequence[Coef]) -> tuple[list, int]:
+    """``integral`` over scalars and polynomials alike: each scalar and each
+    coefficient of each polynomial times d, the lcm of all their
+    denominators, as ints and int-coefficient polynomials; and d."""
+    ints, d = integral([c for x in values
+                        for c in (x.terms.values() if isinstance(x, SparsePolynomial) else (x,))])
+    it = iter(ints)
+    return [SparsePolynomial(x.ring, dict(zip(x.terms, it))) if isinstance(x, SparsePolynomial)
+            else next(it) for x in values], d
+
+
+def divided(x: Coef, d: Scalar) -> Coef:
+    """x / d for a scalar or polynomial x and a nonzero rational d: a
+    Fraction, or a polynomial with Fraction coefficients."""
+    if isinstance(x, SparsePolynomial):
+        return SparsePolynomial(x.ring, {e: Fraction(c, d) for e, c in x.terms.items()})
+    return Fraction(x, d)
 
 
 def _bareiss(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int], int, int]:

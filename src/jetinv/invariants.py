@@ -15,7 +15,7 @@ direction is additionally provable symbolically at small k.  Evaluation goes
 through the minor's provenance: the columns of every generator are a prefix of
 the embedded matrix's, so one ``MinorTable`` per embedded matrix reads them
 all.  Every matrix is tabled in integers: a minor is linear in each column,
-so if ``exact.integral`` scales column j (all its coefficients) to integers
+so if ``exact.integral_entries`` scales column j (all its coefficients) to integers
 by s_j, then minor(R; J) = integer minor(R; J) / prod_{j in J} s_j, exactly.
 
 The test-curve system of gamma holds [u^m] gamma(u)^s at row (m, c), column
@@ -31,7 +31,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
 
-from .exact import Matrix, MinorTable, PolyRing, ResourceLimitError, SparsePolynomial, integral
+from .exact import (
+    Matrix,
+    MinorTable,
+    PolyRing,
+    ResourceLimitError,
+    SparsePolynomial,
+    divided,
+    integral_entries,
+)
 from .jets import (
     JetMap,
     compose,
@@ -97,17 +105,13 @@ def _minors_of(pm: PhiMatrix):
     -> minor, off one integer MinorTable; integer = exact * column scales."""
     columns, scales = [], []
     for col in pm.columns:
-        ints, d = integral([c for x in col.values()
-                            for c in (x.terms.values() if isinstance(x, SparsePolynomial) else (x,))])
-        it = iter(ints)
-        columns.append({r: SparsePolynomial(x.ring, dict(zip(x.terms, it)))
-                        if isinstance(x, SparsePolynomial) else next(it) for r, x in col.items()})
+        ints, d = integral_entries(list(col.values()))
+        columns.append(dict(zip(col, ints)))
         scales.append(d)
     integer = MinorTable(columns).minor
 
     def exact(rows, cols):
-        value, d = integer(rows, cols), prod(scales[c] for c in cols)
-        return value * Fraction(1, d) if isinstance(value, SparsePolynomial) else Fraction(value, d)
+        return divided(integer(rows, cols), prod(scales[c] for c in cols))
     return integer, exact
 
 
@@ -386,22 +390,33 @@ def test_curve_system(gamma: JetMap, N: int = 1) -> TestCurveSystem:
     Row (m, c) holds the coefficient of u^m in coordinate c of the composed
     jet; because composition is linear in the outer jet the entry at column
     (s, c) is the coefficient of u^m in gamma(u)^s.
+
+    The powers are expanded in integers, on D * gamma from
+    ``JetMap.integral``: [u^m] (D * gamma(u))^s = D^|s| * [u^m] gamma(u)^s,
+    so each entry of column s is divided once, by D^|s|.  Zero cells share
+    one Fraction(0).
     """
     p, n, k = gamma.p, gamma.q, gamma.k
     out_idx = sym_basis(p, k).exponents
     psi_idx = sym_basis(n, k).exponents
-    coords = [gamma.coordinate_poly(j) for j in range(n)]
+    scaled, d = gamma.integral()
+    coords = [scaled.coordinate_poly(j) for j in range(n)]
     cache: dict = {}
-    columns = {}
+    columns = []
     for s in psi_idx:
-        columns[s] = _monomial_of_coords(coords, s, k, cache)
+        ds = d ** sum(s)
+        columns.append({m: divided(c, ds)
+                        for m, c in _monomial_of_coords(coords, s, k, cache).items()})
     row_index = [(m, c) for m in out_idx for c in range(N)]
     col_index = [(s, c) for s in psi_idx for c in range(N)]
+    zero = Fraction(0)
     data = []
     for m, c in row_index:
-        row = []
-        for s, c2 in col_index:
-            row.append(columns[s].get(m, Fraction(0)) if c == c2 else Fraction(0))
+        row = [zero] * len(col_index)
+        for j, col in enumerate(columns):
+            val = col.get(m)
+            if val is not None:
+                row[j * N + c] = val
         data.append(row)
     return TestCurveSystem(
         n=n, k=k, p=p, N=N, row_index=row_index, col_index=col_index, matrix=Matrix(data)

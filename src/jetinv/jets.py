@@ -20,7 +20,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Matrix, PolyRing, SparsePolynomial, rat, rat_str, parse_rat, sparse_product
+from .exact import (Matrix, PolyRing, SparsePolynomial, integral_entries, rat, rat_str, parse_rat,
+                    sparse_product)
 from .symbasis import Exponent, Monomial, entries_to_exponent, sym_basis, vector_compositions
 
 CoefVec = tuple
@@ -32,7 +33,8 @@ class JetMap:
 
     coeffs maps each nonzero exponent vector s (1 <= |s| <= k) to a length-q
     coefficient vector; absent keys are zero.  Entries are Fractions, or
-    SparsePolynomials for symbolic jets.
+    SparsePolynomials for symbolic jets (ints and int polynomials in the
+    scaled copy that `integral` returns).
     """
 
     p: int
@@ -58,6 +60,15 @@ class JetMap:
     def coordinate_poly(self, j: int) -> dict[Exponent, object]:
         """The j-th coordinate (0-based) as a sparse exponent -> coefficient map."""
         return {s: vec[j] for s, vec in self.coeffs.items() if vec[j]}
+
+    def integral(self) -> tuple["JetMap", int]:
+        """(D * self, D): D is the lcm of the denominators of all coefficients,
+        polynomial coefficients included, so the scaled jet has int or
+        int-polynomial entries; a symbolic jet has D = 1."""
+        ints, d = integral_entries([c for vec in self.coeffs.values() for c in vec])
+        q = self.q
+        coeffs = {s: tuple(ints[i * q:(i + 1) * q]) for i, s in enumerate(self.coeffs)}
+        return JetMap(self.p, q, self.k, coeffs), d
 
     def linear_matrix(self) -> Matrix:
         """The q x p matrix L of the degree-1 block (column i = image of e_i)."""

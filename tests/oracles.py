@@ -3,8 +3,9 @@
 Each oracle takes the direct, expensive route that the library avoids: the
 stabilizer systems on the expanded wedge and the full tensor, Hilbert-Mumford
 by subset enumeration, unique solutions and span equality read off kernels and
-ranks, orbit limits by EpsWeight sums, and the induced action on
-Sym^{<=k} C^n as a dense matrix.  They use public jetinv names only, so a
+ranks, orbit limits by EpsWeight sums, the induced action on
+Sym^{<=k} C^n as a dense matrix, and the jet embedding and the powers of a
+jet summed term by term over ordered decompositions.  They use public jetinv names only, so a
 change to a private helper of the library cannot change an oracle with it.
 """
 
@@ -203,3 +204,50 @@ def limit_by_eps_weights(w, lam):
         totals[factors] = total
     best = min(totals.values())
     return {f: c for f, c in w.terms.items() if totals[f] == best}
+
+
+# -- the embedding and jet powers by ordered decompositions ---------------------
+
+
+def ordered_decompositions(s):
+    """Every ordered tuple of nonzero multi-indices summing to s (one empty
+    tuple for s = 0)."""
+    if not any(s):
+        yield ()
+        return
+    for first in itertools.product(*(range(x + 1) for x in s)):
+        if any(first):
+            for rest in ordered_decompositions(tuple(a - b for a, b in zip(s, first))):
+                yield (first,) + rest
+
+
+def phi_by_decompositions(gamma):
+    """phi(gamma) as dense rows over the Sym basis of C^n, columns the domain
+    basis, straight from the definition: entry (m, s) sums, over the ordered
+    decompositions s = s_1 + ... + s_j and the letter tuples (a_1, ..., a_j)
+    whose sorted letters are m, the products gamma_{s_1}[a_1] ... gamma_{s_j}[a_j]."""
+    rows, cols = sym_basis(gamma.q, gamma.k), sym_basis(gamma.p, gamma.k)
+    data = [[Fraction(0)] * len(cols) for _ in range(len(rows))]
+    for j, s in enumerate(cols.exponents):
+        for pieces in ordered_decompositions(s):
+            for letters in itertools.product(range(1, gamma.q + 1), repeat=len(pieces)):
+                term = Fraction(1)
+                for piece, a in zip(pieces, letters):
+                    term = term * gamma.coefficient(piece)[a - 1]
+                i = rows.index_of(tuple(sorted(letters)))
+                data[i][j] = data[i][j] + term
+    return data
+
+
+def power_coefficient(gamma, m, s):
+    """[u^m] gamma(u)^s: over the ordered decompositions m = t_1 + ... + t_r
+    into r = |s| parts, the products of gamma_{t_i} at the i-th letter of s."""
+    letters = [a for a, e in enumerate(s) for _ in range(e)]
+    total = Fraction(0)
+    for pieces in ordered_decompositions(m):
+        if len(pieces) == len(letters):
+            term = Fraction(1)
+            for piece, a in zip(pieces, letters):
+                term = term * gamma.coefficient(piece)[a]
+            total = total + term
+    return total

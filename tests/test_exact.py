@@ -10,6 +10,7 @@ from jetinv.exact import (
     Matrix,
     MinorTable,
     PolyRing,
+    SparsePolynomial,
     _det_laplace,
     integral,
     kernel_basis,
@@ -93,6 +94,12 @@ class TestPolynomials:
         p = 3 * self.x**2 - 6 * self.y
         q = p.normalized()
         assert q == self.x**2 - 2 * self.y
+
+    def test_normalized_is_exact_on_int_coefficients(self):
+        p = SparsePolynomial(self.ring, {(1, 0, 0): 4, (0, 1, 0): 2})
+        q = p.normalized()
+        assert q.terms == {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in q.terms.values())
 
 
 class TestLinearAlgebra:

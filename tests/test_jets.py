@@ -18,6 +18,7 @@ from jetinv.jets import (
     jet_var_name,
     random_jet,
     random_reparam,
+    symbolic_jet,
     symbolic_reparam,
     torus_weights,
 )
@@ -292,3 +293,17 @@ def test_jet_json_roundtrip():
     jet = random_jet(rng, 2, 3, 2, bound=9)
     again = JetMap.from_json(jet.to_json())
     assert again == jet
+
+
+def test_integral_scales_every_coefficient_by_one_lcm():
+    jet = JetMap(1, 2, 2, {(1,): (Fraction(1, 4), Fraction(-3)), (2,): (Fraction(5, 6), 0)})
+    scaled, d = jet.integral()
+    assert d == 12
+    assert scaled.coeffs == {(1,): (3, -36), (2,): (10, 0)}
+    assert all(type(c) is int for vec in scaled.coeffs.values() for c in vec)
+    gamma, ring = symbolic_jet(1, 2, 2)
+    half = JetMap(1, 2, 2, {s: tuple(x * Fraction(1, 2) + Fraction(1, 3) for x in vec)
+                            for s, vec in gamma.coeffs.items()})
+    scaled, d = half.integral()
+    assert d == 6 and scaled.coeffs[(1,)][0] == 3 * ring.var("u1_1") + 2
+    assert gamma.integral() == (gamma, 1)
