@@ -1,13 +1,15 @@
 """Command-line surface: every computation with machine-readable output.
 
 Exit codes: 0 success, 1 a computation reported a violated expectation,
-2 invalid input, 3 resource limit exceeded, 4 internal error.
+2 invalid input, 3 resource limit exceeded, 4 internal error, 141 the reader
+closed stdout before the output ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -45,6 +47,7 @@ EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a filter SIGPIPE ended
 
 # Largest output matrix, in cells, that group-matrix, phi and test-curve build
 # without --force (test-curve --k 8 --n 8, 102,952 cells, takes 4 s).
@@ -56,25 +59,40 @@ _scalar = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_asc
                          ": ", ", ", True, False, True)
 
 
-def canonical_json(obj, newline: str = "\n") -> str:
+def canonical_json(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for str dict
-    keys; newline is the line break and indent of obj's own line."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if all(type(x) is int for x in obj):
-            items = map(int.__repr__, obj)
-        elif all(isinstance(x, str) for x in obj):
-            items = map(encode_basestring_ascii, obj)
-        else:
-            items = [canonical_json(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
-    if isinstance(obj, dict):
-        items = [encode_basestring_ascii(k) + ": " + canonical_json(v, inner)
-                 for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
-    return "".join(_scalar(obj, 0))
+    keys.  An array whose items are all int, or all str, is written once per
+    (items, indent) in a call: payloads repeat the same monomials thousands
+    of times.  The item types are checked before the items are hashed, since
+    (True,) and (1.0,) equal (1,) as keys."""
+    scalar_arrays: dict[tuple, str] = {}
+
+    def write(obj, newline: str) -> str:
+        """obj at the line whose break and indent is newline."""
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        inner = newline + "  "
+        if isinstance(obj, (list, tuple)):
+            if all(type(x) is int for x in obj):
+                encode = int.__repr__
+            elif all(isinstance(x, str) for x in obj):
+                encode = encode_basestring_ascii
+            else:  # not empty: [] is all int
+                return "[" + inner + ("," + inner).join([write(x, inner) for x in obj]) + newline + "]"
+            key = (tuple(obj), newline)
+            text = scalar_arrays.get(key)
+            if text is None:
+                text = scalar_arrays[key] = (
+                    "[" + inner + ("," + inner).join(map(encode, obj)) + newline + "]" if obj else "[]"
+                )
+            return text
+        if isinstance(obj, dict):
+            items = [encode_basestring_ascii(k) + ": " + write(v, inner)
+                     for k, v in sorted(obj.items())]
+            return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
+        return "".join(_scalar(obj, 0))
+
+    return write(obj, "\n")
 
 
 def _emit(payload: dict, args) -> None:
@@ -102,7 +120,12 @@ def _print_human(payload: dict, indent: str = "") -> None:
                 print(f"{indent}  -")
                 _print_human(item, indent + "    ")
         else:
-            print(f"{indent}{key}: {value}")
+            print(f"{indent}{key}: {_listed(value)}")
+
+
+def _listed(value):
+    """value with its tuples as lists, the way its JSON shows them."""
+    return [_listed(x) for x in value] if isinstance(value, (list, tuple)) else value
 
 
 def _check_sizes(args, n: int, N: int = 1) -> None:
@@ -448,7 +471,15 @@ def main(argv: list[str] | None = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return globals()[args.func](args)
+        code = globals()[args.func](args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the reader has all it wants; what is still buffered goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except ResourceLimitError as e:
         print(str(e), file=sys.stderr)
         return EXIT_RESOURCE

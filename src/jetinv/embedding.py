@@ -175,15 +175,15 @@ class WedgeVector:
         return c
 
     def to_json(self) -> dict:
-        basis = self.basis()
-        terms = []
-        for t in sorted(self.terms):
-            terms.append(
-                {
-                    "factors": [list(basis.monomial_at(pos)) for pos in t],
-                    "coeff": rat_str(self.terms[t]),
-                }
-            )
+        """Factors are the basis's own monomial tuples; one string per
+        coefficient object, which wedge_of_sparse_vectors shares per value."""
+        monomials = self.basis().monomials
+        distinct = {id(c): c for c in self.terms.values()}
+        coeff_str = {i: rat_str(c) for i, c in distinct.items()}
+        terms = [
+            {"factors": [monomials[pos] for pos in t], "coeff": coeff_str[id(self.terms[t])]}
+            for t in sorted(self.terms)
+        ]
         return {"n": self.n, "k": self.k, "r": self.r, "terms": terms}
 
     @classmethod

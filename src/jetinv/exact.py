@@ -242,12 +242,10 @@ class SparsePolynomial:
             total += v
         return total
 
-    def term_list(self) -> list[tuple[list[int], str]]:
+    def term_list(self) -> list[tuple[tuple[int, ...], str]]:
         """Canonical JSON-ready term list, graded-lex descending."""
-        out = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            out.append((list(exp), rat_str(self.terms[exp])))
-        return out
+        return [(exp, rat_str(self.terms[exp]))
+                for exp in sorted(self.terms, key=_grlex_key, reverse=True)]
 
     def __str__(self) -> str:
         if not self.terms:

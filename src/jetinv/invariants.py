@@ -88,15 +88,11 @@ class InvariantPoly:
         return [rows[m] for m in self.rows], [cols[s] for s in self.cols]
 
     def to_json(self) -> dict:
-        wd = self.weighted_degree
         return {
-            "provenance": {
-                "rows": [list(m) for m in self.rows],
-                "cols": [list(s) for s in self.cols],
-            },
-            "weighted_degree": list(wd) if isinstance(wd, tuple) else wd,
-            "poly": [[exp, c] for exp, c in self.poly.term_list()],
-            "vars": list(self.poly.ring.names),
+            "provenance": {"rows": self.rows, "cols": self.cols},
+            "weighted_degree": self.weighted_degree,
+            "poly": self.poly.term_list(),
+            "vars": self.poly.ring.names,
         }
 
 

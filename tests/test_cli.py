@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetinv.cli import canonical_json, main
@@ -494,6 +494,12 @@ _property = settings(derandomize=True, max_examples=200, deadline=None, database
 
 @_property
 @given(_JSON_VALUES)
+# equal int arrays at several depths; ints beside the bools, floats and strs
+# equal to them as keys; equal tuple and list values; an unhashable array
+@example({"a": [1, 2], "b": {"c": [1, 2], "d": [[1, 2], [[1, 2]]]}})
+@example([[1], [True], [1.0], ["1"], [1], [True], [1.0], ["1"]])
+@example([(1, 2), [1, 2], ("x",), ["x"], (), []])
+@example([[1, [2]], [1, [2]]])
 def test_canonical_json_is_json_dumps(value):
     assert canonical_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
@@ -506,3 +512,56 @@ def test_canonical_json_rejects_what_it_does_not_take(value, bad):
     for payload in (bad, [value, bad], {"k": (bad,), "v": value}):
         with pytest.raises(TypeError):
             canonical_json(payload)
+
+
+@pytest.mark.parametrize("argv", [
+    "orbit closed-form --k 6 --sigma 5 --kind mu",
+    "generators --n 2 --k 4",
+])
+def test_canonical_json_on_real_payloads(capsys, argv):
+    """Printed from the payload's shared tuples, the output equals json.dumps
+    of its parsed copy, and so does the writer run on that copy."""
+    code = main(argv.split() + ["--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    parsed = json.loads(out)
+    assert out == canonical_json(parsed) + "\n" == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
+
+
+# SHA-256 of the human-readable stdout (no --json). The payloads hold tuples;
+# the table shows every array as a list, as it did when they held lists.
+HUMAN_STDOUT = {
+    "orbit limit --k 4 --sigma 2 --kind lambda": "87dc24b7f0f5e800398e400517e5db7b61ac092d50473c795ab5c59074d09f59",
+    "orbit closed-form --k 5 --sigma 3 --kind mu": "f8903de3c487f9b89df5f0df74ca0606669e5cb8a5724890d18a7636fb7dfd98",
+    "generators --n 2 --k 2": "765ccc70ac196cf9b715fd6dfc22a4b751a493f252ed9549e2bfd67c4f4bc466",
+}
+
+
+@pytest.mark.parametrize("argv", list(HUMAN_STDOUT))
+def test_human_stdout(capsys, argv):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == HUMAN_STDOUT[argv]
+
+
+@pytest.mark.parametrize("json_flag", [["--json"], []])
+def test_closed_pipe_exits_141_quietly(json_flag):
+    """A reader that takes one line and closes the pipe ends the run with
+    128 + SIGPIPE and nothing on stderr.  The payload (636 KB as JSON) is
+    larger than a pipe holds, so the writer is still writing when it closes."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jetinv.cli", "orbit", "closed-form", "--k", "6", "--sigma", "5",
+         "--kind", "mu", *json_flag],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""

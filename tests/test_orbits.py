@@ -38,7 +38,7 @@ from jetinv.orbits import (
     _minimal_weight_parts,
     _span_stabilizer,
 )
-from jetinv.symbasis import partitions_of, sym_basis
+from jetinv.symbasis import _sym_basis_cached, partitions_of, sym_basis
 from oracles import (
     distinguished_twisted_point,
     hilbert_mumford_bruteforce,
@@ -695,6 +695,40 @@ def test_codim_report_k9_k10(k, dims):
     assert by_kind[("lambda", k)] == by_kind[("mu", k - 1)] == k + 1
     assert all(by_kind[("mu", s)] == 2 * k - s for s in range(2, k))
     assert rep["all_bounds_ok"]
+
+
+@pytest.fixture
+def drop_cached_bases():
+    """Forced runs cache Sym bases of up to a million monomials; drop them
+    afterwards, so the rest of the suite does not hold them."""
+    yield
+    _sym_basis_cached.cache_clear()
+
+
+@pytest.mark.slow
+@pytest.mark.usefixtures("drop_cached_bases")
+def test_codim_report_k11():
+    """The paper's codimension-two statement at k = 11 (forced; about 3 s and
+    390 MB): base stabilizer k - 1, lambda_k and mu_{k-1} at k + 1, mu_sigma
+    at 2k - sigma."""
+    k = 11
+    rep = codim_report(k, 1, force=True)
+    assert rep["base_stabilizer_dim"] == k - 1
+    assert [c["proj_stab_dim"] for c in rep["candidates"]] == [
+        15, 16, 16, 18, 15, 17, 18, 16, 14, 12, 20, 19, 18, 17, 16, 15, 14, 13, 12]
+    by_kind = {(c["kind"], c["sigma"]): c["proj_stab_dim"] for c in rep["candidates"]}
+    assert by_kind[("lambda", k)] == by_kind[("mu", k - 1)] == k + 1
+    assert all(by_kind[("mu", s)] == 2 * k - s for s in range(2, k))
+    assert rep["all_bounds_ok"]
+
+
+@pytest.mark.slow
+@pytest.mark.usefixtures("drop_cached_bases")
+def test_probe_conjecture_2_6():
+    """Probe (2, 6), past the span gate (forced; about 5 s and 630 MB)."""
+    rep = probe_stabilizer_conjecture(2, 6, 1, force=True)
+    assert rep["measured_dim"] == rep["predicted_dim"] == 53
+    assert rep["match"]
 
 
 def test_decomposition_reads_the_span_of_the_columns():
