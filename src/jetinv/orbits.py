@@ -32,6 +32,13 @@ unreduced input raises ValueError): flat-jet columns and their restrictions
 have disjoint supports, and each v_s of _decompose is 1 at i_s, 0 on the rest
 of the least term I and nonzero only above i_s, or I would not be least.
 
+The span vectors, their pivots and the system rows are keyed by monomials
+(weakly increasing letter tuples), not by positions in a basis, and the
+pivots are least in the (degree, lex) order, which is the position order.
+The flat-jet columns come in closed form from _flat_jet_columns, so the
+stabilizers of the distinguished point and of its limits build no basis of
+Sym^{<=k} C^n; a general wedge's positions are read back through its basis.
+
 Graded systems: letter a of Sym^{<=k} C^n, n = sym_dim(p, k), is a monomial
 of Sym^{<=k} C^p with exponent vector w(a) in N^p.  Flat-jet column s, and
 every cut of it, is homogeneous of weight s, and Sym(E_{a<-b}) shifts weight
@@ -49,15 +56,19 @@ integers (see _span_stabilizer).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter
 
 from .exact import (
     Matrix,
     PolyRing,
     ResourceLimitError,
+    Scalar,
     SparsePolynomial,
     integral,
     kernel_basis,
@@ -65,14 +76,25 @@ from .exact import (
     rat,
     rat_str,
 )
-from .embedding import WedgeVector, phi, wedge_of_sparse_vectors
-from .jets import flat_jet, group_matrix, symbolic_reparam
-from .symbasis import Monomial, defect, defect_of_partition, partitions_of, sym_basis, sym_dim
+from .embedding import WedgeVector, wedge_of_sparse_vectors
+from .jets import group_matrix, symbolic_reparam
+from .symbasis import (
+    Exponent,
+    Monomial,
+    defect,
+    defect_of_partition,
+    orderings_count,
+    partitions_of,
+    sym_basis,
+    sym_dim,
+)
 
 WEDGE_TERM_CEILING = 6000
-# Largest span-stabilizer cost, in monomials of Sym^{<=k} C^n, solved without
-# --force: about 1.3 s and 140 MB (distinguished_stabilizer).
-SPAN_COST_CEILING = 250_000
+# Largest span-stabilizer cost (_span_cost, in dense row cells) solved without
+# --force.  A cell takes 20 to 75 ns, so the ungated systems take at most
+# about 1.3 s: distinguished_stabilizer at (p, k) = (1, 17) 0.7 s and 62 MB,
+# (2, 6) 0.4 s, (8, 2) 0.5 s; codim_report(12) 0.7 to 1.1 s.
+SPAN_COST_CEILING = 25_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -194,12 +216,45 @@ def _minimal_weight_parts(lam: OneParamSubgroup, k: int) -> Iterator[list[Monomi
         yield [m for m, wt in zip(parts, weights) if wt == best]
 
 
-def _cut_columns(k: int, parts_by_degree: Iterable[list[Monomial]]) -> list[dict]:
-    """The flat-jet columns (p = 1), column i cut to the given partitions of i."""
+def _position(m: Monomial) -> tuple[int, Monomial]:
+    """Sort key of the position order of a Sym basis: degree, then lex."""
+    return len(m), m
+
+
+def _flat_jet_columns(p: int, k: int) -> list[dict[Monomial, int]]:
+    """The columns of phi(flat_jet(p, k)), keyed by monomials in the domain
+    letters: letter j is the j-th monomial of Sym^{<=k} C^p.  Column s holds
+    every multiset m of letters whose exponent vectors sum to s, with
+    coefficient orderings_count(m), phi's ordered tuples grouped; for p = 1
+    these are the partitions of s.  Each column is in position order."""
+    exps = sym_basis(p, k).exponents
+    col_of = {e: j for j, e in enumerate(exps)}
+    degree = [sum(e) for e in exps]  # nondecreasing: the basis is in degree blocks
+    columns: list[dict[Monomial, int]] = [{} for _ in exps]
+
+    def extend(m: Monomial, total: Exponent, deg: int) -> None:
+        for j in range(m[-1] - 1 if m else 0, len(exps)):  # letters in nondecreasing order
+            if deg + degree[j] > k:
+                break
+            grown, s = m + (j + 1,), tuple(map(add, total, exps[j]))
+            columns[col_of[s]][grown] = orderings_count(grown)
+            extend(grown, s, deg + degree[j])
+
+    extend((), (0,) * p, 0)
+    return [{m: col[m] for m in sorted(col, key=_position)} for col in columns]
+
+
+def _cut(columns: list[dict[Monomial, int]],
+         parts_by_degree: Iterable[list[Monomial]]) -> list[dict[Monomial, int]]:
+    """Flat-jet columns (p = 1), column i cut to the given partitions of i."""
+    return [{m: col[m] for m in parts} for col, parts in zip(columns, parts_by_degree)]
+
+
+def _cut_columns(k: int, parts_by_degree: Iterable[list[Monomial]]) -> list[dict[int, int]]:
+    """The cut flat-jet columns (p = 1), keyed by positions for the wedge."""
     index_of = sym_basis(k, k).index_of
-    cuts = [{index_of(m) for m in parts} for parts in parts_by_degree]
-    return [{pos: c for pos, c in col.items() if pos in keep}
-            for col, keep in zip(phi(flat_jet(1, k)).columns, cuts)]
+    return [{index_of(m): c for m, c in col.items()}
+            for col in _cut(_flat_jet_columns(1, k), parts_by_degree)]
 
 
 def limit_point(w: WedgeVector, lam: OneParamSubgroup) -> WedgeVector:
@@ -304,93 +359,85 @@ class StabilizerResult:
     basis: list[Matrix]
 
 
-def _lie_action_on_monomial(a: int, b: int, m: Monomial) -> tuple[Monomial, int] | None:
-    """Derivation action of the elementary matrix E_{a<-b} on a monomial:
-    each occurrence of letter b is replaced by a once, which gives one
-    monomial times the multiplicity of b; None when b does not occur."""
-    mult = m.count(b)
-    if mult == 0:
-        return None
-    lst = list(m)
-    lst.remove(b)
-    return tuple(sorted(lst + [a])), mult
-
-
-def _stabilizer_kernel(columns: list[dict], constraints: list[list]) -> list[list[Fraction]]:
-    """Kernel of a stabilizer system given by sparse columns (row key ->
-    coefficient, one column per unknown) stacked over dense constraint rows.
-    The sparse rows have few terms and often repeat up to scale: each is
-    scaled by ``integral`` to coprime integers with a positive first entry,
-    and repeats are dropped, keeping the kernel."""
-    sparse: dict = {}
-    for j, col in enumerate(columns):
-        for key, c in col.items():
-            sparse.setdefault(key, {})[j] = c
+def _stabilizer_kernel(sparse: Iterable[dict[int, int]], constraints: list[list],
+                       ncols: int) -> list[list[Fraction]]:
+    """Kernel of a stabilizer system given by sparse integer rows (unknown ->
+    coefficient) stacked over dense constraint rows.  The sparse rows have
+    few terms and often repeat up to scale: each is divided by its content,
+    signed to a positive first entry, and repeats are dropped, keeping the
+    kernel."""
     distinct = {}
-    for row in sparse.values():
-        ints, _ = integral(list(row.values()))
-        g = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
-        distinct[tuple(zip(row, [x // g for x in ints]))] = None
+    for row in sparse:
+        values = list(row.values())
+        g = math.gcd(*values) if values[0] > 0 else -math.gcd(*values)
+        distinct[tuple(zip(row, [x // g for x in values]))] = None
     rows = []
     for terms in distinct:
-        row = [0] * len(columns)
+        row = [0] * ncols
         for j, c in terms:
             row[j] = c
         rows.append(row)
-    return kernel_basis(rows + constraints, len(columns))
+    return kernel_basis(rows + constraints, ncols)
 
 
 def _add_multiple(target: dict, c: int, vec: dict) -> None:
     """target += c * vec for sparse vectors, dropping entries that cancel."""
-    for pos, x in vec.items():
-        val = target.get(pos, 0) + c * x
+    for key, x in vec.items():
+        val = target.get(key, 0) + c * x
         if val:
-            target[pos] = val
+            target[key] = val
         else:
-            target.pop(pos, None)
+            target.pop(key, None)
 
 
-def _span_stabilizer(n: int, k: int, vectors: list[dict], algebra: str, mode: str,
+def _span_stabilizer(n: int, vectors: list[dict[Monomial, Scalar]], algebra: str, mode: str,
                      twist: tuple[Fraction, int] | None = None) -> StabilizerResult:
-    """Stabilizer of the wedge of sparse vectors over Sym^{<=k} C^n, solved on
-    their span V (module docstring); twist = (b/a, p) as in TwistedPoint.
+    """Stabilizer of the wedge of sparse vectors over Sym^{<=k} C^n, keyed by
+    monomials, solved on their span V (module docstring); twist = (b/a, p) as
+    in TwistedPoint.
 
     The reduced vectors are scaled together to integers u_i = D v_i by
     ``integral``, so every residual is computed in ints as D^2 times the
     residual of v_i, and the trace as D times tr(X|V): each row of the system
-    is scaled by a constant, which keeps its kernel."""
+    is scaled by a constant, which keeps its kernel.  E_{a<-b} replaces one
+    letter b by a, times the multiplicity of b, so a letter index (b ->
+    pivot, term with one b removed, multiplicity times coefficient) is built
+    once, and each unknown touches only the terms that hold its b."""
     if algebra not in ("sl", "gl") or mode not in ("affine", "projective"):
         raise ValueError("algebra must be sl or gl, and mode affine or projective")
-    basis = sym_basis(n, k)
     if not all(vectors):
         raise ValueError("stabilizer of the zero vector")
-    pivots = [min(v) for v in vectors]  # each in its own vector only (module docstring)
+    pivots = [min(v, key=_position) for v in vectors]  # each in its own vector only (docstring)
     if sum(piv in u for piv in pivots for u in vectors) > len(vectors):
         raise ValueError("the spanning vectors are not in reduced echelon form")
     ints, scale = integral([rat(c) / v[piv] for piv, v in zip(pivots, vectors) for c in v.values()])
     ints = iter(ints)
-    reduced = {piv: {pos: next(ints) for pos in v} for piv, v in zip(pivots, vectors)}
+    reduced = {piv: {m: next(ints) for m in v} for piv, v in zip(pivots, vectors)}
+    by_letter: dict[int, list[tuple[Monomial, Monomial, int]]] = {}
+    for piv, u in reduced.items():
+        for m, c in u.items():
+            for i, b in enumerate(m):
+                if i == 0 or m[i - 1] != b:  # first occurrence of b
+                    mult = bisect.bisect_right(m, b, i) - i
+                    by_letter.setdefault(b, []).append((piv, m[:i] + m[i + 1:], mult * c))
     unknowns = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]  # X, row-major
-    columns: list[dict] = []
+    rows: dict[tuple[Monomial, Monomial], dict[int, int]] = {}  # (P_i, q) -> unknown -> coefficient
     trace: list[int] = []  # D tr(X|V) = sum_i (Sym(X) u_i)[P_i], a row over the unknowns
-    for a, b in unknowns:
-        col: dict[tuple[int, int], int] = {}
+    for j, (a, b) in enumerate(unknowns):
         trace.append(0)
-        for piv, u in reduced.items():
+        for piv, terms in itertools.groupby(by_letter.get(b, ()), itemgetter(0)):
             image = {}  # Sym(E_{a<-b}) u, without collisions
-            for pos, c in u.items():
-                moved = _lie_action_on_monomial(a, b, basis.monomial_at(pos))
-                if moved:
-                    image[basis.index_of(moved[0])] = moved[1] * c
-            residual = {pos: scale * c for pos, c in image.items()}  # D (image minus its projection onto V)
-            for pos, c in image.items():
-                if pos in reduced:
-                    _add_multiple(residual, -c, reduced[pos])
+            for _, rest, c in terms:
+                i = bisect.bisect_left(rest, a)
+                image[rest[:i] + (a,) + rest[i:]] = c
+            residual = {q: scale * c for q, c in image.items()}  # D (image minus its projection onto V)
+            for q, c in image.items():
+                if q in reduced:
+                    _add_multiple(residual, -c, reduced[q])
             trace[-1] += image.get(piv, 0)
-            col.update(((piv, q), c) for q, c in residual.items())
-        columns.append(col)
+            for q, c in residual.items():
+                rows.setdefault((piv, q), {})[j] = c
     if mode == "projective":  # the scalar unknown c: tr(X|V) - c = 0
-        columns.append({})
         constraints = [trace + [-scale]]
     elif twist is None:
         constraints = [trace]
@@ -399,9 +446,10 @@ def _span_stabilizer(n: int, k: int, vectors: list[dict], algebra: str, mode: st
         constraints = [[t + scale * ratio if a == b <= p else t for t, (a, b) in zip(trace, unknowns)]]
         constraints += [[int(u == (a, j)) for u in unknowns]
                         for j in range(1, p + 1) for a in range(p + 1, n + 1)]
+    ncols = len(constraints[0])
     if algebra == "sl":  # tr X = 0
-        constraints.append([int(a == b) for a, b in unknowns] + [0] * (len(columns) - len(unknowns)))
-    kern = _stabilizer_kernel(columns, constraints)
+        constraints.append([int(a == b) for a, b in unknowns] + [0] * (ncols - len(unknowns)))
+    kern = _stabilizer_kernel(rows.values(), constraints, ncols)
     return StabilizerResult(len(kern), [_reshape(vec[: len(unknowns)], n) for vec in kern])
 
 
@@ -442,7 +490,9 @@ def infinitesimal_stabilizer(target: WedgeVector | TwistedPoint, algebra: str = 
             raise ValueError("twisted points use the affine mode")
         twist = (Fraction(target.b, target.a), target.twist_dim)
         target = target.wedge
-    return _span_stabilizer(target.n, target.k, _decompose(target), algebra, mode, twist)
+    monomial_at = target.basis().monomial_at
+    vectors = [{monomial_at(pos): c for pos, c in v.items()} for v in _decompose(target)]
+    return _span_stabilizer(target.n, vectors, algebra, mode, twist)
 
 
 def _reshape(entries: list[Fraction], n: int) -> Matrix:
@@ -748,16 +798,35 @@ def distinguished_stabilizer(p: int, k: int, M: int = 1, force: bool = False) ->
     columns without expanding p_point."""
     if M < 0:
         raise ValueError("need M >= 0")
+    _check_span_cost(_span_cost(p, k), force)
+    twist = (Fraction(twist_exponent(p, k, M)), p)
+    return _span_stabilizer(sym_dim(p, k), _flat_jet_columns(p, k), "sl", "affine", twist)
+
+
+def _span_cost(p: int, k: int) -> int:
+    """Estimated cells of the span system of the flat jet (p, k), in units
+    of one dense row cell.  Each entry of the letter index gives one image,
+    and so one row n^2 cells wide, per letter a; there are E entries, one
+    per distinct letter of each support term.  A term holding a letter of
+    degree d is that letter times any multiset of degree <= k - d, so E =
+    sum_d m_d S(k - d), with m_d letters of degree d and S(j) the multisets
+    of degree <= j, counted by prod_d (1 - x^d)^(-m_d).  The p n - 1 kernel
+    vectors are n^2 Fractions each, and such a cell costs about a dozen row
+    cells."""
     n = sym_dim(p, k)
-    # The blocks are small, so the time follows what is materialized: the
-    # sym_dim(n, k) monomials of Sym^{<=k} C^n (about 5 us and 0.5 kB each), and
-    # the n^2-wide rows and kernel vectors, at most n^4 cells costing about a
-    # 25th of a monomial each
-    cost = sym_dim(n, k) + n**4 // 25
+    counts = [1] + [0] * k  # multisets of letters by total degree
+    for d in range(1, k + 1):
+        m = math.comb(p + d - 1, d)
+        counts = [sum(math.comb(m + i - 1, i) * counts[j - d * i] for i in range(j // d + 1))
+                  for j in range(k + 1)]
+    at_most = list(itertools.accumulate(counts))
+    entries = sum(math.comb(p + d - 1, d) * at_most[k - d] for d in range(1, k + 1))
+    return (entries + 12 * p) * n**3
+
+
+def _check_span_cost(cost: int, force: bool) -> None:
     if cost > SPAN_COST_CEILING and not force:
         raise ResourceLimitError(f"span stabilizer cost {cost} exceeds ceiling {SPAN_COST_CEILING}")
-    twist = (Fraction(twist_exponent(p, k, M)), p)
-    return _span_stabilizer(n, k, phi(flat_jet(p, k)).columns, "sl", "affine", twist)
 
 
 def codim_report(k: int, M: int = 1, force: bool = False) -> dict:
@@ -770,15 +839,16 @@ def codim_report(k: int, M: int = 1, force: bool = False) -> dict:
     """
     if k < 2 or M < 1:
         raise ValueError("need k >= 2 and M >= 1")
-    base = distinguished_stabilizer(1, k, M, force=force)  # each candidate costs the same
-    K = twist_exponent(1, k, M)
-    candidates = []
     specs = [("lambda", s) for s in range(2, k + 1)]
     specs += [("mu", s) for s in range(2, k)]
+    _check_span_cost((1 + len(specs)) * _span_cost(1, k), force)  # a cut column has fewer terms
+    K = twist_exponent(1, k, M)
+    columns = _flat_jet_columns(1, k)
+    base = _span_stabilizer(k, columns, "sl", "affine", (Fraction(K), 1))
+    candidates = []
     for kind, sigma in specs:
         parts = _closed_form_parts(sigma, k, "regular" if kind == "lambda" else "degenerate")
-        filtered = _cut_columns(k, parts)
-        stab = _span_stabilizer(k, k, filtered, "sl", "projective")
+        stab = _span_stabilizer(k, _cut(columns, parts), "sl", "projective")
         codim = stab.dimension - (k - 1)
         candidates.append(
             {

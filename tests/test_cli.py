@@ -191,7 +191,7 @@ def test_orbit_codim_report(capsys):
 
 
 def test_orbit_probe_gate(capsys):
-    code, _ = run_cli(["orbit", "probe-p", "--p", "2", "--k", "6"], capsys)
+    code, _ = run_cli(["orbit", "probe-p", "--p", "2", "--k", "7"], capsys)
     assert code == 3
     for k in ("2", "3"):
         code, out = run_cli(["orbit", "probe-p", "--p", "2", "--k", k, "--json"], capsys)

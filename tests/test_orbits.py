@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetinv.exact import Matrix, kernel_basis, rank
-from jetinv.embedding import WedgeVector, apply_group_to_wedge, p_point, wedge_of_sparse_vectors
+from jetinv.embedding import WedgeVector, apply_group_to_wedge, p_point, phi, wedge_of_sparse_vectors
 from jetinv.invariants import ResourceLimitError
 from jetinv.orbits import (
     EpsWeight,
@@ -34,11 +36,16 @@ from jetinv.orbits import (
     theta_choice,
     twist_exponent,
     z_closed_form,
+    _closed_form_parts,
+    _cut,
     _cut_columns,
+    _flat_jet_columns,
     _minimal_weight_parts,
+    _span_cost,
     _span_stabilizer,
 )
-from jetinv.symbasis import _sym_basis_cached, partitions_of, sym_basis
+from jetinv.jets import flat_jet
+from jetinv.symbasis import _sym_basis_cached, partitions_of, sym_basis, sym_dim
 from oracles import (
     distinguished_twisted_point,
     hilbert_mumford_bruteforce,
@@ -393,17 +400,86 @@ def test_non_decomposable_wedge_is_rejected():
 
 def test_span_stabilizer_needs_nonzero_reduced_vectors():
     """Spanning vectors must be reduced up to scale: each vector's smallest
-    position occurs in no other vector."""
+    monomial occurs in no other vector."""
     one = Fraction(1)
+    x1, x2, x11, x12 = (1,), (2,), (1, 1), (1, 2)  # in Sym^{<=2} C^2
     with pytest.raises(ValueError, match="zero vector"):
-        _span_stabilizer(2, 2, [{0: one}, {}], "sl", "affine")
-    for vectors in ([{0: one, 1: one}, {1: one}],  # the second pivot occurs in the first
-                    [{0: one, 2: one}, {0: one, 1: one}]):  # one pivot shared
+        _span_stabilizer(2, [{x1: one}, {}], "sl", "affine")
+    for vectors in ([{x1: one, x2: one}, {x2: one}],  # the second pivot occurs in the first
+                    [{x1: one, x11: one}, {x1: one, x2: one}]):  # one pivot shared
         with pytest.raises(ValueError, match="reduced echelon"):
-            _span_stabilizer(2, 2, vectors, "sl", "affine")
-    scaled = _span_stabilizer(2, 2, [{0: Fraction(3), 3: one}, {1: Fraction(-2)}], "gl", "projective")
-    unit = _span_stabilizer(2, 2, [{0: one, 3: Fraction(1, 3)}, {1: one}], "gl", "projective")
+            _span_stabilizer(2, vectors, "sl", "affine")
+    scaled = _span_stabilizer(2, [{x1: Fraction(3), x12: one}, {x2: Fraction(-2)}], "gl", "projective")
+    unit = _span_stabilizer(2, [{x1: one, x12: Fraction(1, 3)}, {x2: one}], "gl", "projective")
     assert scaled.dimension == unit.dimension and scaled.basis == unit.basis
+
+
+@pytest.mark.parametrize("p,k_max", [(1, 8), (2, 4), (3, 4)])
+def test_flat_jet_columns_are_phi_of_the_flat_jet(p, k_max):
+    """The closed-form columns are phi(flat_jet(p, k)) keyed by monomials."""
+    for k in range(1, k_max + 1):
+        m = phi(flat_jet(p, k))
+        monomial_at = sym_basis(m.n, k).monomial_at
+        assert _flat_jet_columns(p, k) == [{monomial_at(pos): c for pos, c in col.items()}
+                                            for col in m.columns]
+
+
+@pytest.mark.parametrize("p,k", [(1, 2), (1, 7), (1, 12), (2, 3), (2, 5), (3, 3), (5, 2)])
+def test_span_cost_counts_the_letter_index(p, k):
+    """_span_cost's closed-form count of letter-index entries is the number
+    of distinct letters summed over the support terms of the built columns."""
+    entries = sum(len(set(m)) for col in _flat_jet_columns(p, k) for m in col)
+    assert _span_cost(p, k) == (entries + 12 * p) * sym_dim(p, k) ** 3
+
+
+def _basis_digest(res):
+    data = [[[str(x) for x in row] for row in X.data] for X in res.basis]
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+# SHA-256 of the distinguished stabilizer bases (identical for M = 1 and 2),
+# and of the 4 (algebra, mode) stabilizer bases of every lambda_sigma cut of
+# the flat-jet columns per k, as computed by the position-keyed span system.
+DISTINGUISHED_PINS = {
+    (1, 1): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    (1, 2): "1b84fd6c71368c790a11d50e1e99f7994a35417f59b2c5182a28e0c8008923a7",
+    (1, 3): "bd7590c164f5d66ba9251c17fe262873034cbf1fbfaeb7d3fa83c1c369a6c612",
+    (1, 4): "8e61912b6fd73a17c524104d9979d9fe4a362632312813f5672e76a974048ac4",
+    (1, 5): "13a6fd78a498fbe3ba095bed7968d7f0e8d1f44088fa8215dd088af03ec12234",
+    (1, 6): "7280b63c20386dc963471f3b30af5869def1db1ef5e27f9909d38ead551e9a29",
+    (1, 7): "296436923599aba644cddfa8e09c06646c30cde7e22fd31ae26133351e339a9a",
+    (1, 8): "b57be55539ebdf75d7bc66fde50edf1ac1a3e8f91ce8665ad6c16f517e0b1cc8",
+    (2, 3): "22143d46976b04c6b5c0d87ec698e119a47c958ee42d1fcaa54c41f1a670cd12",
+    (3, 2): "97b460ae11f6cdb25067629ca673c3c9259c2a65d0b1640c2f37bea1a4740050",
+    (2, 4): "ef322e89497d7f9d3161e5b9e0352395e76a988c04274bb8ecacbb254096b718",
+}
+LAMBDA_CUT_PINS = {
+    3: ([3, 3, 3, 4, 4, 4, 4, 5],
+        "49b692ac6b89b37ba050f4c355026dd844cf9403eb27378e8ad935db8ea77671"),
+    4: ([6, 6, 6, 7, 6, 6, 6, 7, 5, 5, 5, 6],
+        "915a4864ab07124fe3a47d64530a96f626a9776e9c53f436c30935143a7bfafe"),
+    5: ([6, 6, 6, 7, 6, 6, 6, 7, 8, 8, 8, 9, 6, 6, 6, 7],
+        "421181dbb7639b4837b4898868ff01526d525ef25ffee47052b2a8ec034aee34"),
+    6: ([9, 9, 9, 10, 9, 9, 9, 10, 9, 9, 9, 10, 9, 9, 9, 10, 7, 7, 7, 8],
+        "88dd10bba415dbac96df649c4c86c403bb3dc36a8a9fc8f342f24773e426c65c"),
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(DISTINGUISHED_PINS))
+def test_distinguished_stabilizer_bases_are_pinned(p, k):
+    for M in (1, 2) if p == 1 else (1,):
+        assert _basis_digest(distinguished_stabilizer(p, k, M)) == DISTINGUISHED_PINS[p, k]
+
+
+@pytest.mark.parametrize("k", sorted(LAMBDA_CUT_PINS))
+def test_lambda_cut_stabilizer_bases_are_pinned(k):
+    columns = _flat_jet_columns(1, k)
+    results = [_span_stabilizer(k, _cut(columns, _closed_form_parts(sigma, k, "regular")),
+                                algebra, mode)
+               for sigma in range(2, k + 1) for algebra in ("sl", "gl")
+               for mode in ("affine", "projective")]
+    digest = hashlib.sha256(" ".join(map(_basis_digest, results)).encode()).hexdigest()
+    assert ([res.dimension for res in results], digest) == LAMBDA_CUT_PINS[k]
 
 
 def _wedge_oracle_kernel(w, algebra, mode, twist=None):
@@ -657,7 +733,7 @@ def test_probe_conjecture():
     rep1 = probe_stabilizer_conjecture(1, 4, 1)
     assert rep1["measured_dim"] == rep1["predicted_dim"] == 3
     with pytest.raises(ResourceLimitError):
-        probe_stabilizer_conjecture(2, 6, 1)
+        probe_stabilizer_conjecture(2, 7, 1)
 
 
 @pytest.mark.parametrize("p,k,dim", [(2, 3, 17), (3, 2, 26), (2, 4, 27),
@@ -697,20 +773,9 @@ def test_codim_report_k9_k10(k, dims):
     assert rep["all_bounds_ok"]
 
 
-@pytest.fixture
-def drop_cached_bases():
-    """Forced runs cache Sym bases of up to a million monomials; drop them
-    afterwards, so the rest of the suite does not hold them."""
-    yield
-    _sym_basis_cached.cache_clear()
-
-
-@pytest.mark.slow
-@pytest.mark.usefixtures("drop_cached_bases")
 def test_codim_report_k11():
-    """The paper's codimension-two statement at k = 11 (forced; about 3 s and
-    390 MB): base stabilizer k - 1, lambda_k and mu_{k-1} at k + 1, mu_sigma
-    at 2k - sigma."""
+    """The paper's codimension-two statement at k = 11 (forced): base
+    stabilizer k - 1, lambda_k and mu_{k-1} at k + 1, mu_sigma at 2k - sigma."""
     k = 11
     rep = codim_report(k, 1, force=True)
     assert rep["base_stabilizer_dim"] == k - 1
@@ -722,12 +787,34 @@ def test_codim_report_k11():
     assert rep["all_bounds_ok"]
 
 
-@pytest.mark.slow
-@pytest.mark.usefixtures("drop_cached_bases")
+def test_codim_report_k12_builds_only_the_domain_basis():
+    """k = 12 in the same shape as k = 11; the span systems are keyed by
+    monomials, so the only Sym basis the report builds is the domain's,
+    Sym^{<=12} C^1."""
+    k = 12
+    _sym_basis_cached.cache_clear()
+    rep = codim_report(k, 1, force=True)
+    info = _sym_basis_cached.cache_info()
+    assert info.currsize == 1
+    sym_basis(1, k)
+    assert _sym_basis_cached.cache_info().hits == info.hits + 1
+    assert rep["base_stabilizer_dim"] == k - 1
+    assert [c["proj_stab_dim"] for c in rep["candidates"]] == [
+        18, 19, 19, 20, 18, 18, 19, 19, 17, 15, 13, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13]
+    assert rep["all_bounds_ok"]
+
+
 def test_probe_conjecture_2_6():
-    """Probe (2, 6), past the span gate (forced; about 5 s and 630 MB)."""
-    rep = probe_stabilizer_conjecture(2, 6, 1, force=True)
+    """Probe (2, 6), under the span gate."""
+    rep = probe_stabilizer_conjecture(2, 6, 1)
     assert rep["measured_dim"] == rep["predicted_dim"] == 53
+    assert rep["match"]
+
+
+def test_probe_conjecture_2_7():
+    """Probe (2, 7), past the span gate (forced)."""
+    rep = probe_stabilizer_conjecture(2, 7, 1, force=True)
+    assert rep["measured_dim"] == rep["predicted_dim"] == 69
     assert rep["match"]
 
 
