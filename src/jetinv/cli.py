@@ -128,11 +128,11 @@ def _listed(value):
     return [_listed(x) for x in value] if isinstance(value, (list, tuple)) else value
 
 
-def _check_sizes(args, n: int, N: int = 1) -> None:
+def _check_sizes(args, n: int, N: int = 1, coeff_bound: int = 1) -> None:
     """Sizes below 1 are bad input.  The output matrix, sym_dim(n, k) x
     sym_dim(p, k) cells N^2 times over, is gated before any basis is built."""
     for flag, value in (("p", args.p), ("k", args.k), ("n", n), ("N", N),
-                        ("coeff-bound", args.coeff_bound)):
+                        ("coeff-bound", coeff_bound)):
         if value < 1:
             raise ValueError(f"need --{flag} >= 1, got {value}")
     cells = sym_dim(args.p, args.k) * sym_dim(n, args.k) * N * N
@@ -142,7 +142,7 @@ def _check_sizes(args, n: int, N: int = 1) -> None:
 
 def _jet_of(args, N: int = 1) -> JetMap:
     """The jet of phi and test-curve: symbolic, or random from --seed."""
-    _check_sizes(args, args.n, N)
+    _check_sizes(args, args.n, N, args.coeff_bound)
     if args.symbolic:
         return symbolic_jet(args.p, args.n, args.k)[0]
     return random_jet(random.Random(args.seed), args.p, args.n, args.k, bound=args.coeff_bound,
@@ -153,7 +153,7 @@ def cmd_group_matrix(args) -> int:
     p, k = args.p, args.k
     _check_sizes(args, p)
     if args.params and p != 1:
-        raise ValueError("--params supports p = 1; use --symbolic for p > 1")
+        raise ValueError("--params supports p = 1 only; without it the matrix is symbolic")
     if args.params:
         try:
             vals = [Fraction(x) for x in args.params.split(",")]
@@ -393,18 +393,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
+    def common(p, seed: bool = False, coeff_bound: bool = False):
+        """The output flags, and the random-input flags of the commands that
+        draw random input."""
         p.add_argument("--json", action="store_true", help="print JSON instead of a table")
         p.add_argument("--out", help="also write JSON to this file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--coeff-bound", type=int, default=20, dest="coeff_bound")
         p.add_argument("--force", action="store_true", help="override resource limits")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if coeff_bound:
+            p.add_argument("--coeff-bound", type=int, default=20, dest="coeff_bound")
 
     gm = sub.add_parser("group-matrix", help="matrix of the reparametrization action")
     gm.add_argument("--p", type=int, default=1)
     gm.add_argument("--k", type=int, required=True)
-    gm.add_argument("--symbolic", action="store_true")
-    gm.add_argument("--params", help="comma-separated rational coefficients (p=1)")
+    gm.add_argument("--params", help="comma-separated rational coefficients (p=1); "
+                                     "without them the matrix is symbolic")
     gm.add_argument("--closed-form", action="store_true", dest="closed_form")
     common(gm)
     gm.set_defaults(func="cmd_group_matrix")
@@ -414,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--k", type=int, required=True)
     ph.add_argument("--n", type=int, required=True)
     ph.add_argument("--symbolic", action="store_true")
-    common(ph)
+    common(ph, seed=True, coeff_bound=True)
     ph.set_defaults(func="cmd_phi")
 
     ge = sub.add_parser("generators", help="invariant generator set")
@@ -423,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     ge.add_argument("--p", type=int, default=1)
     ge.add_argument("--verify", action="store_true")
     ge.add_argument("--trials", type=int, default=100)
-    common(ge)
+    common(ge, seed=True)
     ge.set_defaults(func="cmd_generators")
 
     tc = sub.add_parser("test-curve", help="vanishing linear system of a jet")
@@ -432,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--n", type=int, required=True)
     tc.add_argument("--N", type=int, default=1)
     tc.add_argument("--symbolic", action="store_true")
-    common(tc)
+    common(tc, seed=True, coeff_bound=True)
     tc.set_defaults(func="cmd_test_curve")
 
     orb = sub.add_parser("orbit", help="one-parameter-subgroup limit analysis")
@@ -457,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("regenerate", "check"):
         f = fxsub.add_parser(name)
         f.add_argument("--dir", default="tests/fixtures")
-        common(f)
         f.set_defaults(func="cmd_fixtures")
     return parser
 

@@ -28,7 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
-from .exact import Matrix, divided, integral, rat, rat_str, row_space_basis, sparse_product
+from .exact import (Matrix, add_into, divided, integral, rat, rat_str, row_space_basis,
+                    sparse_product)
 from .jets import JetMap, flat_jet
 from .symbasis import Exponent, Monomial, SymBasis, sym_basis
 
@@ -103,13 +104,7 @@ def phi(gamma: JetMap) -> PhiMatrix:
             tail = cols_by_exp.get(rest)
             if not tail:
                 continue
-            for e, c in sparse_product(head, tail).items():
-                cur = acc.get(e)
-                val = c if cur is None else cur + c
-                if val:
-                    acc[e] = val
-                elif cur is not None:
-                    del acc[e]
+            add_into(acc, sparse_product(head, tail))
         cols_by_exp[s] = acc
     col_index = list(domain.exponents)
     position = basis.exponent_position
@@ -150,16 +145,6 @@ class WedgeVector:
         if c == 0:
             return WedgeVector(self.n, self.k, self.r, {})
         return WedgeVector(self.n, self.k, self.r, {t: v * c for t, v in self.terms.items()})
-
-    def add(self, other: "WedgeVector") -> "WedgeVector":
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t, Fraction(0)) + c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        return WedgeVector(self.n, self.k, self.r, out)
 
     def proportional_to(self, other: "WedgeVector") -> Fraction | None:
         """The scalar c with self = c * other, if one exists (None otherwise)."""
@@ -242,13 +227,9 @@ def wedge_of_sparse_vectors(
     return WedgeVector(n, k, len(vectors), terms)
 
 
-def wedge_columns(m: PhiMatrix, column_subset: list[int] | None = None) -> WedgeVector:
-    """Exterior product of the selected columns (all columns by default)."""
-    cols = list(range(len(m.columns))) if column_subset is None else list(column_subset)
-    if len(set(cols)) != len(cols):
-        raise ValueError("columns must be distinct")
-    vectors = [m.columns[c] for c in cols]
-    return wedge_of_sparse_vectors(m.n, m.k, vectors)
+def wedge_columns(m: PhiMatrix) -> WedgeVector:
+    """Exterior product of all the columns."""
+    return wedge_of_sparse_vectors(m.n, m.k, m.columns)
 
 
 def p_point(p: int, k: int) -> WedgeVector:
@@ -317,9 +298,9 @@ def apply_group_to_wedge(g: Matrix, w: WedgeVector) -> WedgeVector:
             image_cache[pos] = got
         return got
 
-    total = WedgeVector(w.n, w.k, w.r, {})
+    total: dict[tuple[int, ...], Fraction] = {}
     for factors, coeff in w.terms.items():
         piece = wedge_of_sparse_vectors(w.n, w.k, [factor_image(pos) for pos in factors])
-        total = total.add(piece.scaled(coeff))
-    return total
+        add_into(total, piece.terms, coeff)
+    return WedgeVector(w.n, w.k, w.r, total)
 

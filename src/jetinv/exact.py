@@ -8,17 +8,26 @@ coefficients; two polynomials are equal iff they share a variable set and
 their term maps agree.  One sparse product, ``sparse_product``, multiplies
 exponent-keyed maps with rational or polynomial coefficients, optionally
 truncated at a total degree: it serves polynomial multiplication, truncated
-jet composition and the symmetric algebra behind the jet embedding.
+jet composition and the symmetric algebra behind the jet embedding.  One
+sparse sum, ``add_into``, adds a multiple of one sparse map into another:
+polynomial sums and differences, the embedding's columns, the group action
+on wedges and the stabilizer residuals.
 
 Every linear solve over the rationals (rank, kernel, determinant, inverse,
 row-space basis) goes through one Bareiss fraction-free elimination, so
 intermediate entries stay integral, and one back substitution on its echelon
-rows.  ``integral``, the lcm-of-denominators scaling, is the
-one conversion into integers: the elimination applies it to each row as given
-(ints, Fractions or both), and so do wedges and orbit weights.  Minor
-tables, the jet embedding and the test-curve systems scale through
+rows.  Rank and kernel share ``_block_echelons``, one elimination per
+connected block of columns: the rank is the sum of the block pivots.  The
+determinant, the inverse and the row-space basis are defined on the echelon
+of the whole matrix (its sign and scale, the augmented identity, its rows),
+so they eliminate it whole.  ``integral``, the lcm-of-denominators scaling,
+is the one conversion into integers: the elimination applies it to each row
+as given (ints, Fractions or both), and so do wedges and orbit weights.
+Minor tables, the jet embedding and the test-curve systems scale through
 ``integral_entries``, which covers polynomial coefficients too, and take the
-scale back out of each finished entry with ``divided``.
+scale back out of each finished entry with ``divided``.  ``primitive`` is
+the one division by the content: it keys integer vectors up to rational
+scale, for generator dedup and for the stabilizer rows.
 Division-free minors, for polynomial entries and for the many minors of one
 matrix that invariance checks read, come from one ``MinorTable`` per matrix:
 Laplace expansion along the last column, with every sub-minor computed once
@@ -29,8 +38,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from operator import add
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -163,14 +173,7 @@ class SparsePolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return SparsePolynomial(self.ring, out)
+        return SparsePolynomial(self.ring, add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -181,7 +184,7 @@ class SparsePolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return SparsePolynomial(self.ring, add_into(dict(self.terms), other.terms, -1))
 
     def __rsub__(self, other) -> "SparsePolynomial":
         return (-self) + other
@@ -276,6 +279,24 @@ class SparsePolynomial:
 
 
 Coef = Union[Fraction, SparsePolynomial]
+
+
+def add_into(target: dict, vec: Mapping, c: Scalar = 1) -> dict:
+    """target += c * vec for sparse maps, in place, dropping the entries that
+    cancel; returns target.  A key missing from target takes c * value, and
+    with c = 1 the value as it is, so a polynomial value never goes through
+    0 + poly."""
+    for key, x in vec.items():
+        if c != 1:
+            x = c * x
+        cur = target.get(key)
+        if cur is None:
+            target[key] = x
+        elif s := cur + x:
+            target[key] = s
+        else:
+            del target[key]
+    return target
 
 
 def sparse_product(
@@ -410,6 +431,16 @@ def integral(values: Sequence[Scalar]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
+def primitive(pairs: Sequence[tuple[object, int]]) -> tuple[tuple[object, int], ...]:
+    """The (key, int) pairs over the content of their ints, signed so that
+    the first is positive: two integer vectors, in the same key order, give
+    equal results iff they are rational multiples of each other."""
+    g = math.gcd(*[c for _, c in pairs])
+    if pairs[0][1] < 0:
+        g = -g
+    return tuple([(key, c // g) for key, c in pairs])
+
+
 def integral_entries(values: Sequence[Coef]) -> tuple[list, int]:
     """``integral`` over scalars and polynomials alike: each scalar and each
     coefficient of each polynomial times d, the lcm of all their
@@ -466,11 +497,6 @@ def _bareiss(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[in
     return m, pivots, sign, scale
 
 
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    _, pivots, _, _ = _bareiss(rows)
-    return len(pivots)
-
-
 def _back_substitute(ech: list[list[int]], pivots: list[int], x: list[Fraction]) -> list[Fraction]:
     """Complete x in place so that every echelon row annihilates it.
 
@@ -503,7 +529,7 @@ def _blocks(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[list[int
             parent[j] = j = parent[parent[j]]
         return j
 
-    supports = [[j for j, x in enumerate(row) if x] for row in rows]
+    supports = [list(compress(range(ncols), row)) for row in rows]
     for support in supports:
         for j in support[1:]:
             parent[find(j)] = find(support[0])
@@ -515,6 +541,15 @@ def _blocks(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[list[int
             cols, block = blocks[find(support[0])]
             block.append([row[j] for j in cols])
     return list(blocks.values())
+
+
+def _block_echelons(rows: Sequence[Sequence[Scalar]],
+                    ncols: int) -> Iterator[tuple[list[int], list[list[int]], list[int]]]:
+    """(columns, echelon rows, pivots) of each block of ``_blocks``, the
+    pivots indexing the block's own columns."""
+    for cols, block in _blocks(rows, ncols):
+        ech, pivots, _, _ = _bareiss(block)
+        yield cols, ech, pivots
 
 
 def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> list[list[Fraction]]:
@@ -538,8 +573,7 @@ def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> 
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
     basis = {}
-    for cols, block in _blocks(rows, ncols):
-        ech, pivots, _, _ = _bareiss(block)
+    for cols, ech, pivots in _block_echelons(rows, ncols):
         pivot_set = set(pivots)
         for f in range(len(cols)):
             if f not in pivot_set:
@@ -550,6 +584,11 @@ def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> 
                     vec[j] = v
                 basis[cols[f]] = vec
     return [basis[f] for f in sorted(basis)]
+
+
+def rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    """The sum of the block ranks: a block-diagonal system's rank."""
+    return sum(len(pivots) for _, _, pivots in _block_echelons(rows, len(rows[0]) if rows else 0))
 
 
 def row_space_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:

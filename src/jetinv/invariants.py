@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, prod
 
 from .exact import (
     Matrix,
@@ -39,6 +39,7 @@ from .exact import (
     SparsePolynomial,
     divided,
     integral_entries,
+    primitive,
 )
 from .jets import (
     JetMap,
@@ -56,6 +57,9 @@ from .symbasis import Exponent, Monomial, sym_basis, sym_dim
 
 
 MINOR_COUNT_CEILING = 20000
+# Numerator and denominator bound of the random jets, reparametrizations and
+# torus scalings that the invariance checks draw.
+TRIAL_BOUND = 10
 
 
 @dataclass
@@ -112,11 +116,9 @@ def _minors_of(pm: PhiMatrix):
 
 
 def _dedup_key(poly: SparsePolynomial) -> tuple:
-    """Sorted terms of an integer polynomial over its content, signed so the
-    first is positive: equal iff rational multiples (Gauss's lemma)."""
-    terms = sorted(poly.terms.items())
-    g = gcd(*(c for _, c in terms)) * (1 if terms[0][1] > 0 else -1)
-    return tuple((e, c // g) for e, c in terms)
+    """The primitive part of an integer polynomial's sorted terms: equal iff
+    rational multiples (Gauss's lemma)."""
+    return primitive(sorted(poly.terms.items()))
 
 
 def _generator_families(n: int, k: int, p: int) -> list[tuple[tuple[int, ...], object]]:
@@ -247,9 +249,9 @@ def scale_jet(jet: JetMap, lam: tuple[Fraction, ...]) -> JetMap:
     return JetMap(jet.p, jet.q, jet.k, coeffs)
 
 
-def _nonzero_rational(rng: random.Random, bound: int) -> Fraction:
+def _nonzero_rational(rng: random.Random) -> Fraction:
     while True:
-        x = random_rational(rng, bound)
+        x = random_rational(rng, TRIAL_BOUND)
         if x != 0:
             return x
 
@@ -275,7 +277,6 @@ def verify_generator_suite(
     gens: list[InvariantPoly],
     trials: int = 100,
     seed: int = 0,
-    bound: int = 10,
 ) -> dict:
     """Exact randomized invariance and homogeneity check of a generator list.
 
@@ -295,9 +296,9 @@ def verify_generator_suite(
     rng = random.Random(seed)
     witness = None
     for t in range(trials):
-        gamma = random_jet(rng, p, n, k, bound=bound)
-        psi = random_reparam(rng, p, k, bound=bound, unipotent=(p == 1), special=(p > 1))
-        lam = tuple(_nonzero_rational(rng, bound) for _ in range(p))
+        gamma = random_jet(rng, p, n, k, bound=TRIAL_BOUND)
+        psi = random_reparam(rng, p, k, bound=TRIAL_BOUND, unipotent=(p == 1), special=(p > 1))
+        lam = tuple(_nonzero_rational(rng) for _ in range(p))
         _, minor0 = _minors_of(phi(gamma))
         _, minor1 = _minors_of(phi(compose(gamma, psi)))
         _, minorl = _minors_of(phi(scale_jet(gamma, lam)))
@@ -323,7 +324,7 @@ def verify_generator_suite(
 
 
 def bulk_invariance_check(
-    n: int, k: int, trials: int = 100, seed: int = 0, bound: int = 10
+    n: int, k: int, trials: int = 100, seed: int = 0
 ) -> dict:
     """Matrix-level invariance certificate covering every flag minor at once.
 
@@ -339,8 +340,8 @@ def bulk_invariance_check(
     rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
-        gamma = random_jet(rng, 1, n, k, bound=bound)
-        psi = random_reparam(rng, 1, k, bound=bound, unipotent=True)
+        gamma = random_jet(rng, 1, n, k, bound=TRIAL_BOUND)
+        psi = random_reparam(rng, 1, k, bound=TRIAL_BOUND, unipotent=True)
         m = group_matrix(psi)
         a = phi(gamma).dense()
         b = phi(compose(gamma, psi)).dense()

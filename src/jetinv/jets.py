@@ -248,19 +248,13 @@ def gkp_entry(
     return out
 
 
-def symbolic_reparam(p: int, k: int, unipotent: bool = False) -> tuple[JetMap, PolyRing]:
-    """Fully symbolic reparametrization jet; optionally with identity linear part."""
+def symbolic_reparam(p: int, k: int) -> tuple[JetMap, PolyRing]:
+    """Fully symbolic reparametrization jet."""
     ring = gkp_param_ring(p, k)
-    basis = sym_basis(p, k)
-    coeffs: dict[Exponent, CoefVec] = {}
-    for s in basis.exponents:
-        vec = []
-        for l in range(1, p + 1):
-            if unipotent and sum(s) == 1:
-                vec.append(ring.const(1 if s[l - 1] == 1 else 0))
-            else:
-                vec.append(ring.var(group_param_name(l, s)))
-        coeffs[s] = tuple(vec)
+    coeffs: dict[Exponent, CoefVec] = {
+        s: tuple(ring.var(group_param_name(l, s)) for l in range(1, p + 1))
+        for s in sym_basis(p, k).exponents
+    }
     return JetMap(p, p, k, coeffs), ring
 
 

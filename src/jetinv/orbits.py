@@ -70,8 +70,10 @@ from .exact import (
     ResourceLimitError,
     Scalar,
     SparsePolynomial,
+    add_into,
     integral,
     kernel_basis,
+    primitive,
     rank,
     rat,
     rat_str,
@@ -363,14 +365,9 @@ def _stabilizer_kernel(sparse: Iterable[dict[int, int]], constraints: list[list]
                        ncols: int) -> list[list[Fraction]]:
     """Kernel of a stabilizer system given by sparse integer rows (unknown ->
     coefficient) stacked over dense constraint rows.  The sparse rows have
-    few terms and often repeat up to scale: each is divided by its content,
-    signed to a positive first entry, and repeats are dropped, keeping the
-    kernel."""
-    distinct = {}
-    for row in sparse:
-        values = list(row.values())
-        g = math.gcd(*values) if values[0] > 0 else -math.gcd(*values)
-        distinct[tuple(zip(row, [x // g for x in values]))] = None
+    few terms and often repeat up to scale: each is taken to its primitive
+    part, and repeats are dropped, keeping the kernel."""
+    distinct = dict.fromkeys(primitive(tuple(row.items())) for row in sparse)
     rows = []
     for terms in distinct:
         row = [0] * ncols
@@ -378,16 +375,6 @@ def _stabilizer_kernel(sparse: Iterable[dict[int, int]], constraints: list[list]
             row[j] = c
         rows.append(row)
     return kernel_basis(rows + constraints, ncols)
-
-
-def _add_multiple(target: dict, c: int, vec: dict) -> None:
-    """target += c * vec for sparse vectors, dropping entries that cancel."""
-    for key, x in vec.items():
-        val = target.get(key, 0) + c * x
-        if val:
-            target[key] = val
-        else:
-            target.pop(key, None)
 
 
 def _span_stabilizer(n: int, vectors: list[dict[Monomial, Scalar]], algebra: str, mode: str,
@@ -433,7 +420,7 @@ def _span_stabilizer(n: int, vectors: list[dict[Monomial, Scalar]], algebra: str
             residual = {q: scale * c for q, c in image.items()}  # D (image minus its projection onto V)
             for q, c in image.items():
                 if q in reduced:
-                    _add_multiple(residual, -c, reduced[q])
+                    add_into(residual, reduced[q], -c)
             trace[-1] += image.get(piv, 0)
             for q, c in residual.items():
                 rows.setdefault((piv, q), {})[j] = c

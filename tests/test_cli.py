@@ -23,7 +23,7 @@ def run_cli(args, capsys):
 
 
 def test_group_matrix_symbolic_2x2(capsys):
-    code, out = run_cli(["group-matrix", "--p", "1", "--k", "2", "--symbolic", "--json"], capsys)
+    code, out = run_cli(["group-matrix", "--p", "1", "--k", "2", "--json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["matrix"] == [["a1", "a2"], ["0", "a1^2"]]
@@ -31,7 +31,7 @@ def test_group_matrix_symbolic_2x2(capsys):
 
 def test_group_matrix_closed_form_verdict(capsys):
     code, out = run_cli(
-        ["group-matrix", "--p", "2", "--k", "2", "--symbolic", "--closed-form", "--json"],
+        ["group-matrix", "--p", "2", "--k", "2", "--closed-form", "--json"],
         capsys,
     )
     assert code == 0
@@ -147,10 +147,40 @@ def test_bad_input_exits_2(capsys, argv):
             assert flag in captured.err
 
 
+# Each command takes only the flags it reads: any other flag is an argparse error.
+_VALUED = {"--out": "/nonexistent/x.json", "--seed": "3", "--coeff-bound": "5"}
+_ORBIT_ARGV = {
+    "limit": ["--k", "3", "--sigma", "2", "--kind", "lambda"],
+    "closed-form": ["--k", "3", "--sigma", "2", "--kind", "lambda"],
+    "stabilizer": ["--k", "3"],
+    "codim-report": ["--k", "3"],
+    "probe-p": ["--p", "1", "--k", "3"],
+}
+REMOVED_FLAGS = (
+    [(["fixtures", cmd, "--dir", "tests/fixtures"], flag)
+     for cmd in ("regenerate", "check") for flag in ("--json", "--out", "--seed", "--coeff-bound", "--force")]
+    + [(["orbit", cmd] + argv, flag) for cmd, argv in _ORBIT_ARGV.items()
+       for flag in ("--seed", "--coeff-bound")]
+    + [(["group-matrix", "--k", "2"], flag) for flag in ("--symbolic", "--seed", "--coeff-bound")]
+    + [(["generators", "--n", "2", "--k", "2", "--verify", "--trials", "1"], "--coeff-bound")]
+)
+
+
+@pytest.mark.parametrize("argv, flag", REMOVED_FLAGS,
+                         ids=[" ".join([w for w in argv[:2] if not w.startswith("-")] + [flag])
+                              for argv, flag in REMOVED_FLAGS])
+def test_removed_flags_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag] + ([_VALUED[flag]] if flag in _VALUED else []))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert flag in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["group-matrix", "--p", "3", "--k", "40", "--symbolic"],
+        ["group-matrix", "--p", "3", "--k", "40"],
         ["phi", "--p", "1", "--k", "30", "--n", "30"],
         ["test-curve", "--k", "20", "--n", "20"],
     ],
@@ -168,7 +198,7 @@ def test_output_size_gate_yields_to_force(capsys, monkeypatch):
     import jetinv.cli
 
     monkeypatch.setattr(jetinv.cli, "OUTPUT_CELL_CEILING", 3)
-    for argv in (["group-matrix", "--k", "2", "--symbolic"], ["phi", "--k", "2", "--n", "2"],
+    for argv in (["group-matrix", "--k", "2"], ["phi", "--k", "2", "--n", "2"],
                  ["test-curve", "--k", "2", "--n", "2"]):
         code, _ = run_cli(argv, capsys)
         assert code == 3
@@ -424,7 +454,7 @@ GOLDEN_STDOUT = {
     "orbit closed-form --k 5 --sigma 2 --kind lambda": "b139cfd33511bba356431743b0aee429deb9b1e47c7d2b0d2c78caf8a73f5350",
     "phi --p 2 --k 2 --n 2 --symbolic": "40e7a9746baada24345d0ea7fdbd0c2fbe99950afe1bccd030dbf7c4a6aab42a",
     "phi --p 2 --k 3 --n 3 --seed 3": "22aceb90e4654ee18384ddf418fda84620a15ea39943a1603262bcb58c6038fb",
-    "group-matrix --p 2 --k 3 --symbolic": "b8f5155c49e0e10636fe26dc06b93f08de09fc223cb66c9ab54ed6e4fd6d2e02",
+    "group-matrix --p 2 --k 3": "b8f5155c49e0e10636fe26dc06b93f08de09fc223cb66c9ab54ed6e4fd6d2e02",
     "test-curve --k 3 --n 3 --N 2 --seed 7": "7150103ce5ee0ca1013b6fe569741daef83a6ea72b13d1833ea08966b1cfe629",
     "generators --n 2 --k 2 --verify --trials 5 --seed 1": "af8c6b6286f96d4d6b0f935e70d161fe9eaa0a1609414b784bc7e48bd6397177",
     "orbit probe-p --p 2 --k 2": "ab41a1b1f4eb067da80f133aab2063720a7abf1b7d40730a95dc14df17e25094",
@@ -434,7 +464,7 @@ GOLDEN_STDOUT = {
     "orbit closed-form --k 6 --sigma 5 --kind mu": "41fad4679aeac32d72c21b3cca42850f5302db91c3ee3364c06f80a462054835",
     "generators --p 2 --n 3 --k 2": "75f65be8701880cf06b8710dd82192f4d0d5987aa788cf240e76138734dd0530",
     "generators --p 2 --n 2 --k 3": "564758ec102906ad7a3997298e506c5239e1917a67c70e2ab003ef3767ff5cba",
-    "group-matrix --p 1 --k 4 --symbolic --closed-form": "38e0ad38c7b0377433d56dd9e557b9a633c4e842440388c2847e0531216d9936",
+    "group-matrix --p 1 --k 4 --closed-form": "38e0ad38c7b0377433d56dd9e557b9a633c4e842440388c2847e0531216d9936",
     "generators --n 3 --k 3 --verify --trials 10 --seed 5": "4ddd96b25373990fc941fd457c605957d4d16ea5c3436f6e65aa317bd224f117",
     "generators --n 2 --k 4 --verify --trials 10 --seed 5": "3f9ff7a3d0c3a8770f5e07ab888bc3b118e234e7341fb907ad1f2512ccdf6d4a",
     "test-curve --k 5 --n 5 --seed 11": "7c6d3851d66e53248d2460c6ab53478029aa9a9c82cffec200a47f75a0fe1168",

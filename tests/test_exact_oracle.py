@@ -1,7 +1,7 @@
 """The exact core against an independent implementation: sympy's rank,
-determinant and nullspace on zero-heavy rational matrices, sympy's nullspace
-vectors on block-diagonal systems, and sympy's determinant on polynomial
-matrices."""
+determinant and nullspace on zero-heavy rational matrices, sympy's rank and
+nullspace vectors on block-diagonal systems, and sympy's determinant on
+polynomial matrices."""
 
 from fractions import Fraction
 
@@ -28,11 +28,26 @@ def _oracle(a):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a])
 
 
+@st.composite
+def _two_blocks(draw):
+    """Two random blocks with their rows and their columns interleaved, plus
+    zero rows and columns that no row touches."""
+    a, b = (draw(_matrices(st.integers(1, 4), st.integers(1, 4))) for _ in range(2))
+    wa, wb, untouched = len(a[0]), len(b[0]), draw(st.integers(0, 2))
+    zero = [Fraction(0)]
+    rows = ([row + zero * (wb + untouched) for row in a]
+            + [zero * wa + row + zero * untouched for row in b]
+            + [zero * (wa + wb + untouched) for _ in range(draw(st.integers(0, 2)))])
+    cols = draw(st.permutations(range(wa + wb + untouched)))
+    order = draw(st.permutations(range(len(rows))))
+    return [[rows[i][j] for j in cols] for i in order]
+
+
 _property = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
 
 @_property
-@given(_matrices(st.integers(1, 6), st.integers(1, 6)))
+@given(st.one_of(_matrices(st.integers(1, 6), st.integers(1, 6)), _two_blocks()))
 def test_rank_and_kernel_dimension_agree_with_sympy(a):
     oracle = _oracle(a)
     assert rank(a) == Matrix(a).rank() == oracle.rank()
@@ -68,7 +83,7 @@ def _block_systems(draw):
 
 
 @_property
-@given(_block_systems())
+@given(st.one_of(_block_systems(), _two_blocks().map(lambda a: (a, len(a[0])))))
 def test_kernel_basis_is_sympys_nullspace(system):
     """Not just the dimension: the very vectors, 1 at a free column and 0 at
     the other free columns, in free-column order."""
