@@ -64,8 +64,16 @@ def canonical_json(obj) -> str:
     keys.  An array whose items are all int, or all str, is written once per
     (items, indent) in a call: payloads repeat the same monomials thousands
     of times.  The item types are checked before the items are hashed, since
-    (True,) and (1.0,) equal (1,) as keys."""
-    scalar_arrays: dict[tuple, str] = {}
+    (True,) and (1.0,) equal (1,) as keys.
+
+    When the tuple whose items produced a text comes back as the same object,
+    the text is also filed under (id, indent), and each tuple item of a mixed
+    array is looked up there before it is written: the payloads share a few
+    basis monomial objects among thousands of wedge factors, and a tuple met
+    once adds nothing.  Every object written is reachable from obj, which
+    this call holds, so no two of them share an id."""
+    scalar_arrays: dict[tuple, tuple[object, str]] = {}  # key -> (first array, its text)
+    shared: dict[tuple[int, str], str] = {}
 
     def write(obj, newline: str) -> str:
         """obj at the line whose break and indent is newline."""
@@ -78,13 +86,16 @@ def canonical_json(obj) -> str:
             elif all(isinstance(x, str) for x in obj):
                 encode = encode_basestring_ascii
             else:  # not empty: [] is all int
-                return "[" + inner + ("," + inner).join([write(x, inner) for x in obj]) + newline + "]"
+                return "[" + inner + ("," + inner).join([
+                    type(x) is tuple and shared.get((id(x), inner)) or write(x, inner) for x in obj
+                ]) + newline + "]"
             key = (tuple(obj), newline)
-            text = scalar_arrays.get(key)
+            first, text = scalar_arrays.get(key, (None, None))
             if text is None:
-                text = scalar_arrays[key] = (
-                    "[" + inner + ("," + inner).join(map(encode, obj)) + newline + "]" if obj else "[]"
-                )
+                text = "[" + inner + ("," + inner).join(map(encode, obj)) + newline + "]" if obj else "[]"
+                scalar_arrays[key] = (obj, text)
+            elif first is obj and type(obj) is tuple:
+                shared[id(obj), newline] = text
             return text
         if isinstance(obj, dict):
             items = [encode_basestring_ascii(k) + ": " + write(v, inner)

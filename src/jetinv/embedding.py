@@ -76,26 +76,22 @@ class PhiMatrix:
         return [i for i, s in enumerate(self.col_index) if sum(s) <= d]
 
 
-def phi(gamma: JetMap) -> PhiMatrix:
-    """Embed a jet as the matrix whose degree-d column sums coefficient
-    products over ordered decompositions of d.
+def phi_integral(gamma: JetMap) -> tuple[list[dict[int, object]], int]:
+    """(columns, D): the columns of phi(D * gamma), with D from
+    ``JetMap.integral``, as int or int-polynomial entries keyed by row
+    position; column i belongs to domain exponent sym_basis(p, k).exponents[i].
 
     Columns are built by the first-piece recursion
     C_s = gamma_s + sum_{0 < s' < s} gamma_{s'} * C_{s - s'},
-    which enumerates ordered tuples exactly once.
-
-    The recursion runs in integers, on D * gamma from ``JetMap.integral``.
-    An entry in row m is a sum of products of |m| jet coefficients, one per
-    letter of m, so phi(D * gamma)[row m] = D^|m| * phi(gamma)[row m], and
-    each finished entry is divided once, by D^|m|.
+    which enumerates ordered tuples exactly once.  An entry in row m is a sum
+    of products of |m| jet coefficients, one per letter of m, so
+    phi(D * gamma)[row m] = D^|m| * phi(gamma)[row m].
     """
     p, n, k = gamma.p, gamma.q, gamma.k
-    basis = sym_basis(n, k)
-    domain = sym_basis(p, k)
     scaled, d = gamma.integral()
     heads = {s1: _vector_to_sym(vec, n) for s1, vec in scaled.coeffs.items()}
     cols_by_exp: dict[Exponent, dict[Exponent, object]] = {}
-    for s in domain.exponents:
+    for s in sym_basis(p, k).exponents:
         acc = dict(heads.get(s, {}))
         for s1, head in heads.items():
             rest = tuple(map(sub, s, s1))
@@ -106,12 +102,21 @@ def phi(gamma: JetMap) -> PhiMatrix:
                 continue
             add_into(acc, sparse_product(head, tail))
         cols_by_exp[s] = acc
-    col_index = list(domain.exponents)
-    position = basis.exponent_position
-    powers = [d**r for r in range(k + 1)]
-    columns = [{position[e]: divided(c, powers[sum(e)]) for e, c in cols_by_exp[s].items()}
-               for s in col_index]
-    return PhiMatrix(n=n, k=k, p=p, col_index=col_index, columns=columns, basis=basis)
+    position = sym_basis(n, k).exponent_position
+    return [{position[e]: c for e, c in col.items()} for col in cols_by_exp.values()], d
+
+
+def phi(gamma: JetMap) -> PhiMatrix:
+    """Embed a jet as the matrix whose degree-d column sums coefficient
+    products over ordered decompositions of d: ``phi_integral`` with each
+    entry in row m divided once, by D^|m|."""
+    p, n, k = gamma.p, gamma.q, gamma.k
+    basis = sym_basis(n, k)
+    columns, d = phi_integral(gamma)
+    scale = [d ** len(m) for m in basis.monomials]
+    return PhiMatrix(n=n, k=k, p=p, col_index=list(sym_basis(p, k).exponents),
+                     columns=[{r: divided(c, scale[r]) for r, c in col.items()} for col in columns],
+                     basis=basis)
 
 
 @dataclass

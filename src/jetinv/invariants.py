@@ -14,9 +14,12 @@ failing generator is refuted with probability 1 per trial, and the identity
 direction is additionally provable symbolically at small k.  Evaluation goes
 through the minor's provenance: the columns of every generator are a prefix of
 the embedded matrix's, so one ``MinorTable`` per embedded matrix reads them
-all.  Every matrix is tabled in integers: a minor is linear in each column,
-so if ``exact.integral_entries`` scales column j (all its coefficients) to integers
-by s_j, then minor(R; J) = integer minor(R; J) / prod_{j in J} s_j, exactly.
+all.  Every matrix is tabled in integers, as ``embedding.phi_integral`` of
+the jet: row m of phi(D * gamma) is D^|m| times row m of phi(gamma), and a
+minor is linear in each row, so minor(R; J) = integer minor(R; J) / D^e, with
+e the summed degree of the row monomials R, exactly.  The random trials never
+leave the integers: two minors are compared by cross-multiplying the powers of
+D.
 
 The test-curve system of gamma holds [u^m] gamma(u)^s at row (m, c), column
 (s, c), and [u^m] gamma(u)^s = phi(gamma)[s, m] / orderings(s) entry by entry.
@@ -38,7 +41,6 @@ from .exact import (
     ResourceLimitError,
     SparsePolynomial,
     divided,
-    integral_entries,
     primitive,
 )
 from .jets import (
@@ -52,7 +54,7 @@ from .jets import (
     random_rational,
     symbolic_jet,
 )
-from .embedding import PhiMatrix, phi
+from .embedding import phi, phi_integral
 from .symbasis import Exponent, Monomial, sym_basis, sym_dim
 
 
@@ -83,7 +85,7 @@ class InvariantPoly:
     def poly(self) -> SparsePolynomial:
         if self._poly is None:
             gamma, _ = symbolic_jet(self.p, self.n, self.k)
-            self._poly = _minors_of(phi(gamma))[1](*self.positions())
+            self._poly = _minors_of(gamma)[1](*self.positions())
         return self._poly
 
     def positions(self) -> tuple[list[int], list[int]]:
@@ -100,19 +102,17 @@ class InvariantPoly:
         }
 
 
-def _minors_of(pm: PhiMatrix):
-    """(integer, exact) minor readers of pm, (row positions, column positions)
-    -> minor, off one integer MinorTable; integer = exact * column scales."""
-    columns, scales = [], []
-    for col in pm.columns:
-        ints, d = integral_entries(list(col.values()))
-        columns.append(dict(zip(col, ints)))
-        scales.append(d)
+def _minors_of(gamma: JetMap):
+    """(integer, exact, D): minor readers of phi(D * gamma) and phi(gamma),
+    (row positions, column positions) -> minor, off one MinorTable of
+    ``phi_integral(gamma)``; integer = exact * D^e, e the rows' summed degree."""
+    columns, d = phi_integral(gamma)
     integer = MinorTable(columns).minor
+    degree = sym_basis(gamma.q, gamma.k).degree_of
 
     def exact(rows, cols):
-        return divided(integer(rows, cols), prod(scales[c] for c in cols))
-    return integer, exact
+        return divided(integer(rows, cols), d ** sum(map(degree, rows)))
+    return integer, exact, d
 
 
 def _dedup_key(poly: SparsePolynomial) -> tuple:
@@ -217,7 +217,7 @@ def generator_set(
     for pos, m in enumerate(basis.monomials):
         positions_by_degree.setdefault(len(m), []).append(pos)
     domain = sym_basis(p, k).exponents
-    integer, exact = _minors_of(phi(symbolic_jet(p, n, k)[0])) if materialize else (None, None)
+    integer, exact, _ = _minors_of(symbolic_jet(p, n, k)[0]) if materialize else (None,) * 3
     out: list[InvariantPoly] = []
     seen: set[tuple] = set()
     for c, wd in families:
@@ -270,7 +270,7 @@ def verify_invariance_symbolic(q: InvariantPoly) -> bool:
     psi = JetMap(1, 1, q.k, {(i,): (ring.var(f"a{i}") if i > 1 else ring.one(),)
                              for i in range(1, q.k + 1)})
     where = q.positions()
-    return _minors_of(phi(gamma))[1](*where) == _minors_of(phi(compose(gamma, psi)))[1](*where)
+    return _minors_of(gamma)[1](*where) == _minors_of(compose(gamma, psi))[1](*where)
 
 
 def verify_generator_suite(
@@ -286,33 +286,42 @@ def verify_generator_suite(
     minor values: unchanged under precomposition, scaled by the weighted
     degree under the torus.  The first discrepancy is returned as a witness
     whose "kind" names the failed check.
+
+    The values are compared in the integer scale of ``_minors_of``: with I
+    the integer minor and D the scale of each jet, I0 / D0^e == I1 / D1^e
+    iff I0 * D1^e == I1 * D0^e, and lambda^w = num / den is read once per
+    trial and weighted degree.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if not gens:
         raise ValueError("need at least one generator to verify, got none")
     n, k, p = gens[0].n, gens[0].k, gens[0].p
-    where = [g.positions() for g in gens]
+    where = [(g.positions(), sum(map(len, g.rows))) for g in gens]
+    top = max(e for _, e in where)
+    degrees = {g.weighted_degree for g in gens}
     rng = random.Random(seed)
     witness = None
     for t in range(trials):
         gamma = random_jet(rng, p, n, k, bound=TRIAL_BOUND)
         psi = random_reparam(rng, p, k, bound=TRIAL_BOUND, unipotent=(p == 1), special=(p > 1))
         lam = tuple(_nonzero_rational(rng) for _ in range(p))
-        _, minor0 = _minors_of(phi(gamma))
-        _, minor1 = _minors_of(phi(compose(gamma, psi)))
-        _, minorl = _minors_of(phi(scale_jet(gamma, lam)))
-        for g, (rows, cols) in zip(gens, where):
-            v0 = minor0(rows, cols)
-            v1 = minor1(rows, cols)
-            if v0 != v1:
-                witness = {"trial": t, "generator": g.to_json()["provenance"], "kind": "invariance"}
-                break
-            wd = g.weighted_degree
-            weights = (wd,) if isinstance(wd, int) else wd
-            if minorl(rows, cols) != v0 * prod(l**w for l, w in zip(lam, weights)):
-                witness = {"trial": t, "generator": g.to_json()["provenance"], "kind": "homogeneity"}
-                break
+        minor0, _, d0 = _minors_of(gamma)
+        minor1, _, d1 = _minors_of(compose(gamma, psi))
+        minorl, _, dl = _minors_of(scale_jet(gamma, lam))
+        pow0, pow1, powl = ([d**e for e in range(top + 1)] for d in (d0, d1, dl))
+        ratio = {wd: prod(l**w for l, w in zip(lam, (wd,) if isinstance(wd, int) else wd))
+                 for wd in degrees}
+        for g, ((rows, cols), e) in zip(gens, where):
+            i0, r = minor0(rows, cols), ratio[g.weighted_degree]
+            if i0 * pow1[e] != minor1(rows, cols) * pow0[e]:
+                kind = "invariance"
+            elif minorl(rows, cols) * pow0[e] * r.denominator != i0 * powl[e] * r.numerator:
+                kind = "homogeneity"
+            else:
+                continue
+            witness = {"trial": t, "generator": {"rows": g.rows, "cols": g.cols}, "kind": kind}
+            break
         if witness:
             break
     return {

@@ -4,17 +4,22 @@ Each oracle takes the direct, expensive route that the library avoids: the
 stabilizer systems on the expanded wedge and the full tensor, Hilbert-Mumford
 by subset enumeration, unique solutions and span equality read off kernels and
 ranks, orbit limits by EpsWeight sums, the induced action on
-Sym^{<=k} C^n as a dense matrix, and the jet embedding and the powers of a
-jet summed term by term over ordered decompositions.  They use public jetinv names only, so a
+Sym^{<=k} C^n as a dense matrix, the jet embedding and the powers of a
+jet summed term by term over ordered decompositions, and the invariance trials
+compared as rational determinants.  They use public jetinv names only, so a
 change to a private helper of the library cannot change an oracle with it.
 """
 
 import bisect
 import itertools
+import math
+import random
 from fractions import Fraction
 
-from jetinv.embedding import p_point, sym_image_of_monomial
+from jetinv.embedding import p_point, phi, sym_image_of_monomial
 from jetinv.exact import Matrix, kernel_basis, rank
+from jetinv.invariants import TRIAL_BOUND, scale_jet
+from jetinv.jets import compose, random_jet, random_rational, random_reparam
 from jetinv.orbits import EpsWeight, TwistedPoint, twist_exponent
 from jetinv.symbasis import sym_basis
 
@@ -251,3 +256,39 @@ def power_coefficient(gamma, m, s):
                 term = term * gamma.coefficient(piece)[a]
             total = total + term
     return total
+
+
+# -- invariance trials in rationals --------------------------------------------
+
+
+def verify_suite_in_rationals(gens, trials, seed):
+    """verify_generator_suite's report from the same random draws, with each
+    minor the rational determinant of a submatrix of phi, compared as a
+    value: unchanged under precomposition, times lambda^w under the torus."""
+    n, k, p = gens[0].n, gens[0].k, gens[0].p
+    rng = random.Random(seed)
+    report = {"ok": True, "trials": trials, "witness": None, "generators": len(gens)}
+    for t in range(trials):
+        gamma = random_jet(rng, p, n, k, bound=TRIAL_BOUND)
+        psi = random_reparam(rng, p, k, bound=TRIAL_BOUND, unipotent=(p == 1), special=(p > 1))
+        lam = []
+        while len(lam) < p:
+            x = random_rational(rng, TRIAL_BOUND)
+            if x:
+                lam.append(x)
+        embedded = [phi(jet) for jet in (gamma, compose(gamma, psi), scale_jet(gamma, tuple(lam)))]
+        for g in gens:
+            rows, cols = g.positions()
+            v0, v1, vl = (Matrix([[pm.columns[c].get(r, Fraction(0)) for c in cols] for r in rows]).det()
+                          for pm in embedded)
+            wd = g.weighted_degree
+            weights = (wd,) if isinstance(wd, int) else wd
+            if v1 != v0:
+                kind = "invariance"
+            elif vl != v0 * math.prod(l**w for l, w in zip(lam, weights)):
+                kind = "homogeneity"
+            else:
+                continue
+            witness = {"trial": t, "generator": {"rows": g.rows, "cols": g.cols}, "kind": kind}
+            return {**report, "ok": False, "witness": witness}
+    return report

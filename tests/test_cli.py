@@ -522,14 +522,43 @@ _JSON_VALUES = st.recursive(
 _property = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
 
+_ONE = (1, 2)  # one tuple object, met again at other depths and beside look-alikes
+_STR = ("x",)
+
+
+@st.composite
+def _shared_tuple_values(draw):
+    """JSON values whose leaves are drawn from one pool of tuple objects, so
+    the same object recurs at several depths; the pool also holds equal
+    tuples that are other objects, equal lists, and look-alikes with bools
+    and floats."""
+    pool = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+                         | st.lists(st.sampled_from("ab"), max_size=2).map(tuple)
+                         | st.just(()), min_size=1, max_size=3))
+    pool += [tuple(list(t)) for t in pool] + [list(t) for t in pool] + [(True, 2), (1.0, 2)]
+    return draw(st.recursive(
+        st.sampled_from(pool) | st.integers(-2, 2),
+        lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.sampled_from("abc"), inner, max_size=3),
+        max_leaves=20,
+    ))
+
+
 @_property
-@given(_JSON_VALUES)
+@given(_JSON_VALUES | _shared_tuple_values())
 # equal int arrays at several depths; ints beside the bools, floats and strs
 # equal to them as keys; equal tuple and list values; an unhashable array
 @example({"a": [1, 2], "b": {"c": [1, 2], "d": [[1, 2], [[1, 2]]]}})
 @example([[1], [True], [1.0], ["1"], [1], [True], [1.0], ["1"]])
 @example([(1, 2), [1, 2], ("x",), ["x"], (), []])
 @example([[1, [2]], [1, [2]]])
+# one tuple object at several depths and inside mixed arrays; beside equal
+# lists and equal tuples that are other objects; beside (True, 2) and
+# (1.0, 2), which equal it as keys
+@example([_ONE, [_ONE, (_ONE, [_ONE])], {"a": _ONE, "b": [_ONE, 1, _STR]}, [[_ONE]]])
+@example([_ONE, [1, 2], (_ONE, [1, 2]), tuple([1, 2]), [tuple([1, 2]), _ONE]])
+@example([(True, 2), _ONE, (1.0, 2), [_ONE, (True, 2), _ONE, (1.0, 2)], {"t": (True, 2)}])
+@example([[_STR, 1], [["x"], _STR], _STR, ("x", 1), [_STR, _ONE, (), ()]])
 def test_canonical_json_is_json_dumps(value):
     assert canonical_json(value) == json.dumps(value, indent=2, sort_keys=True)
 

@@ -6,13 +6,14 @@ entry's Sym monomial.  Jets whose coefficients have large, pairwise coprime
 denominators make D huge, so a wrong power of D cannot pass by accident.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetinv.embedding import phi
+from jetinv.embedding import phi, phi_integral
 from jetinv.exact import SparsePolynomial
 from jetinv.invariants import test_curve_system as curve_system
 from jetinv.jets import JetMap, symbolic_jet
@@ -76,12 +77,27 @@ def _assert_fraction_typed(entries, symbolic):
             assert type(x) is Fraction
 
 
+def _coefficients(x):
+    return x.terms.values() if isinstance(x, SparsePolynomial) else (x,)
+
+
 def _check_phi(gamma, symbolic):
+    """phi against the oracle; its integer core phi_integral holds ints and
+    int-coefficient polynomials, D is the lcm of every denominator in the
+    jet, and phi's row m is the core's row m over D^|m|."""
     pm = phi(gamma)
     assert pm.dense().data == phi_by_decompositions(gamma)
     entries = [x for col in pm.columns for x in col.values()]
     assert all(entries)
     _assert_fraction_typed(entries, symbolic)
+    columns, d = phi_integral(gamma)
+    assert d == math.lcm(*(c.denominator for vec in gamma.coeffs.values() for x in vec
+                           for c in _coefficients(x)))
+    degree = pm.basis.degree_of
+    assert [set(col) for col in columns] == [set(col) for col in pm.columns]
+    for col, icol in zip(pm.columns, columns):
+        assert all(type(c) is int for x in icol.values() for c in _coefficients(x))
+        assert all(x == col[r] * d ** degree(r) for r, x in icol.items())
 
 
 def _check_curve_system(gamma, N, symbolic):

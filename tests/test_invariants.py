@@ -31,6 +31,7 @@ from jetinv.invariants import (
     verify_invariance_symbolic,
 )
 from jetinv.symbasis import orderings_count, sym_basis, sym_dim
+from oracles import verify_suite_in_rationals
 
 
 def test_generator_set_2_2_contents():
@@ -112,6 +113,34 @@ def test_verify_wrong_weighted_degree_gives_homogeneity_witness(n, k, p, wrong):
     rep = verify_generator_suite([g, fake], trials=5, seed=3)
     assert not rep["ok"]
     assert rep["witness"]["kind"] == "homogeneity" and rep["witness"]["trial"] == 0
+
+
+def _suites():
+    """Generator lists for the oracle comparison: p = 1 and p = 2 shapes, each
+    also with a misstated weighted degree, and a non-invariant entry."""
+    curves, surfaces = generator_set(2, 3, 1), generator_set(3, 2, 2, force=True)
+    raw = InvariantPoly(n=2, k=3, p=1, rows=((1,),), cols=((2,),), weighted_degree=2)
+    return {
+        "p=1": curves,
+        "p=2": surfaces,
+        "p=1 wrong degree": curves[:4] + [dataclasses.replace(curves[4], weighted_degree=7)],
+        "p=2 wrong degree": [dataclasses.replace(surfaces[-1], weighted_degree=(3, 4))],
+        "non-invariant": curves[:3] + [raw] + curves[3:],
+        "reversed rows": [dataclasses.replace(g, rows=g.rows[::-1]) for g in curves[-3:]],
+    }
+
+
+_SUITES = _suites()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.sampled_from(sorted(_SUITES)), st.integers(0, 10**6), st.integers(1, 3))
+def test_verify_suite_equals_the_rational_oracle(name, seed, trials):
+    """The integer-scale comparison reports exactly what comparing rational
+    minor values reports, witness included."""
+    gens = _SUITES[name]
+    assert verify_generator_suite(gens, trials=trials, seed=seed) == \
+        verify_suite_in_rationals(gens, trials, seed)
 
 
 def test_verify_invariance_symbolic_small():
