@@ -165,6 +165,8 @@ def cmd_group_matrix(args) -> int:
     _check_sizes(args, p)
     if args.params and p != 1:
         raise ValueError("--params supports p = 1 only; without it the matrix is symbolic")
+    if args.params and args.closed_form:
+        raise ValueError("--closed-form checks the symbolic matrix; it does not combine with --params")
     if args.params:
         try:
             vals = [Fraction(x) for x in args.params.split(",")]

@@ -10,8 +10,8 @@ exponent-keyed maps with rational or polynomial coefficients, optionally
 truncated at a total degree: it serves polynomial multiplication, truncated
 jet composition and the symmetric algebra behind the jet embedding.  One
 sparse sum, ``add_into``, adds a multiple of one sparse map into another:
-polynomial sums and differences, the embedding's columns, the group action
-on wedges and the stabilizer residuals.
+polynomial sums and differences, truncated composition, the embedding's
+columns, the group action on wedges and the stabilizer residuals.
 
 Every linear solve over the rationals (rank, kernel, determinant, inverse,
 row-space basis) goes through one Bareiss fraction-free elimination, so

@@ -48,7 +48,7 @@ from .jets import (
     compose,
     group_matrix,
     jet_var_name,
-    _monomial_of_coords,
+    powers,
     random_jet,
     random_reparam,
     random_rational,
@@ -397,22 +397,19 @@ def test_curve_system(gamma: JetMap, N: int = 1) -> TestCurveSystem:
     jet; because composition is linear in the outer jet the entry at column
     (s, c) is the coefficient of u^m in gamma(u)^s.
 
-    The powers are expanded in integers, on D * gamma from
-    ``JetMap.integral``: [u^m] (D * gamma(u))^s = D^|s| * [u^m] gamma(u)^s,
-    so each entry of column s is divided once, by D^|s|.  Zero cells share
-    one Fraction(0).
+    The powers are the table ``jets.powers`` of D * gamma, from
+    ``JetMap.integral``, expanded in integers: [u^m] (D * gamma(u))^s =
+    D^|s| * [u^m] gamma(u)^s, so each entry of column s is divided once, by
+    D^|s|.  Zero cells share one Fraction(0).
     """
     p, n, k = gamma.p, gamma.q, gamma.k
     out_idx = sym_basis(p, k).exponents
     psi_idx = sym_basis(n, k).exponents
     scaled, d = gamma.integral()
-    coords = [scaled.coordinate_poly(j) for j in range(n)]
-    cache: dict = {}
     columns = []
-    for s in psi_idx:
+    for s, col in powers(scaled, psi_idx).items():
         ds = d ** sum(s)
-        columns.append({m: divided(c, ds)
-                        for m, c in _monomial_of_coords(coords, s, k, cache).items()})
+        columns.append({m: divided(c, ds) for m, c in col.items()})
     row_index = [(m, c) for m in out_idx for c in range(N)]
     col_index = [(s, c) for s in psi_idx for c in range(N)]
     zero = Fraction(0)

@@ -9,9 +9,10 @@ matrix of the right composition action acts on these coefficient rows, so
 the closed-form entry formulas below carry the multiplicities of ordered
 compositions.
 
-Truncated composition (`compose`) is the single source of truth here: the
-group matrix is extracted from it column by column, and every closed-form
-entry is tested against that extraction.
+The powers of a jet are the one table here: `powers` holds [u^t] f(u)^s,
+truncated at f.k.  `compose`, `group_matrix`, `invert` and the test-curve
+system of `invariants` read it, and every closed-form entry is tested
+against it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (Matrix, PolyRing, SparsePolynomial, integral_entries, rat, rat_str, parse_rat,
-                    sparse_product)
+from .exact import (Matrix, PolyRing, SparsePolynomial, add_into, integral_entries, rat, rat_str,
+                    parse_rat, sparse_product)
 from .symbasis import Exponent, Monomial, entries_to_exponent, sym_basis, vector_compositions
 
 CoefVec = tuple
@@ -56,10 +57,6 @@ class JetMap:
 
     def coefficient(self, s: Exponent) -> CoefVec:
         return self.coeffs.get(tuple(s), (Fraction(0),) * self.q)
-
-    def coordinate_poly(self, j: int) -> dict[Exponent, object]:
-        """The j-th coordinate (0-based) as a sparse exponent -> coefficient map."""
-        return {s: vec[j] for s, vec in self.coeffs.items() if vec[j]}
 
     def integral(self) -> tuple["JetMap", int]:
         """(D * self, D): D is the lcm of the denominators of all coefficients,
@@ -129,60 +126,48 @@ def flat_jet(p: int, k: int) -> JetMap:
     return JetMap(p, n, k, coeffs)
 
 
-def _coord_power(coords: list[dict], j: int, e: int, k: int, cache: dict) -> dict:
-    key = (j, e)
-    got = cache.get(key)
-    if got is None:
-        got = coords[j] if e == 1 else sparse_product(
-            _coord_power(coords, j, e - 1, k, cache), coords[j], k
-        )
-        cache[key] = got
-    return got
+def powers(f: JetMap, exps) -> dict[Exponent, dict]:
+    """{s: [u^t] f(u)^s} for each exponent vector s over f's q coordinates,
+    as sparse maps t -> coefficient truncated at degree f.k.
 
+    One memoized recursion: f^s = f^(s - e_j) * f_j at the first letter j of
+    s, so each power, asked for or passed on the way, costs one sparse
+    product.
+    """
+    coords = [{t: vec[j] for t, vec in f.coeffs.items() if vec[j]} for j in range(f.q)]
+    memo: dict[Exponent, dict] = {}
 
-def _monomial_of_coords(coords: list[dict], s: Exponent, k: int, cache: dict) -> dict:
-    """Truncated product prod_j coords[j]^(s_j), with cached coordinate powers."""
-    result: dict | None = None
-    for j, e in enumerate(s):
-        if e == 0:
-            continue
-        powed = _coord_power(coords, j, e, k, cache)
-        result = powed if result is None else sparse_product(result, powed, k)
-    return result if result is not None else {}
+    def power(s: Exponent) -> dict:
+        got = memo.get(s)
+        if got is None:
+            j = next(i for i, e in enumerate(s) if e)
+            if sum(s) == 1:
+                got = coords[j]
+            else:
+                rest = s[:j] + (s[j] - 1,) + s[j + 1:]
+                got = sparse_product(power(rest), coords[j], f.k)
+            memo[s] = got
+        return got
+
+    return {s: power(s) for s in exps}
 
 
 def compose(g: JetMap, f: JetMap) -> JetMap:
-    """Truncated formal substitution g(f(u)): (q -> r) after (p -> q).
-
-    Exact in the coefficient ring; this operation is the oracle every
-    closed-form matrix entry in this module is checked against.
-    """
+    """Truncated formal substitution g(f(u)): (q -> r) after (p -> q), the sum
+    over s of g_s times the power f(u)^s, exact in the coefficient ring."""
     if g.p != f.q:
         raise ValueError("dimension mismatch: g.p != f.q")
     if g.k != f.k:
         raise ValueError("order mismatch")
-    k = f.k
-    coords = [f.coordinate_poly(j) for j in range(f.q)]
-    cache: dict = {}
-    acc: dict[Exponent, list] = {}
+    table = powers(f, g.coeffs)
+    sums: list[dict] = [{} for _ in range(g.q)]
     for s, gvec in g.coeffs.items():
-        mono = _monomial_of_coords(coords, s, k, cache)
-        for t, c in mono.items():
-            slot = acc.get(t)
-            if slot is None:
-                slot = [None] * g.q
-                acc[t] = slot
-            for r in range(g.q):
-                if not gvec[r]:
-                    continue
-                term = c * gvec[r]
-                slot[r] = term if slot[r] is None else slot[r] + term
-    coeffs = {}
-    for t, slot in acc.items():
-        vec = tuple(Fraction(0) if c is None else c for c in slot)
-        if any(vec):
-            coeffs[t] = vec
-    return JetMap(f.p, g.q, k, coeffs)
+        for acc, c in zip(sums, gvec):
+            if c:
+                add_into(acc, table[s], c)
+    zero = Fraction(0)
+    support = dict.fromkeys(t for acc in sums for t in acc)
+    return JetMap(f.p, g.q, f.k, {t: tuple(acc.get(t, zero) for acc in sums) for t in support})
 
 
 def group_matrix(psi: JetMap) -> Matrix:
@@ -197,14 +182,9 @@ def group_matrix(psi: JetMap) -> Matrix:
         raise ValueError("reparametrization must have equal source and target dims")
     if not psi.is_reparam():
         raise ValueError("non-invertible linear part")
-    basis = sym_basis(psi.p, psi.k)
-    coords = [psi.coordinate_poly(j) for j in range(psi.p)]
-    cache: dict = {}
-    rows = []
-    for s in basis.exponents:
-        mono = _monomial_of_coords(coords, s, psi.k, cache)
-        rows.append([mono.get(t, Fraction(0)) for t in basis.exponents])
-    return Matrix(rows)
+    exps = sym_basis(psi.p, psi.k).exponents
+    zero = Fraction(0)
+    return Matrix([[row.get(t, zero) for t in exps] for row in powers(psi, exps).values()])
 
 
 def group_param_name(l: int, s: Exponent) -> str:
@@ -279,41 +259,17 @@ def jet_var_name(prefix: str, s: Exponent, j: int) -> str:
 
 
 def invert(psi: JetMap) -> JetMap:
-    """Two-sided compositional inverse, by degree-by-degree back substitution.
+    """Two-sided compositional inverse, read from the linear rows of the
+    inverse group matrix.
 
-    Degree d of the inverse is the unique solution of a triangular linear
-    system once degrees < d are known, so the loop terminates in k steps with
-    an exact answer.  Rational coefficients only: the inverse of a symbolic
-    jet has rational-function coefficients, outside this module's ring.
+    The group matrix is multiplicative, M(psi o chi) = M(psi) M(chi), so the
+    inverse jet has matrix M(psi)^-1, and its row e_i holds coordinate i of
+    that jet.  Rational coefficients only: the inverse of a symbolic jet has
+    rational-function coefficients, and Matrix.inverse raises TypeError.
     """
-    if psi.p != psi.q:
-        raise ValueError("only reparametrizations invert")
-    for vec in psi.coeffs.values():
-        if any(isinstance(c, SparsePolynomial) for c in vec):
-            raise TypeError("symbolic jets have no polynomial inverse")
-    Li = psi.linear_matrix().inverse()  # ZeroDivisionError if singular
-    p, k = psi.p, psi.k
-    inv_coeffs: dict[Exponent, CoefVec] = {}
-    for i in range(p):
-        e = tuple(1 if j == i else 0 for j in range(p))
-        inv_coeffs[e] = tuple(Li.data[r][i] for r in range(p))
-    chi = JetMap(p, p, k, inv_coeffs)
-    for d in range(2, k + 1):
-        r = compose(psi, chi)
-        fixes: dict[Exponent, CoefVec] = {}
-        for s, vec in r.coeffs.items():
-            if sum(s) != d:
-                continue
-            corr = tuple(
-                -sum(Li.data[a][b] * vec[b] for b in range(p)) for a in range(p)
-            )
-            if any(c != 0 for c in corr):
-                fixes[s] = corr
-        if fixes:
-            merged = dict(chi.coeffs)
-            merged.update(fixes)
-            chi = JetMap(p, p, k, merged)
-    return chi
+    p = psi.p
+    rows = group_matrix(psi).inverse().data[:p]
+    return JetMap(p, p, psi.k, dict(zip(sym_basis(p, psi.k).exponents, zip(*rows))))
 
 
 def torus_weights(p: int, k: int) -> dict[Exponent, tuple[int, ...]]:

@@ -772,10 +772,10 @@ def _simplex_max(
 
 
 def twist_exponent(p: int, k: int, M: int) -> int:
-    """K = M * sum_i i * dim Sym^i C^p + 1."""
-    from math import comb
-
-    total = sum(i * comb(p + i - 1, i) for i in range(1, k + 1))
+    """K = M * sum_i i * dim Sym^i C^p + 1, for M >= 1."""
+    if M < 1:
+        raise ValueError(f"need M >= 1, got {M}")
+    total = sum(i * math.comb(p + i - 1, i) for i in range(1, k + 1))
     return M * total + 1
 
 
@@ -783,10 +783,8 @@ def distinguished_stabilizer(p: int, k: int, M: int = 1, force: bool = False) ->
     """sl stabilizer of the twisted distinguished point, TwistedPoint(p_point(p,
     k), 1, twist_exponent(p, k, M), p), solved on the span of the flat-jet
     columns without expanding p_point."""
-    if M < 0:
-        raise ValueError("need M >= 0")
-    _check_span_cost(_span_cost(p, k), force)
     twist = (Fraction(twist_exponent(p, k, M)), p)
+    _check_span_cost(_span_cost(p, k), force)
     return _span_stabilizer(sym_dim(p, k), _flat_jet_columns(p, k), "sl", "affine", twist)
 
 
@@ -824,12 +822,12 @@ def codim_report(k: int, M: int = 1, force: bool = False) -> dict:
     with projective stabilizer dimension s spans an orbit of codimension
     s - (k - 1), so the bound holds iff s >= k + 1.
     """
-    if k < 2 or M < 1:
-        raise ValueError("need k >= 2 and M >= 1")
+    if k < 2:
+        raise ValueError("need k >= 2")
+    K = twist_exponent(1, k, M)
     specs = [("lambda", s) for s in range(2, k + 1)]
     specs += [("mu", s) for s in range(2, k)]
     _check_span_cost((1 + len(specs)) * _span_cost(1, k), force)  # a cut column has fewer terms
-    K = twist_exponent(1, k, M)
     columns = _flat_jet_columns(1, k)
     base = _span_stabilizer(k, columns, "sl", "affine", (Fraction(K), 1))
     candidates = []
@@ -863,8 +861,8 @@ def probe_stabilizer_conjecture(p: int, k: int, M: int = 1, force: bool = False)
     twisted point for surfaces and report it against the predicted value
     p * sym^{<=k}(p) - 1.  Exploratory: a mismatch is reported, not raised.
     """
-    if p < 1 or k < 1 or M < 1:
-        raise ValueError("need p >= 1, k >= 1 and M >= 1")
+    if p < 1 or k < 1:
+        raise ValueError("need p >= 1 and k >= 1")
     n = sym_dim(p, k)
     res = distinguished_stabilizer(p, k, M, force=force)
     predicted = p * n - 1

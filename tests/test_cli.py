@@ -124,6 +124,7 @@ def test_orbit_limit_bad_eps_exits_2(capsys, eps):
         ["generators", "--n", "2", "--k", "2", "--verify", "--trials", "-5"],
         ["group-matrix", "--k", "0"],
         ["group-matrix", "--k", "2", "--params", "1"],
+        ["group-matrix", "--p", "1", "--k", "2", "--params", "1,2", "--closed-form"],
         ["phi", "--k", "0", "--n", "2"],
         ["test-curve", "--k", "2", "--n", "2", "--N", "0"],
         ["test-curve", "--k", "2", "--n", "2", "--N", "-1"],
@@ -131,6 +132,9 @@ def test_orbit_limit_bad_eps_exits_2(capsys, eps):
         ["test-curve", "--k", "2", "--n", "2", "--coeff-bound", "0"],
         ["generators", "--n", "2", "--k", "2", "--p", "0"],
         ["orbit", "stabilizer", "--k", "3", "--out", "/nonexistent/x.json"],
+        ["orbit", "stabilizer", "--k", "3", "--M", "0"],
+        ["orbit", "codim-report", "--k", "40", "--M", "0"],  # bad input before the size gate
+        ["orbit", "probe-p", "--p", "1", "--k", "2", "--M", "0"],
         ["fixtures", "check", "--dir", "/nonexistent"],
         ["fixtures", "regenerate", "--dir", str(ROOT / "README.md")],
         ["fixtures", "regenerate", "--dir", str(ROOT / "README.md" / "fixtures")],
@@ -145,6 +149,8 @@ def test_bad_input_exits_2(capsys, argv):
     for flag in ("--N", "--coeff-bound"):
         if flag in argv:
             assert flag in captured.err
+    if "--params" in argv and "--closed-form" in argv:
+        assert "--params" in captured.err and "--closed-form" in captured.err
 
 
 # Each command takes only the flags it reads: any other flag is an argparse error.

@@ -700,6 +700,8 @@ def test_twist_exponent():
     assert twist_exponent(1, 4, 1) == 11
     assert twist_exponent(1, 2, 1) == 4
     assert twist_exponent(2, 2, 1) == 9  # 1*2 + 2*3, times M=1, plus 1
+    with pytest.raises(ValueError):
+        twist_exponent(1, 4, 0)
 
 
 def test_codim_report_k4():
