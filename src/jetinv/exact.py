@@ -426,7 +426,10 @@ def integral(values: Sequence[Scalar]) -> tuple[list[int], int]:
     """The values times d, the lcm of their denominators, as ints; and d.
 
     Integer operations only: x * d is x.numerator * (d // x.denominator).
+    Values that are all exactly int come back as they are, with d = 1.
     """
+    if all(type(x) is int for x in values):
+        return list(values), 1
     d = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
 

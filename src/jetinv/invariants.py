@@ -24,7 +24,12 @@ D.
 The test-curve system of gamma holds [u^m] gamma(u)^s at row (m, c), column
 (s, c), and [u^m] gamma(u)^s = phi(gamma)[s, m] / orderings(s) entry by entry.
 So the system matrix is the weighted embedded flag tensored with C^N, and its
-kernel is the flag's annihilator, as the paper states.
+kernel is the flag's annihilator, as the paper states.  The check runs in
+integers: against ``embedding.phi_integral`` of gamma, with the system entry in
+column s weighted by orderings(s) * D^|s|.  Replacing gamma by D * gamma
+scales column s of the system, and both sides of the identity, by D^|s|; the
+rank and the verdict are kept.  So the CLI checks and ranks the system of the
+integral jet D * gamma, whose cells are all ints.
 """
 
 from __future__ import annotations
@@ -400,19 +405,20 @@ def test_curve_system(gamma: JetMap, N: int = 1) -> TestCurveSystem:
     The powers are the table ``jets.powers`` of D * gamma, from
     ``JetMap.integral``, expanded in integers: [u^m] (D * gamma(u))^s =
     D^|s| * [u^m] gamma(u)^s, so each entry of column s is divided once, by
-    D^|s|.  Zero cells share one Fraction(0).
+    D^|s|.  An integral jet (D = 1) skips the division: its entries are ints
+    and int-coefficient polynomials, and its zero cells share one int 0.
+    Otherwise the entries are Fractions and the zero cells share one
+    Fraction(0).
     """
     p, n, k = gamma.p, gamma.q, gamma.k
     out_idx = sym_basis(p, k).exponents
     psi_idx = sym_basis(n, k).exponents
     scaled, d = gamma.integral()
-    columns = []
-    for s, col in powers(scaled, psi_idx).items():
-        ds = d ** sum(s)
-        columns.append({m: divided(c, ds) for m, c in col.items()})
+    columns = [col if d == 1 else {m: divided(c, d ** sum(s)) for m, c in col.items()}
+               for s, col in powers(scaled, psi_idx).items()]
     row_index = [(m, c) for m in out_idx for c in range(N)]
     col_index = [(s, c) for s in psi_idx for c in range(N)]
-    zero = Fraction(0)
+    zero = 0 if d == 1 else Fraction(0)
     data = []
     for m, c in row_index:
         row = [zero] * len(col_index)
@@ -430,30 +436,40 @@ def solution_space_equals_perp(gamma: JetMap, N: int = 1,
                                system: TestCurveSystem | None = None) -> bool:
     """Check that the system kernel is exactly the annihilator of the
     embedded flag, tensored with C^N, by the entrywise identity
-    [u^m] gamma(u)^s = phi(gamma)[s, m] / orderings(s).
+    [u^m] gamma(u)^s * orderings(s) = phi(gamma)[s, m].
 
-    Row (m, c) must be nonzero exactly at the columns (s, c) where column m
-    of phi(gamma) is nonzero, and there the entry times orderings(s) must
-    equal the phi entry; multiplying serves polynomial entries too, and no
-    rank, kernel or elimination runs.  The system matrix A then equals the
-    weighted embedded columns S tensored with C^N, so ker A = (span S)^perp:
-    the statement, checked more strongly than by comparing spans.  The
+    The check runs in the integer scale of ``phi_integral``: row s of
+    phi(D * gamma) is D^|s| times row s of phi(gamma), so the identity reads
+    entry * orderings(s) * D^|s| = phi_integral(gamma)[s, m].  Row (m, c)
+    must be nonzero exactly at the columns (s, c) where column m of the
+    embedding is nonzero, and there the weighted entry must equal it;
+    multiplying serves polynomial entries too, and no rank, kernel or
+    elimination runs.  The system matrix A then equals the weighted
+    embedded columns S tensored with C^N, so ker A = (span S)^perp: the
+    statement, checked more strongly than by comparing spans.  The
     embedding and the system are built by independent routines; a caller
     that already built test_curve_system(gamma, N) passes it as system.
+
+    Replacing gamma by D * gamma scales both sides of the identity at column
+    s by D^|s|, so it holds for one iff it holds for the other, and column
+    (s, c) of the system by D^|s|, which keeps its rank.  So a caller may
+    check and rank the system of the integral jet D * gamma instead: its D
+    is 1, every entry is an int, and every compare is an int compare.
     """
     from . import symbasis
 
     sysm = system if system is not None else test_curve_system(gamma, N)
-    pm = phi(gamma)
-    rows = [(m, c) for m in pm.col_index for c in range(N)]
-    cols = [(s, c) for s in pm.basis.exponents for c in range(N)]
+    basis = sym_basis(gamma.q, gamma.k)
+    columns, d = phi_integral(gamma)
+    rows = [(m, c) for m in sym_basis(gamma.p, gamma.k).exponents for c in range(N)]
+    cols = [(s, c) for s in basis.exponents for c in range(N)]
     shape = (sysm.row_index, sysm.col_index, sysm.matrix.rows, sysm.matrix.cols)
     if shape != (rows, cols, len(rows), len(cols)):
         return False
-    weights = [symbasis.orderings_count(m) for m in pm.basis.monomials]
+    weights = [symbasis.orderings_count(m) * d ** len(m) for m in basis.monomials]
     for i, row in enumerate(sysm.matrix.data):
         c = i % N
-        expected = {pos * N + c: val for pos, val in pm.columns[i // N].items()}
+        expected = {pos * N + c: val for pos, val in columns[i // N].items()}
         for j, a in enumerate(row):
             val = expected.get(j)
             if (a * weights[j // N] != val) if val is not None else a:

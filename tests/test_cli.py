@@ -378,6 +378,20 @@ def test_test_curve_ranks_its_system_once(capsys, monkeypatch):
     assert sum(len(rows[0]) == len(sysm.col_index) for rows in ranked) == 1
 
 
+def test_test_curve_calls_no_phi(capsys, monkeypatch):
+    """The op checks the integer system against phi_integral alone."""
+    import jetinv.embedding
+    import jetinv.invariants
+
+    def refused(*args, **kwargs):
+        raise AssertionError("phi called")
+
+    for module in (jetinv.embedding, jetinv.invariants):
+        monkeypatch.setattr(module, "phi", refused)
+    code, out = run_cli(["test-curve", "--k", "4", "--n", "4", "--N", "2", "--json"], capsys)
+    assert code == 0 and json.loads(out)["solution_space_equals_perp"] is True
+
+
 def test_determinism_same_seed(capsys):
     args = ["test-curve", "--k", "2", "--n", "2", "--seed", "9", "--json"]
     _, out1 = run_cli(args, capsys)

@@ -3,7 +3,9 @@
 Both are computed in integers on the jet scaled by the lcm D of its
 denominators and divided once per entry, by D to the number of letters of the
 entry's Sym monomial.  Jets whose coefficients have large, pairwise coprime
-denominators make D huge, so a wrong power of D cannot pass by accident.
+denominators make D huge, so a wrong power of D cannot pass by accident.  The
+test-curve system of an integral jet (D = 1) is not divided at all: its
+entries stay ints, which the integral rational and symbolic cases pin.
 """
 
 import math
@@ -68,17 +70,25 @@ def _scalars():
                      st.sampled_from(_PRIMES))
 
 
-def _assert_fraction_typed(entries, symbolic):
+def _assert_typed(entries, symbolic, scalar):
+    """Each entry, or each coefficient of each polynomial entry, is exactly
+    of type scalar."""
     for x in entries:
         if symbolic:
             assert isinstance(x, SparsePolynomial)
-            assert all(type(c) is Fraction for c in x.terms.values())
+            assert all(type(c) is scalar for c in x.terms.values())
         else:
-            assert type(x) is Fraction
+            assert type(x) is scalar
 
 
 def _coefficients(x):
     return x.terms.values() if isinstance(x, SparsePolynomial) else (x,)
+
+
+def _scale(gamma):
+    """D: the lcm of every denominator in the jet, polynomial coefficients too."""
+    return math.lcm(*(c.denominator for vec in gamma.coeffs.values() for x in vec
+                      for c in _coefficients(x)))
 
 
 def _check_phi(gamma, symbolic):
@@ -89,10 +99,9 @@ def _check_phi(gamma, symbolic):
     assert pm.dense().data == phi_by_decompositions(gamma)
     entries = [x for col in pm.columns for x in col.values()]
     assert all(entries)
-    _assert_fraction_typed(entries, symbolic)
+    _assert_typed(entries, symbolic, Fraction)
     columns, d = phi_integral(gamma)
-    assert d == math.lcm(*(c.denominator for vec in gamma.coeffs.values() for x in vec
-                           for c in _coefficients(x)))
+    assert d == _scale(gamma)
     degree = pm.basis.degree_of
     assert [set(col) for col in columns] == [set(col) for col in pm.columns]
     for col, icol in zip(pm.columns, columns):
@@ -101,13 +110,19 @@ def _check_phi(gamma, symbolic):
 
 
 def _check_curve_system(gamma, N, symbolic):
+    """The system against the power oracle, typed by the jet's scale D: an
+    integral jet (D = 1) gives ints and int-coefficient polynomials, as
+    phi_integral does, any other jet Fractions; the zero cells share one
+    int 0 or one Fraction(0) alike."""
     sysm = curve_system(gamma, N)
     expected = [[power_coefficient(gamma, m, s) if c == c2 else 0 for s, c2 in sysm.col_index]
                 for m, c in sysm.row_index]
     assert sysm.matrix.data == expected
+    scalar = int if _scale(gamma) == 1 else Fraction
     cells = [x for row in sysm.matrix.data for x in row]
-    _assert_fraction_typed([x for x in cells if x], symbolic)
-    assert len({id(x) for x in cells if not x}) <= 1  # zero cells share one Fraction(0)
+    _assert_typed([x for x in cells if x], symbolic, scalar)
+    zeros = {id(x): x for x in cells if not x}
+    assert len(zeros) <= 1 and all(type(x) is scalar for x in zeros.values())
 
 
 @_property
@@ -132,6 +147,13 @@ def test_curve_system_equals_the_power_oracle(gamma, N):
 @given(_symbolic_jets(), st.integers(1, 2))
 def test_curve_system_of_rational_symbolic_jets_equals_the_oracle(gamma, N):
     _check_curve_system(gamma, N, symbolic=True)
+
+
+@_property
+@given(_rational_jets(), st.integers(1, 2))
+def test_curve_system_of_integral_rational_jets_equals_the_oracle(gamma, N):
+    """D * gamma has scale 1: the system skips the division and holds ints."""
+    _check_curve_system(_times(gamma, _scale(gamma)), N, symbolic=False)
 
 
 @pytest.mark.parametrize("p,k,n", [(1, 3, 2), (1, 4, 2), (2, 2, 2), (2, 3, 2)])

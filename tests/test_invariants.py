@@ -339,25 +339,49 @@ def _spans_agree(gamma, N):
 @given(_jets())
 def test_perp_check_agrees_with_the_span_oracle(case):
     gamma, N = case
-    assert solution_space_equals_perp(gamma, N)
-    assert _spans_agree(gamma, N)
+    for jet in (gamma, gamma.integral()[0]):
+        assert solution_space_equals_perp(jet, N)
+        assert _spans_agree(jet, N)
+
+
+@_property
+@given(_jets())
+def test_integral_jet_system_keeps_the_rank_and_perp_verdict(case):
+    """Column (s, c) of the system of D * gamma is D^|s| times that of gamma,
+    in ints, so the rank is kept; the perp identity scales the same way (the
+    span oracle runs on both jets in the test above)."""
+    gamma, N = case
+    scaled, d = gamma.integral()
+    sysm, syss = curve_system(gamma, N), curve_system(scaled, N)
+    assert all(type(x) is int for row in syss.matrix.data for x in row)
+    assert all(xs == d ** sum(s) * x for row, rows in zip(sysm.matrix.data, syss.matrix.data)
+               for (s, _), x, xs in zip(sysm.col_index, row, rows))
+    assert syss.rank() == sysm.rank()
+    assert solution_space_equals_perp(scaled, N, syss) is solution_space_equals_perp(gamma, N, sysm)
 
 
 @_property
 @given(_jets(), st.data())
 def test_perp_check_refutes_any_changed_entry(case, data):
+    """On the system of gamma and on the int system of D * gamma: a changed
+    cell, a changed zero cell and a missing row are each refuted."""
     gamma, N = case
-    sysm = curve_system(gamma, N)
-    i = data.draw(st.integers(0, sysm.matrix.rows - 1))
-    j = data.draw(st.integers(0, sysm.matrix.cols - 1))
-    rows = [list(row) for row in sysm.matrix.data]
-    rows[i][j] += data.draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-5, 3)]))
-    assert solution_space_equals_perp(gamma, N, sysm)
-    assert not solution_space_equals_perp(gamma, N, dataclasses.replace(sysm, matrix=Matrix(rows)))
-    # every row must be there: a system missing its last equation is refuted
-    short = dataclasses.replace(sysm, row_index=sysm.row_index[:-1],
-                                matrix=Matrix(sysm.matrix.data[:-1]))
-    assert not solution_space_equals_perp(gamma, N, short)
+    for jet in (gamma, gamma.integral()[0]):
+        sysm = curve_system(jet, N)
+        assert solution_space_equals_perp(jet, N, sysm)
+        cells = [(i, j, x) for i, row in enumerate(sysm.matrix.data) for j, x in enumerate(row)]
+        for pool in (cells, [cell for cell in cells if not cell[2]]):
+            if not pool:
+                continue
+            i, j, _ = data.draw(st.sampled_from(pool))
+            rows = [list(row) for row in sysm.matrix.data]
+            rows[i][j] += data.draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-5, 3)]))
+            changed = dataclasses.replace(sysm, matrix=Matrix(rows))
+            assert not solution_space_equals_perp(jet, N, changed)
+        # every row must be there: a system missing its last equation is refuted
+        short = dataclasses.replace(sysm, row_index=sysm.row_index[:-1],
+                                    matrix=Matrix(sysm.matrix.data[:-1]))
+        assert not solution_space_equals_perp(jet, N, short)
 
 
 @pytest.mark.parametrize("p,k,n", [(1, 3, 2), (2, 2, 2), (1, 3, 3)])
