@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
@@ -62,19 +63,29 @@ _scalar = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_asc
 
 def canonical_json(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for str dict
-    keys.  An array whose items are all int, or all str, is written once per
-    (items, indent) in a call: payloads repeat the same monomials thousands
-    of times.  The item types are checked before the items are hashed, since
-    (True,) and (1.0,) equal (1,) as keys.
+    keys.  The cost follows the payload's shape: a few key sets, a few
+    monomials, repeated thousands of times.
 
-    When the tuple whose items produced a text comes back as the same object,
-    the text is also filed under (id, indent), and each tuple item of a mixed
-    array is looked up there before it is written: the payloads share a few
-    basis monomial objects among thousands of wedge factors, and a tuple met
-    once adds nothing.  Every object written is reachable from obj, which
-    this call holds, so no two of them share an id."""
+    A dict's head, its sorted keys each with the ready-made `{` or `,`, the
+    indent and the encoded `"key": `, is built once per (key tuple in
+    insertion order, indent) in a call; str values are written inline.
+
+    An array is dispatched on its first item.  Empty, it is `[]`.  Its items
+    are taken as all int only when the first is an int and the set of item
+    types is exactly {int}, and as all str likewise, so (True,) and (1.0,),
+    which equal (1,) as keys, never reach the memo of scalar arrays.  That
+    memo writes each such array once per (items, indent).
+
+    When the tuple that produced a memo text comes back as the same object,
+    the text is also filed in the identity memo, shared[indent][id(tuple)],
+    and every item of a mixed array is looked up there by id before it is
+    written: wedges share a few basis monomial objects among thousands of
+    factors.  This is sound because a filed tuple is held by the scalar
+    memo for the whole call and every item looked up is held by obj, so no
+    other live object can share its id."""
     scalar_arrays: dict[tuple, tuple[object, str]] = {}  # key -> (first array, its text)
-    shared: dict[tuple[int, str], str] = {}
+    shared: defaultdict[str, dict[int, str]] = defaultdict(dict)  # indent -> id(tuple) -> text
+    heads: dict[tuple, list[tuple[str, str]]] = {}  # (*keys, indent) -> [(key, prefix)]
 
     def write(obj, newline: str) -> str:
         """obj at the line whose break and indent is newline."""
@@ -82,26 +93,38 @@ def canonical_json(obj) -> str:
             return encode_basestring_ascii(obj)
         inner = newline + "  "
         if isinstance(obj, (list, tuple)):
-            if all(type(x) is int for x in obj):
+            if not obj:
+                return "[]"
+            lead = type(obj[0])
+            if lead is int and set(map(type, obj)) == {int}:
                 encode = int.__repr__
-            elif all(isinstance(x, str) for x in obj):
+            elif lead is str and set(map(type, obj)) == {str}:
                 encode = encode_basestring_ascii
-            else:  # not empty: [] is all int
+            else:
+                memo = shared[inner]
                 return "[" + inner + ("," + inner).join([
-                    type(x) is tuple and shared.get((id(x), inner)) or write(x, inner) for x in obj
+                    memo.get(id(x)) or write(x, inner) for x in obj
                 ]) + newline + "]"
             key = (tuple(obj), newline)
             first, text = scalar_arrays.get(key, (None, None))
             if text is None:
-                text = "[" + inner + ("," + inner).join(map(encode, obj)) + newline + "]" if obj else "[]"
+                text = "[" + inner + ("," + inner).join(map(encode, obj)) + newline + "]"
                 scalar_arrays[key] = (obj, text)
             elif first is obj and type(obj) is tuple:
-                shared[id(obj), newline] = text
+                shared[newline][id(obj)] = text
             return text
         if isinstance(obj, dict):
-            items = [encode_basestring_ascii(k) + ": " + write(v, inner)
-                     for k, v in sorted(obj.items())]
-            return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
+            if not obj:
+                return "{}"
+            head = heads.get((*obj, newline))
+            if head is None:
+                head = heads[(*obj, newline)] = [
+                    (k, ("," if i else "{") + inner + encode_basestring_ascii(k) + ": ")
+                    for i, k in enumerate(sorted(obj))]
+            return "".join([
+                prefix + (encode_basestring_ascii(v) if type(v := obj[k]) is str else write(v, inner))
+                for k, prefix in head
+            ]) + newline + "}"
         return "".join(_scalar(obj, 0))
 
     return write(obj, "\n")

@@ -329,7 +329,7 @@ def sparse_product(
 class Matrix:
     """Dense matrix over Rational or SparsePolynomial entries.
 
-    rank/kernel_basis/inverse require rational entries; determinant and
+    rank/kernel_basis/inverse_rows require rational entries; determinant and
     products work over either coefficient ring.
     """
 
@@ -399,18 +399,19 @@ class Matrix:
             return _det_laplace(self.data)
         return _det_bareiss(self._rational_rows())
 
-    def inverse(self) -> "Matrix":
-        """Echelon form of [A | I], then one back substitution per unit column."""
-        rows = self._rational_rows()
+    def inverse_rows(self, count: int) -> list[list[Fraction]]:
+        """The first count rows of the inverse.  Row i solves A^T x = e_i:
+        one echelon form of [A^T | e_0 .. e_{count-1}], then one back
+        substitution per unit column."""
         n = self.rows
         if self.cols != n:
             raise ValueError("inverse of a non-square matrix")
-        aug = [rows[i] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        aug = [row + [int(i == j) for j in range(count)]
+               for i, row in enumerate(self.transpose()._rational_rows())]
         ech, pivots, _, _ = _bareiss(aug)
         if pivots != list(range(n)):
             raise ZeroDivisionError("singular matrix")
-        unit_cols = ([Fraction(0)] * (n + j) + [Fraction(-1)] for j in range(n))
-        return Matrix([_back_substitute(ech, pivots, x)[:n] for x in unit_cols]).transpose()
+        return [_back_substitute(ech, pivots, [0] * (n + i) + [-1])[:n] for i in range(count)]
 
     def to_strings(self) -> list[list[str]]:
         return [

@@ -264,11 +264,12 @@ def invert(psi: JetMap) -> JetMap:
 
     The group matrix is multiplicative, M(psi o chi) = M(psi) M(chi), so the
     inverse jet has matrix M(psi)^-1, and its row e_i holds coordinate i of
-    that jet.  Rational coefficients only: the inverse of a symbolic jet has
-    rational-function coefficients, and Matrix.inverse raises TypeError.
+    that jet.  Only those p rows are solved for.  Rational coefficients
+    only: the inverse of a symbolic jet has rational-function coefficients,
+    and Matrix.inverse_rows raises TypeError.
     """
     p = psi.p
-    rows = group_matrix(psi).inverse().data[:p]
+    rows = group_matrix(psi).inverse_rows(p)
     return JetMap(p, p, psi.k, dict(zip(sym_basis(p, psi.k).exponents, zip(*rows))))
 
 

@@ -170,6 +170,16 @@ def solve_unique(rows, rhs):
     return [x / kern[0][-1] for x in kern[0][:-1]]
 
 
+def inverse(m):
+    """Inverse of a square rational Matrix, column j solving M x = e_j by
+    solve_unique; ZeroDivisionError if M is singular."""
+    n = m.rows
+    cols = [solve_unique(m.data, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
+    if None in cols:
+        raise ZeroDivisionError("singular matrix")
+    return Matrix(cols).transpose()
+
+
 def same_span(a, b):
     """Exact span equality by ranks of the stacked matrices."""
     return rank(a) == rank(b) == rank(a + b)

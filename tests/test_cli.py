@@ -550,16 +550,25 @@ _STR = ("x",)
 def _shared_tuple_values(draw):
     """JSON values whose leaves are drawn from one pool of tuple objects, so
     the same object recurs at several depths; the pool also holds equal
-    tuples that are other objects, equal lists, and look-alikes with bools
-    and floats."""
+    tuples that are other objects, equal lists, look-alikes with bools and
+    floats, and empty arrays.  Arrays that lead with an int go on with a
+    bool, a float, a str or a pool tuple, and arrays that lead with a str go
+    on with an int.  Dicts reuse one key set in every insertion order, and
+    one value recurs twice at one depth and then once a depth higher."""
     pool = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2))
                          | st.lists(st.sampled_from("ab"), max_size=2).map(tuple)
                          | st.just(()), min_size=1, max_size=3))
-    pool += [tuple(list(t)) for t in pool] + [list(t) for t in pool] + [(True, 2), (1.0, 2)]
+    pool += [tuple(list(t)) for t in pool] + [list(t) for t in pool] + [(True, 2), (1.0, 2), (), []]
+    leaf = st.sampled_from(pool)
+    led = (st.tuples(st.integers(-2, 2), st.sampled_from([True, 1.0, "a"]) | leaf)
+           | st.tuples(st.sampled_from("ab"), st.integers(-2, 2)))
     return draw(st.recursive(
-        st.sampled_from(pool) | st.integers(-2, 2),
+        leaf | st.integers(-2, 2) | led | led.map(list),
         lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-        | st.dictionaries(st.sampled_from("abc"), inner, max_size=3),
+        | st.dictionaries(st.sampled_from("abc"), inner, max_size=3)
+        | st.permutations("abc").flatmap(
+            lambda keys: st.lists(inner, min_size=3, max_size=3).map(lambda v: dict(zip(keys, v))))
+        | inner.map(lambda v: [[v, v], v]),
         max_leaves=20,
     ))
 
@@ -579,6 +588,16 @@ def _shared_tuple_values(draw):
 @example([_ONE, [1, 2], (_ONE, [1, 2]), tuple([1, 2]), [tuple([1, 2]), _ONE]])
 @example([(True, 2), _ONE, (1.0, 2), [_ONE, (True, 2), _ONE, (1.0, 2)], {"t": (True, 2)}])
 @example([[_STR, 1], [["x"], _STR], _STR, ("x", 1), [_STR, _ONE, (), ()]])
+# one key set at several indents and in several insertion orders
+@example([{"b": 1, "a": "x"}, {"a": "y", "b": [1]}, [{"b": {"a": 2, "b": "z"}, "a": ()}],
+          {"a": {"b": 1, "a": "x"}, "b": {"a": _ONE, "b": "x"}}, {"a": {}, "b": {}}])
+# empty arrays and empty tuples beside shared tuples
+@example([(), _ONE, [], _ONE, [(), [], _ONE, _STR, _ONE], ((), _ONE, []), {"a": (), "b": _ONE}])
+# an int or a str first, items of other types after it
+@example([[1, True], [1, 1.0], [1, "x"], [1, _ONE], (1, 2, True), ["x", 1], ("x", "y", 1),
+          [1, (1, 2), _ONE, 1], [True, 1], [1.0, 1]])
+# one tuple filed at one indent, met again deeper and shallower
+@example([[[_ONE, _ONE]], _ONE, [_ONE, [_ONE]], [[_ONE, 1]], _ONE, {"a": [[_ONE]]}])
 def test_canonical_json_is_json_dumps(value):
     assert canonical_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
@@ -596,6 +615,8 @@ def test_canonical_json_rejects_what_it_does_not_take(value, bad):
 @pytest.mark.parametrize("argv", [
     "orbit closed-form --k 6 --sigma 5 --kind mu",
     "generators --n 2 --k 4",
+    "orbit limit --k 6 --sigma 4 --kind lambda --eps 1/8",
+    "generators --n 2 --k 3 --verify --trials 2 --seed 1",
 ])
 def test_canonical_json_on_real_payloads(capsys, argv):
     """Printed from the payload's shared tuples, the output equals json.dumps

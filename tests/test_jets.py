@@ -24,7 +24,7 @@ from jetinv.jets import (
     torus_weights,
 )
 from jetinv.symbasis import orderings_count, partitions_of, sym_basis
-from oracles import power_coefficient
+from oracles import inverse, power_coefficient
 
 
 def test_compose_identity():
@@ -206,6 +206,20 @@ def test_invert_round_trips(psi):
     assert compose(psi, inv) == identity
     assert compose(inv, psi) == identity
     assert invert(inv) == psi
+
+
+@_property
+@given(st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)]), st.integers(0, 2**32))
+def test_invert_reads_the_linear_rows_of_the_inverse(shape, seed):
+    """invert solves for the p linear rows of the inverse group matrix only;
+    they equal the first p rows of the whole inverse."""
+    p, k = shape
+    psi = random_jet(random.Random(seed), p, p, k, bound=5, regular=True)
+    m = group_matrix(psi)
+    rows = inverse(m).data[:p]
+    assert m.inverse_rows(p) == rows
+    exps = sym_basis(p, k).exponents
+    assert [[invert(psi).coefficient(s)[i] for s in exps] for i in range(p)] == rows
 
 
 @st.composite
