@@ -31,7 +31,12 @@ scale, for generator dedup and for the stabilizer rows.
 Division-free minors, for polynomial entries and for the many minors of one
 matrix that invariance checks read, come from one ``MinorTable`` per matrix:
 Laplace expansion along the last column, with every sub-minor computed once
-and shared by all the minors whose columns extend it.
+and shared by all the minors whose columns extend it.  A table of polynomial
+entries packs each exponent vector into one int, with fields wide enough for
+the largest total degree any of its minors can reach, so exponents add as
+ints without carrying; packing is injective, so generator dedup keys the
+packed terms and unpacks only the minors it keeps, each distinct monomial as
+one tuple per table.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress
-from operator import add
+from operator import add, lshift
 from typing import Iterator, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -620,28 +625,68 @@ class MinorTable:
     share a prefix share sub-minors.  One memo per column prefix, keyed by
     the sorted row tuple, holds each once; zero entries and zero sub-minors
     are skipped.
+
+    A table with polynomial entries, all from one ring, expands them on
+    packed monomials: an exponent vector e becomes the int sum_i e_i << (w*i),
+    with w the bit length of B, the sum over the columns of the largest total
+    degree of an entry in that column (a scalar has degree 0).  Every exponent
+    of a monomial of a minor is at most its total degree, at most B < 2^w, so
+    no field carries and pack(e1) + pack(e2) = pack(e1 + e2): each product
+    x * rest is added term by term into the minor's one int-keyed term map.
+    Packing is injective, so two packed term maps are proportional iff their
+    polynomials are.  ``minor`` unpacks through one dict per table, so every
+    polynomial it returns holds one tuple object per distinct monomial; a
+    vanishing one is the zero polynomial.  A scalar table returns scalars.
     """
 
     def __init__(self, columns: Sequence[Mapping[int, Coef]]):
-        self.columns = columns
-        self.memo: dict[tuple[int, ...], dict[tuple[int, ...], Coef]] = {(): {(): 1}}
+        rings = {x.ring for col in columns for x in col.values() if isinstance(x, SparsePolynomial)}
+        if len(rings) > 1:
+            raise ValueError("minor table entries from more than one ring")
+        self.ring, self.columns, one = next(iter(rings), None), columns, 1
+        if self.ring is not None:
+            bound = sum(max((sum(e) for x in col.values() if isinstance(x, SparsePolynomial)
+                             for e in x.terms), default=0) for col in columns)
+            width = bound.bit_length()
+            self.shifts, self.mask = [width * i for i in range(len(self.ring))], (1 << width) - 1
+            self.monomials: dict[int, tuple[int, ...]] = {}
+            self.columns = [{r: {sum(map(lshift, e, self.shifts)): c for e, c in x.terms.items()}
+                             if isinstance(x, SparsePolynomial) else {0: x}
+                             for r, x in col.items() if x} for col in columns]
+            one = {0: 1}
+        self.memo: dict[tuple[int, ...], dict[tuple[int, ...], Coef]] = {(): {(): one}}
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Coef:
         """The minor on rows, in the given order, and columns cols."""
+        key = tuple(sorted(rows))
+        value = self.packed(key, cols)
+        odd = key != tuple(rows) and sum(a > b for i, a in enumerate(rows)
+                                         for b in rows[i + 1:]) % 2
+        return (-value if odd else value) if self.ring is None else self._unpack(value, odd)
+
+    def packed(self, rows: Sequence[int], cols: Sequence[int]) -> Coef | dict[int, Scalar]:
+        """The minor on the sorted rows and columns cols, so up to the sign
+        of the row order: in a polynomial table, its packed term map."""
         key, cols = tuple(sorted(rows)), tuple(cols)
         if len(key) != len(cols):
             raise ValueError("a minor needs as many rows as columns")
         value = self.memo.get(cols, {}).get(key)
-        if value is None:
-            value = self._minor(cols, key)
-        odd = key != tuple(rows) and sum(a > b for i, a in enumerate(rows)
-                                         for b in rows[i + 1:]) % 2
-        return -value if odd else value
+        return self._minor(cols, key) if value is None else value
 
-    def _minor(self, cols: tuple[int, ...], rows: tuple[int, ...]) -> Coef:
+    def _unpack(self, terms: Mapping[int, Scalar], negate: bool = False) -> SparsePolynomial:
+        """The polynomial of a packed term map of this table, or its negative."""
+        monomials = self.monomials
+        for e in terms:
+            if e not in monomials:
+                monomials[e] = tuple([e >> s & self.mask for s in self.shifts])
+        return SparsePolynomial(self.ring, {monomials[e]: -c if negate else c
+                                            for e, c in terms.items()})
+
+    def _minor(self, cols: tuple[int, ...], rows: tuple[int, ...]) -> Coef | dict[int, Scalar]:
         column, sub = self.columns[cols[-1]], cols[:-1]
         known = self.memo.setdefault(sub, {})
-        acc = 0
+        packed = self.ring is not None
+        acc = {} if packed else 0
         negate = not len(rows) % 2  # the sign (-1)^(i+s) at i = 1
         for i, r in enumerate(rows):
             x = column.get(r)
@@ -650,7 +695,20 @@ class MinorTable:
                 rest = known.get(rest_rows)
                 if rest is None:
                     rest = self._minor(sub, rest_rows)
-                if rest:
+                if rest and packed:
+                    for e1, c1 in x.items():
+                        if negate:
+                            c1 = -c1
+                        for e2, c2 in rest.items():
+                            e = e1 + e2
+                            cur = acc.get(e)
+                            if cur is None:
+                                acc[e] = c1 * c2
+                            elif s := cur + c1 * c2:
+                                acc[e] = s
+                            else:
+                                del acc[e]
+                elif rest:
                     acc = acc - x * rest if negate else acc + x * rest
             negate = not negate
         self.memo.setdefault(cols, {})[rows] = acc

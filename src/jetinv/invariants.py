@@ -38,6 +38,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
+from typing import Mapping
 
 from .exact import (
     Matrix,
@@ -108,22 +109,24 @@ class InvariantPoly:
 
 
 def _minors_of(gamma: JetMap):
-    """(integer, exact, D): minor readers of phi(D * gamma) and phi(gamma),
-    (row positions, column positions) -> minor, off one MinorTable of
-    ``phi_integral(gamma)``; integer = exact * D^e, e the rows' summed degree."""
+    """(table, exact, D): the MinorTable of ``phi_integral(gamma)``, whose
+    minors are those of phi(D * gamma), and the reader (row positions, column
+    positions) -> minor of phi(gamma); table minor = exact * D^e, e the rows'
+    summed degree."""
     columns, d = phi_integral(gamma)
-    integer = MinorTable(columns).minor
+    table = MinorTable(columns)
     degree = sym_basis(gamma.q, gamma.k).degree_of
 
     def exact(rows, cols):
-        return divided(integer(rows, cols), d ** sum(map(degree, rows)))
-    return integer, exact, d
+        return divided(table.minor(rows, cols), d ** sum(map(degree, rows)))
+    return table, exact, d
 
 
-def _dedup_key(poly: SparsePolynomial) -> tuple:
-    """The primitive part of an integer polynomial's sorted terms: equal iff
-    rational multiples (Gauss's lemma)."""
-    return primitive(sorted(poly.terms.items()))
+def _dedup_key(terms: Mapping[object, int]) -> tuple:
+    """The primitive part of an integer term map's sorted terms: two maps,
+    their keys packed by one table or both exponent tuples, give equal keys
+    iff they are rational multiples (Gauss's lemma)."""
+    return primitive(sorted(terms.items()))
 
 
 def _generator_families(n: int, k: int, p: int) -> list[tuple[tuple[int, ...], object]]:
@@ -201,7 +204,9 @@ def generator_set(
     p = 1: every s x s minor of the first s columns, s = 1..k; p > 1:
     maximal minors only.  Structurally zero row choices are skipped.  With
     materialize the polynomials are expanded, zeros dropped and duplicates
-    up to scalar removed; otherwise provenance-only entries are returned.
+    up to scalar removed, keyed on the table's packed terms (packing is
+    injective, so equal keys still mean proportional minors); only the kept
+    minors are unpacked.  Otherwise provenance-only entries are returned.
     More than MINOR_COUNT_CEILING candidates raise ResourceLimitError before
     any is built, unless force.
     """
@@ -222,24 +227,20 @@ def generator_set(
     for pos, m in enumerate(basis.monomials):
         positions_by_degree.setdefault(len(m), []).append(pos)
     domain = sym_basis(p, k).exponents
-    integer, exact, _ = _minors_of(symbolic_jet(p, n, k)[0]) if materialize else (None,) * 3
+    table, exact, _ = _minors_of(symbolic_jet(p, n, k)[0]) if materialize else (None,) * 3
     out: list[InvariantPoly] = []
     seen: set[tuple] = set()
     for c, wd in families:
         cols = tuple(domain[: len(c)])
         for rows in _staircase_row_sets(positions_by_degree, c):
-            inv = InvariantPoly(n=n, k=k, p=p, rows=tuple(map(basis.monomial_at, rows)), cols=cols,
-                                weighted_degree=wd)
             if materialize:
-                poly = integer(rows, range(len(c)))
-                if not isinstance(poly, SparsePolynomial) or poly.is_zero():
-                    continue
-                key = _dedup_key(poly)
-                if key in seen:
+                terms = table.packed(rows, range(len(c)))
+                if not terms or (key := _dedup_key(terms)) in seen:
                     continue
                 seen.add(key)
-                inv._poly = exact(rows, range(len(c)))
-            out.append(inv)
+            out.append(InvariantPoly(n=n, k=k, p=p, rows=tuple(map(basis.monomial_at, rows)),
+                                     cols=cols, weighted_degree=wd,
+                                     _poly=exact(rows, range(len(c))) if materialize else None))
     return out
 
 
@@ -311,9 +312,10 @@ def verify_generator_suite(
         gamma = random_jet(rng, p, n, k, bound=TRIAL_BOUND)
         psi = random_reparam(rng, p, k, bound=TRIAL_BOUND, unipotent=(p == 1), special=(p > 1))
         lam = tuple(_nonzero_rational(rng) for _ in range(p))
-        minor0, _, d0 = _minors_of(gamma)
-        minor1, _, d1 = _minors_of(compose(gamma, psi))
-        minorl, _, dl = _minors_of(scale_jet(gamma, lam))
+        table0, _, d0 = _minors_of(gamma)
+        table1, _, d1 = _minors_of(compose(gamma, psi))
+        tablel, _, dl = _minors_of(scale_jet(gamma, lam))
+        minor0, minor1, minorl = table0.minor, table1.minor, tablel.minor
         pow0, pow1, powl = ([d**e for e in range(top + 1)] for d in (d0, d1, dl))
         ratio = {wd: prod(l**w for l, w in zip(lam, (wd,) if isinstance(wd, int) else wd))
                  for wd in degrees}

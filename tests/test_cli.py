@@ -494,6 +494,8 @@ GOLDEN_STDOUT = {
     "generators --n 3 --k 4 --verify --trials 2 --seed 5": "a881de2b2eb38c2118347b77167b033afddc683f90cf2ae1f4c779419ed46871",
     "test-curve --p 1 --k 3 --n 2 --symbolic": "a585897fc2c4c416cd52a91a52292571403134b995ec4523ec2693507de5d59f",
     "test-curve --p 2 --k 2 --n 2 --symbolic": "a2ee1569374d86fa9391b2da00b205c6988d3805695dfbce9c60ef4291413fed",
+    "generators --n 4 --k 3 --verify --trials 3 --seed 5": "622f91d095b6fc39f5f5ac9357630423045ca922a6247a5580e1db6a4b130526",
+    "generators --p 2 --n 4 --k 2": "691e08a0781db70893a03cfa8fb9b754433ed58161346bab8e955c2119759f81",
 }
 
 

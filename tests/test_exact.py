@@ -367,6 +367,44 @@ def test_minor_table_repeated_rows_and_shape():
         table.minor([0, 1], [0])
 
 
+_XY = PolyRing(["x", "y"])
+_x, _y = _XY.var("x"), _XY.var("y")
+
+
+def test_packed_minor_reaches_the_width_bound():
+    """B = 2 + 2 = 4 and the minor is x^4: packed in (B - 1).bit_length() = 2
+    bits, the exponent 4 would carry out of its field."""
+    table = MinorTable(_sparse_columns([[_x**2, 0], [0, _x**2]]))
+    assert table.minor([0, 1], [0, 1]) == _x**4 == -table.minor([1, 0], [0, 1])
+    assert Matrix([[0, _x**2], [_y**2, 0]]).det() == -(_x**2) * _y**2
+
+
+def test_vanishing_polynomial_minor_is_falsy_and_zero():
+    cancelled = MinorTable(_sparse_columns([[_x, _y], [_x, _y]])).minor([0, 1], [0, 1])
+    structural = MinorTable(_sparse_columns([[_x, 0], [_y, 0]])).minor([0, 1], [0, 1])
+    for minor in (cancelled, structural):
+        assert isinstance(minor, SparsePolynomial) and not minor and minor == 0
+
+
+def test_minor_table_rejects_entries_from_two_rings():
+    z = PolyRing(["z"]).var("z")
+    with pytest.raises(ValueError):
+        MinorTable([{0: _x}, {1: z}])
+    with pytest.raises(ValueError):
+        Matrix([[_x, 1], [0, z]]).det()
+
+
+def test_det_return_types():
+    """A rational matrix has a Fraction determinant, ints in or not; a
+    matrix with a polynomial entry has a polynomial one, even when it is
+    constant or zero."""
+    for data in ([[1, 2], [3, 4]], [[Fraction(1, 2), 0], [0, 2]], [[0, 0], [0, 0]]):
+        assert type(Matrix(data).det()) is Fraction
+    for data, det in (([[_x, 2], [0, _x]], _x**2), ([[1, _x], [0, 1]], 1), ([[_x, 0], [_y, 0]], 0)):
+        value = Matrix(data).det()
+        assert type(value) is SparsePolynomial and value == det
+
+
 # -- properties of the shared sparse product --------------------------------
 
 _RING = PolyRing(["x", "y"])

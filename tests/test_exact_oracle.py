@@ -115,15 +115,42 @@ def _to_sympy(f):
                 for e, c in f.terms.items()), sympy.Integer(0))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(st.integers(1, 4).flatmap(
-    lambda n: st.tuples(st.lists(st.lists(_polys, min_size=n, max_size=n), min_size=n, max_size=n),
-                        st.permutations(range(n)), st.integers(1, n))))
+# polynomials, rationals and ints side by side in one column
+_cells = st.one_of(_polys, st.integers(-3, 3),
+                   st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)))
+
+
+@st.composite
+def _minor_cases(draw):
+    """A square matrix with scalars and polynomials mixed in its columns, a
+    row list in any order and with repeats, and B or None.  Half the time
+    each column j also holds x^d_j on a permuted diagonal, above the x-degree
+    2 of every other entry and at least its total degree 4; then B = sum d_j
+    is the table's packing bound, and the full determinant has the term
+    x^B."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(_cells, min_size=n, max_size=n), min_size=n, max_size=n))
+    bound = None
+    if draw(st.booleans()):
+        degrees = draw(st.lists(st.integers(4, 6), min_size=n, max_size=n))
+        for j, (i, d) in enumerate(zip(draw(st.permutations(range(n))), degrees)):
+            a[i][j] = _RING.var("x") ** d
+        bound = sum(degrees)
+    s = draw(st.integers(1, n))
+    rows = draw(st.one_of(st.permutations(range(n)).map(lambda order: order[:s]),
+                          st.lists(st.integers(0, n - 1), min_size=s, max_size=s)))
+    return a, rows, bound
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_minor_cases())
 def test_polynomial_minors_agree_with_sympy(case):
-    a, order, s = case
+    a, rows, bound = case
     oracle = sympy.Matrix([[_to_sympy(x) for x in row] for row in a])
-    assert sympy.expand(_to_sympy(Matrix(a).det()) - oracle.det(method="berkowitz")) == 0
-    rows = order[:s]
+    det = Matrix(a).det()
+    assert sympy.expand(_to_sympy(det) - oracle.det(method="berkowitz")) == 0
+    if bound is not None:
+        assert (bound, 0) in det.terms
     table = MinorTable([{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(len(a))])
-    minor = oracle.extract(list(rows), list(range(s))).det(method="berkowitz")
-    assert sympy.expand(_to_sympy(table.minor(rows, range(s))) - minor) == 0
+    minor = oracle.extract(list(rows), list(range(len(rows)))).det(method="berkowitz")
+    assert sympy.expand(_to_sympy(table.minor(rows, range(len(rows)))) - minor) == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetinv.embedding import phi
-from jetinv.exact import Matrix, PolyRing, SparsePolynomial, kernel_basis, rank
+from jetinv.exact import Matrix, MinorTable, PolyRing, SparsePolynomial, kernel_basis, rank
 from jetinv.jets import (
     JetMap,
     compose,
@@ -458,19 +458,37 @@ _INT_POLYS = st.dictionaries(
 _NONZERO_RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool)
 
 
+def _packed_keys(*polys):
+    """The dedup keys of polys packed by one MinorTable, as generator_set
+    keys its candidates."""
+    table = MinorTable([dict(enumerate(polys))])
+    return [_dedup_key(table.packed([i], [0])) for i in range(len(polys))]
+
+
 @_property
 @given(_INT_POLYS, _NONZERO_RATIONALS)
 def test_dedup_key_ignores_rational_scalars(f, c):
     g = f * c.denominator  # so that c * g has integer coefficients too
     cg = SparsePolynomial(_KEY_RING, {e: int(c * v) for e, v in g.terms.items()})
-    assert cg == g * c and _dedup_key(cg) == _dedup_key(g) == _dedup_key(f)
+    key_cg, key_g, key_f = _packed_keys(cg, g, f)
+    assert cg == g * c and key_cg == key_g == key_f
 
 
 @_property
 @given(_INT_POLYS, _INT_POLYS)
 def test_dedup_key_separates_non_proportional_polynomials(f, g):
     (_, a), (_, b) = f.leading_term(), g.leading_term()
-    assert (_dedup_key(f) == _dedup_key(g)) == (f * b == g * a)
+    key_f, key_g = _packed_keys(f, g)
+    assert (key_f == key_g) == (f * b == g * a)
+
+
+def test_generator_set_shares_one_tuple_per_monomial():
+    """Equal exponent tuples across one call are one object, so the JSON
+    writer's identity memo writes each monomial once."""
+    gens = generator_set(3, 3)
+    first = {}
+    assert all(first.setdefault(e, e) is e for g in gens for e in g.poly.terms)
+    assert len(first) < sum(len(g.poly.terms) for g in gens)
 
 
 def test_generator_set_3_4_counts_and_fraction_coefficients():
