@@ -28,23 +28,23 @@ Minor tables, the jet embedding and the test-curve systems scale through
 scale back out of each finished entry with ``divided``.  ``primitive`` is
 the one division by the content: it keys integer vectors up to rational
 scale, for generator dedup and for the stabilizer rows.
-Division-free minors, for polynomial entries and for the many minors of one
-matrix that invariance checks read, come from one ``MinorTable`` per matrix:
-Laplace expansion along the last column, with every sub-minor computed once
-and shared by all the minors whose columns extend it.  A table of polynomial
-entries packs each exponent vector into one int, with fields wide enough for
-the largest total degree any of its minors can reach, so exponents add as
-ints without carrying; packing is injective, so generator dedup keys the
-packed terms and unpacks only the minors it keeps, each distinct monomial as
-one tuple per table.
+Division-free minors, for polynomial entries and for the many minors that
+invariance checks read, come from one ``MinorPlan`` per query list, its
+Laplace sub-minors shared by all minors whose columns extend them, evaluated
+by one ``MinorTable`` per matrix.  A polynomial table packs each exponent
+vector into one int, with fields wide enough for any of its minors, so
+exponents add as ints without carrying; packing is injective, so generator
+dedup keys the packed terms and unpacks only the minors it keeps.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
-from operator import add, lshift
+from collections import defaultdict
+from functools import reduce
+from itertools import compress, filterfalse
+from operator import add, lshift, mul, neg, or_
 from typing import Iterator, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -616,109 +616,139 @@ def _det_bareiss(rows: Sequence[Sequence[Scalar]]) -> Fraction:
     return Fraction(sign) * ech[n - 1][pivots[-1]] / scale
 
 
+class MinorPlan:
+    """The Laplace structure of minor queries (rows in any order, a column
+    tuple) on matrices whose nonzeros lie in supports, one row bitmask per
+    column.  det(R; c_1..c_s) = sum_i (-1)^(i+s) a[R_i][c_s] det(R - R_i;
+    c_1..c_{s-1}): a node is a column prefix and a row mask R, and level s
+    lists those of s columns as (c_s, cells 2 R_i + 1 if the sign is negative
+    else 2 R_i, child indices in level s - 1) over the R_i in c_s's support.
+    Childless nodes are structurally zero and pruned: a query on one, or on
+    repeated rows, reads 0; one on rows in odd order is negated."""
+
+    def __init__(self, queries: Sequence[tuple[Sequence[int], Sequence[int]]], supports: Sequence[int]):
+        self.supports, self.count = list(supports), len(queries)
+        top = max((len(cols) for _, cols in queries), default=0)
+        wanted, asked = [{} for _ in range(top + 1)], [[] for _ in range(top + 1)]  # per level
+        for q, (rows, cols) in enumerate(queries):
+            if len(rows) != len(cols):
+                raise ValueError("a minor needs as many rows as columns")
+            mask = odd = 0
+            for r in rows:
+                odd ^= (mask >> r).bit_count() & 1
+                mask |= 1 << r
+            wanted[len(cols)].setdefault(cols := tuple(cols), {})[mask] = None
+            asked[len(cols)].append((q, cols, mask, bool(odd)))
+        for s in range(top, 0, -1):  # each node's terms (cell, child mask), the children wanted below
+            for cols, masks in wanted[s].items():
+                below = wanted[s - 1].setdefault(cols[:-1], {})
+                reach = reduce(or_, map(self.supports.__getitem__, cols[:-1]), 0)
+                for mask in masks:
+                    off, terms = mask & ~reach, []  # a row the other columns miss must go here
+                    m = mask & self.supports[cols[-1]] & (off or -1) if not off & (off - 1) else 0
+                    while m:
+                        m ^= (bit := m & -m)
+                        below[mask ^ bit] = None
+                        negative = ((mask & (bit - 1)).bit_count() + s) % 2 == 0
+                        terms.append((2 * bit.bit_length() - 2 + negative, mask ^ bit))
+                    masks[mask] = terms
+        index, self.levels, self.reads = {(): {0: 0}}, [], [[(q, 0, odd) for q, _, _, odd in asked[0]]]
+        for s in range(1, top + 1):
+            nodes, found = [], {}
+            for cols, masks in wanted[s].items():
+                below, at = index.get(cols[:-1], {}), found.setdefault(cols, {})
+                for mask, terms in masks.items():
+                    if live := [(cell, below[m]) for cell, m in terms if m in below]:
+                        at[mask] = len(nodes)
+                        nodes.append((cols[-1], *zip(*live)))
+            self.levels.append(nodes)
+            self.reads.append([(q, found.get(c, {}).get(m), odd) for q, c, m, odd in asked[s]])
+            index = found
+
+
 class MinorTable:
     """Division-free minors of one matrix given by sparse columns, over any
-    commutative ring.
+    commutative ring, read off a ``MinorPlan`` level by level with only the
+    level below kept.  Column c holds the entry of row r and its negative at
+    cells 2r and 2r + 1; ``supports[c]`` is its row bitmask, and a nonzero
+    outside the plan's supports raises ValueError.
 
-    Expanding along the last column, det(R; c_1..c_s) = sum_i (-1)^(i+s)
-    a[R_i][c_s] det(R minus R_i; c_1..c_{s-1}), so minors whose column tuples
-    share a prefix share sub-minors.  One memo per column prefix, keyed by
-    the sorted row tuple, holds each once; zero entries and zero sub-minors
-    are skipped.
-
-    A table with polynomial entries, all from one ring, expands them on
-    packed monomials: an exponent vector e becomes the int sum_i e_i << (w*i),
-    with w the bit length of B, the sum over the columns of the largest total
-    degree of an entry in that column (a scalar has degree 0).  Every exponent
-    of a monomial of a minor is at most its total degree, at most B < 2^w, so
-    no field carries and pack(e1) + pack(e2) = pack(e1 + e2): each product
-    x * rest is added term by term into the minor's one int-keyed term map.
-    Packing is injective, so two packed term maps are proportional iff their
-    polynomials are.  ``minor`` unpacks through one dict per table, so every
-    polynomial it returns holds one tuple object per distinct monomial; a
-    vanishing one is the zero polynomial.  A scalar table returns scalars.
-    """
+    Polynomial entries, all from one ring, are packed: exponent vector e is
+    the int sum_i e_i << (w*i), w the bit length of B, the sum over the
+    columns of their largest entry degree (a scalar has degree 0).  Exponents
+    of a minor are at most B < 2^w, so no field carries, pack(e1) + pack(e2)
+    = pack(e1 + e2), and packed term maps are proportional iff their
+    polynomials are.  ``unpack`` goes through one dict per table, one tuple
+    per distinct monomial; a vanishing minor is the zero polynomial."""
 
     def __init__(self, columns: Sequence[Mapping[int, Coef]]):
         rings = {x.ring for col in columns for x in col.values() if isinstance(x, SparsePolynomial)}
         if len(rings) > 1:
             raise ValueError("minor table entries from more than one ring")
-        self.ring, self.columns, one = next(iter(rings), None), columns, 1
+        self.ring, self.zero = next(iter(rings), None), 0
+        self.supports = [sum(1 << r for r, x in col.items() if x) for col in columns]
+        self.negative = neg if self.ring is None else (lambda x: {e: -c for e, c in x.items()})
         if self.ring is not None:
             bound = sum(max((sum(e) for x in col.values() if isinstance(x, SparsePolynomial)
                              for e in x.terms), default=0) for col in columns)
-            width = bound.bit_length()
+            width, self.zero = bound.bit_length(), {}
             self.shifts, self.mask = [width * i for i in range(len(self.ring))], (1 << width) - 1
             self.monomials: dict[int, tuple[int, ...]] = {}
-            self.columns = [{r: {sum(map(lshift, e, self.shifts)): c for e, c in x.terms.items()}
-                             if isinstance(x, SparsePolynomial) else {0: x}
-                             for r, x in col.items() if x} for col in columns]
-            one = {0: 1}
-        self.memo: dict[tuple[int, ...], dict[tuple[int, ...], Coef]] = {(): {(): one}}
+            columns = [{r: {sum(map(lshift, e, self.shifts)): c for e, c in x.terms.items()}
+                        if isinstance(x, SparsePolynomial) else {0: x}
+                        for r, x in col.items() if x} for col in columns]
+        self.cells = [defaultdict(int, {2 * r + h: self.negative(x) if h else x
+                                        for r, x in c.items() if x for h in (0, 1)}) for c in columns]
 
-    def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Coef:
-        """The minor on rows, in the given order, and columns cols."""
-        key = tuple(sorted(rows))
-        value = self.packed(key, cols)
-        odd = key != tuple(rows) and sum(a > b for i, a in enumerate(rows)
-                                         for b in rows[i + 1:]) % 2
-        return (-value if odd else value) if self.ring is None else self._unpack(value, odd)
+    def minors(self, plan: MinorPlan) -> list[Coef]:
+        """The minors of plan's queries, in query order."""
+        out = dict(self.packed(plan))
+        return [out[q] if self.ring is None else self.unpack(out[q]) for q in range(plan.count)]
 
-    def packed(self, rows: Sequence[int], cols: Sequence[int]) -> Coef | dict[int, Scalar]:
-        """The minor on the sorted rows and columns cols, so up to the sign
-        of the row order: in a polynomial table, its packed term map."""
-        key, cols = tuple(sorted(rows)), tuple(cols)
-        if len(key) != len(cols):
-            raise ValueError("a minor needs as many rows as columns")
-        value = self.memo.get(cols, {}).get(key)
-        return self._minor(cols, key) if value is None else value
+    def packed(self, plan: MinorPlan) -> Iterator[tuple[int, Coef | dict[int, Scalar]]]:
+        """(query, minor) for each query of plan, level by level as each
+        completes, in query order within a level; in a polynomial table the
+        minor is its packed term map."""
+        if any(mine & ~theirs for mine, theirs in zip(self.supports, plan.supports)):
+            raise ValueError("a column has a nonzero entry outside the plan's support")
+        values: list = [1 if self.ring is None else {0: 1}]
+        for s, reads in enumerate(plan.reads):
+            if s and self.ring is None:
+                get = values.__getitem__
+                values = [sum(map(mul, map(self.cells[col].__getitem__, cells), map(get, kids)))
+                          for col, cells, kids in plan.levels[s - 1]]
+            elif s:
+                values = [self._expand(self.cells[c], values, *node) for c, *node in plan.levels[s - 1]]
+            yield from ((q, self.zero if j is None else self.negative(values[j]) if odd else values[j])
+                        for q, j, odd in reads)
 
-    def _unpack(self, terms: Mapping[int, Scalar], negate: bool = False) -> SparsePolynomial:
-        """The polynomial of a packed term map of this table, or its negative."""
-        monomials = self.monomials
-        for e in terms:
-            if e not in monomials:
-                monomials[e] = tuple([e >> s & self.mask for s in self.shifts])
-        return SparsePolynomial(self.ring, {monomials[e]: -c if negate else c
-                                            for e, c in terms.items()})
-
-    def _minor(self, cols: tuple[int, ...], rows: tuple[int, ...]) -> Coef | dict[int, Scalar]:
-        column, sub = self.columns[cols[-1]], cols[:-1]
-        known = self.memo.setdefault(sub, {})
-        packed = self.ring is not None
-        acc = {} if packed else 0
-        negate = not len(rows) % 2  # the sign (-1)^(i+s) at i = 1
-        for i, r in enumerate(rows):
-            x = column.get(r)
-            if x:
-                rest_rows = rows[:i] + rows[i + 1:]
-                rest = known.get(rest_rows)
-                if rest is None:
-                    rest = self._minor(sub, rest_rows)
-                if rest and packed:
-                    for e1, c1 in x.items():
-                        if negate:
-                            c1 = -c1
-                        for e2, c2 in rest.items():
-                            e = e1 + e2
-                            cur = acc.get(e)
-                            if cur is None:
-                                acc[e] = c1 * c2
-                            elif s := cur + c1 * c2:
-                                acc[e] = s
-                            else:
-                                del acc[e]
-                elif rest:
-                    acc = acc - x * rest if negate else acc + x * rest
-            negate = not negate
-        self.memo.setdefault(cols, {})[rows] = acc
+    @staticmethod
+    def _expand(column: Mapping, below: list, cells: list[int], kids: list[int]) -> dict[int, Scalar]:
+        acc: dict[int, Scalar] = {}
+        for i, j in zip(cells, kids):
+            if (x := column[i]) and (rest := below[j]):
+                for e1, c1 in x.items():
+                    for e2, c2 in rest.items():
+                        e = e1 + e2
+                        cur = acc.get(e)
+                        if cur is None:
+                            acc[e] = c1 * c2
+                        elif s := cur + c1 * c2:
+                            acc[e] = s
+                        else:
+                            del acc[e]
         return acc
+
+    def unpack(self, terms: Mapping[int, Scalar]) -> SparsePolynomial:
+        """The polynomial of a packed term map of this table."""
+        for e in filterfalse(self.monomials.__contains__, terms):
+            self.monomials[e] = tuple([e >> s & self.mask for s in self.shifts])
+        return SparsePolynomial(self.ring, {self.monomials[e]: c for e, c in terms.items()})
 
 
 def _det_laplace(data: Sequence[Sequence[Coef]]) -> Coef:
     """Division-free determinant of a dense square matrix, off a MinorTable."""
     n = len(data)
-    columns = [{i: row[j] for i, row in enumerate(data) if row[j]} for j in range(n)]
-    det = MinorTable(columns).minor(range(n), range(n))
+    table = MinorTable([{i: row[j] for i, row in enumerate(data) if row[j]} for j in range(n)])
+    det, = table.minors(MinorPlan([(range(n), range(n))], table.supports))
     return det if isinstance(det, SparsePolynomial) else rat(det)
-

@@ -12,9 +12,9 @@ Invariance checks default to exact evaluation at random rational points: a
 polynomial identity that fails does so outside a measure-zero set, so any
 failing generator is refuted with probability 1 per trial, and the identity
 direction is additionally provable symbolically at small k.  Evaluation goes
-through the minor's provenance: the columns of every generator are a prefix of
-the embedded matrix's, so one ``MinorTable`` per embedded matrix reads them
-all.  Every matrix is tabled in integers, as ``embedding.phi_integral`` of
+through the minor's provenance: one ``MinorPlan`` per generator list, on the
+supports that ``phi_integral`` keeps for every jet, serves every trial
+matrix.  Each matrix is tabled in integers, as ``embedding.phi_integral`` of
 the jet: row m of phi(D * gamma) is D^|m| times row m of phi(gamma), and a
 minor is linear in each row, so minor(R; J) = integer minor(R; J) / D^e, with
 e the summed degree of the row monomials R, exactly.  The random trials never
@@ -42,6 +42,7 @@ from typing import Mapping
 
 from .exact import (
     Matrix,
+    MinorPlan,
     MinorTable,
     PolyRing,
     ResourceLimitError,
@@ -90,8 +91,7 @@ class InvariantPoly:
     @property
     def poly(self) -> SparsePolynomial:
         if self._poly is None:
-            gamma, _ = symbolic_jet(self.p, self.n, self.k)
-            self._poly = _minors_of(gamma)[1](*self.positions())
+            self._poly = _exact_minor(symbolic_jet(self.p, self.n, self.k)[0], *self.positions())
         return self._poly
 
     def positions(self) -> tuple[list[int], list[int]]:
@@ -108,18 +108,13 @@ class InvariantPoly:
         }
 
 
-def _minors_of(gamma: JetMap):
-    """(table, exact, D): the MinorTable of ``phi_integral(gamma)``, whose
-    minors are those of phi(D * gamma), and the reader (row positions, column
-    positions) -> minor of phi(gamma); table minor = exact * D^e, e the rows'
-    summed degree."""
+def _exact_minor(gamma: JetMap, rows, cols) -> SparsePolynomial | Fraction:
+    """The minor of phi(gamma) on row and column positions: that of
+    ``phi_integral(gamma)``, i.e. of phi(D * gamma), over D^(rows' degree)."""
     columns, d = phi_integral(gamma)
     table = MinorTable(columns)
-    degree = sym_basis(gamma.q, gamma.k).degree_of
-
-    def exact(rows, cols):
-        return divided(table.minor(rows, cols), d ** sum(map(degree, rows)))
-    return table, exact, d
+    minor, = table.minors(MinorPlan([(rows, cols)], table.supports))
+    return divided(minor, d ** sum(map(sym_basis(gamma.q, gamma.k).degree_of, rows)))
 
 
 def _dedup_key(terms: Mapping[object, int]) -> tuple:
@@ -227,21 +222,19 @@ def generator_set(
     for pos, m in enumerate(basis.monomials):
         positions_by_degree.setdefault(len(m), []).append(pos)
     domain = sym_basis(p, k).exponents
-    table, exact, _ = _minors_of(symbolic_jet(p, n, k)[0]) if materialize else (None,) * 3
-    out: list[InvariantPoly] = []
-    seen: set[tuple] = set()
-    for c, wd in families:
-        cols = tuple(domain[: len(c)])
-        for rows in _staircase_row_sets(positions_by_degree, c):
-            if materialize:
-                terms = table.packed(rows, range(len(c)))
-                if not terms or (key := _dedup_key(terms)) in seen:
-                    continue
+    where = [(rows, len(c), wd) for c, wd in families
+             for rows in _staircase_row_sets(positions_by_degree, c)]
+    kept = dict.fromkeys(range(len(where)))  # candidate -> its polynomial, once expanded
+    if materialize:
+        columns, d = phi_integral(symbolic_jet(p, n, k)[0])
+        table, seen, kept = MinorTable(columns), set(), {}
+        for q, terms in table.packed(MinorPlan([(rows, range(s)) for rows, s, _ in where], table.supports)):
+            if terms and (key := _dedup_key(terms)) not in seen:
                 seen.add(key)
-            out.append(InvariantPoly(n=n, k=k, p=p, rows=tuple(map(basis.monomial_at, rows)),
-                                     cols=cols, weighted_degree=wd,
-                                     _poly=exact(rows, range(len(c))) if materialize else None))
-    return out
+                kept[q] = divided(table.unpack(terms), d ** sum(map(basis.degree_of, where[q][0])))
+    return [InvariantPoly(n=n, k=k, p=p, rows=tuple(map(basis.monomial_at, where[q][0])),
+                          cols=tuple(domain[: where[q][1]]), weighted_degree=where[q][2], _poly=poly)
+            for q, poly in kept.items()]
 
 
 def scale_jet(jet: JetMap, lam: tuple[Fraction, ...]) -> JetMap:
@@ -276,7 +269,15 @@ def verify_invariance_symbolic(q: InvariantPoly) -> bool:
     psi = JetMap(1, 1, q.k, {(i,): (ring.var(f"a{i}") if i > 1 else ring.one(),)
                              for i in range(1, q.k + 1)})
     where = q.positions()
-    return _minors_of(gamma)[1](*where) == _minors_of(compose(gamma, psi))[1](*where)
+    return _exact_minor(gamma, *where) == _exact_minor(compose(gamma, psi), *where)
+
+
+def _trial_plan(gens: list[InvariantPoly]) -> MinorPlan:
+    """The generators' plan on the supports ``phi_integral`` keeps for every
+    jet: row m can be nonzero in column s only if |m| <= |s|."""
+    n, k, p = gens[0].n, gens[0].k, gens[0].p
+    return MinorPlan([g.positions() for g in gens],
+                     [(1 << sym_dim(n, sum(s))) - 1 for s in sym_basis(p, k).exponents])
 
 
 def verify_generator_suite(
@@ -293,7 +294,7 @@ def verify_generator_suite(
     degree under the torus.  The first discrepancy is returned as a witness
     whose "kind" names the failed check.
 
-    The values are compared in the integer scale of ``_minors_of``: with I
+    The values are compared in the integer scale of ``phi_integral``: with I
     the integer minor and D the scale of each jet, I0 / D0^e == I1 / D1^e
     iff I0 * D1^e == I1 * D0^e, and lambda^w = num / den is read once per
     trial and weighted degree.
@@ -303,8 +304,7 @@ def verify_generator_suite(
     if not gens:
         raise ValueError("need at least one generator to verify, got none")
     n, k, p = gens[0].n, gens[0].k, gens[0].p
-    where = [(g.positions(), sum(map(len, g.rows))) for g in gens]
-    top = max(e for _, e in where)
+    plan, exps = _trial_plan(gens), [sum(map(len, g.rows)) for g in gens]
     degrees = {g.weighted_degree for g in gens}
     rng = random.Random(seed)
     witness = None
@@ -312,18 +312,16 @@ def verify_generator_suite(
         gamma = random_jet(rng, p, n, k, bound=TRIAL_BOUND)
         psi = random_reparam(rng, p, k, bound=TRIAL_BOUND, unipotent=(p == 1), special=(p > 1))
         lam = tuple(_nonzero_rational(rng) for _ in range(p))
-        table0, _, d0 = _minors_of(gamma)
-        table1, _, d1 = _minors_of(compose(gamma, psi))
-        tablel, _, dl = _minors_of(scale_jet(gamma, lam))
-        minor0, minor1, minorl = table0.minor, table1.minor, tablel.minor
-        pow0, pow1, powl = ([d**e for e in range(top + 1)] for d in (d0, d1, dl))
+        (minor0, pow0), (minor1, pow1), (minorl, powl) = (
+            (MinorTable(columns).minors(plan), [d**e for e in range(max(exps) + 1)])
+            for columns, d in map(phi_integral, (gamma, compose(gamma, psi), scale_jet(gamma, lam))))
         ratio = {wd: prod(l**w for l, w in zip(lam, (wd,) if isinstance(wd, int) else wd))
                  for wd in degrees}
-        for g, ((rows, cols), e) in zip(gens, where):
-            i0, r = minor0(rows, cols), ratio[g.weighted_degree]
-            if i0 * pow1[e] != minor1(rows, cols) * pow0[e]:
+        for g, i0, i1, il, e in zip(gens, minor0, minor1, minorl, exps):
+            r = ratio[g.weighted_degree]
+            if i0 * pow1[e] != i1 * pow0[e]:
                 kind = "invariance"
-            elif minorl(rows, cols) * pow0[e] * r.denominator != i0 * powl[e] * r.numerator:
+            elif il * pow0[e] * r.denominator != i0 * powl[e] * r.numerator:
                 kind = "homogeneity"
             else:
                 continue
@@ -458,8 +456,6 @@ def solution_space_equals_perp(gamma: JetMap, N: int = 1,
     check and rank the system of the integral jet D * gamma instead: its D
     is 1, every entry is an int, and every compare is an int compare.
     """
-    from . import symbasis
-
     sysm = system if system is not None else test_curve_system(gamma, N)
     basis = sym_basis(gamma.q, gamma.k)
     columns, d = phi_integral(gamma)
@@ -468,7 +464,7 @@ def solution_space_equals_perp(gamma: JetMap, N: int = 1,
     shape = (sysm.row_index, sysm.col_index, sysm.matrix.rows, sysm.matrix.cols)
     if shape != (rows, cols, len(rows), len(cols)):
         return False
-    weights = [symbasis.orderings_count(m) * d ** len(m) for m in basis.monomials]
+    weights = [w * d ** len(m) for w, m in zip(basis.orderings, basis.monomials)]
     for i, row in enumerate(sysm.matrix.data):
         c = i % N
         expected = {pos * N + c: val for pos, val in columns[i // N].items()}

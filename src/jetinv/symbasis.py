@@ -16,7 +16,7 @@ groups the basis into degree blocks.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 
 Monomial = tuple[int, ...]
@@ -76,6 +76,10 @@ class SymBasis:
 
     def __len__(self) -> int:
         return len(self.monomials)
+
+    @cached_property
+    def orderings(self) -> list[int]:
+        return [orderings_count(m) for m in self.monomials]
 
     def index_of(self, m: Monomial) -> int:
         return self.position[m]

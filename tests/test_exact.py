@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from jetinv.exact import (
     Matrix,
+    MinorPlan,
     MinorTable,
     PolyRing,
     SparsePolynomial,
@@ -336,6 +337,11 @@ def _sparse_columns(a):
     return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(len(a[0]))]
 
 
+def _minor(table, rows, cols):
+    """One minor off a one-query plan on the table's own supports."""
+    return table.minors(MinorPlan([(rows, cols)], table.supports))[0]
+
+
 @st.composite
 def _matrix_with_minors(draw):
     """A zero-heavy matrix and minor queries on it: row lists in any order
@@ -352,19 +358,59 @@ def _matrix_with_minors(draw):
 @given(_matrix_with_minors())
 def test_minor_table_equals_bareiss_on_every_prefix_minor(case):
     a, queries = case
-    table = MinorTable(_sparse_columns(a))  # one table shared by all queries
-    for rows in queries:
+    table = MinorTable(_sparse_columns(a))  # one plan on its supports for all queries
+    minors = table.minors(MinorPlan([(rows, range(len(rows))) for rows in queries], table.supports))
+    for rows, minor in zip(queries, minors):
         s = len(rows)
-        expected = Matrix([[a[r][j] for j in range(s)] for r in rows]).det()
-        assert table.minor(rows, range(s)) == expected
+        assert minor == Matrix([[a[r][j] for j in range(s)] for r in rows]).det()
+
+
+@st.composite
+def _matrices_on_one_support(draw):
+    """A row support per column, zero-heavy matrices whose nonzeros lie in
+    it, and queries of any row order, repeated rows included, on column
+    tuples of any order."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    inside = draw(st.lists(st.lists(st.booleans(), min_size=ncols, max_size=ncols),
+                           min_size=nrows, max_size=nrows))
+    supports = [sum(1 << r for r in range(nrows) if inside[r][j]) for j in range(ncols)]
+    matrices = draw(st.lists(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols),
+                                      min_size=nrows, max_size=nrows), min_size=1, max_size=4))
+    matrices = [[[x if inside[r][j] else Fraction(0) for j, x in enumerate(row)]
+                 for r, row in enumerate(a)] for a in matrices]
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        s = draw(st.integers(1, min(nrows, ncols)))
+        rows = draw(st.one_of(st.permutations(range(nrows)).map(lambda order: order[:s]),
+                              st.lists(st.integers(0, nrows - 1), min_size=s, max_size=s)))
+        queries.append((rows, draw(st.permutations(range(ncols)))[:s]))
+    return supports, matrices, queries
+
+
+@_property
+@given(_matrices_on_one_support())
+def test_one_plan_shared_by_matrices_on_its_support_equals_bareiss(case):
+    supports, matrices, queries = case
+    plan = MinorPlan(queries, supports)
+    for a in matrices:
+        minors = MinorTable(_sparse_columns(a)).minors(plan)
+        for (rows, cols), minor in zip(queries, minors):
+            assert minor == Matrix([[a[r][j] for j in cols] for r in rows]).det()
+
+
+def test_a_nonzero_outside_the_plan_support_raises():
+    plan = MinorPlan([([0, 1], [0, 1])], [0b01, 0b11])
+    assert MinorTable([{0: 2}, {0: 1, 1: 3}]).minors(plan) == [6]
+    with pytest.raises(ValueError, match="support"):
+        MinorTable([{0: 2, 1: 5}, {0: 1, 1: 3}]).minors(plan)
 
 
 def test_minor_table_repeated_rows_and_shape():
     table = MinorTable(_sparse_columns([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]))
-    assert table.minor([1, 1], [0, 1]) == 0
-    assert table.minor([1, 0], [0, 1]) == 2 == -table.minor([0, 1], [0, 1])
+    assert _minor(table, [1, 1], [0, 1]) == 0
+    assert _minor(table, [1, 0], [0, 1]) == 2 == -_minor(table, [0, 1], [0, 1])
     with pytest.raises(ValueError):
-        table.minor([0, 1], [0])
+        MinorPlan([([0, 1], [0])], table.supports)
 
 
 _XY = PolyRing(["x", "y"])
@@ -375,13 +421,13 @@ def test_packed_minor_reaches_the_width_bound():
     """B = 2 + 2 = 4 and the minor is x^4: packed in (B - 1).bit_length() = 2
     bits, the exponent 4 would carry out of its field."""
     table = MinorTable(_sparse_columns([[_x**2, 0], [0, _x**2]]))
-    assert table.minor([0, 1], [0, 1]) == _x**4 == -table.minor([1, 0], [0, 1])
+    assert _minor(table, [0, 1], [0, 1]) == _x**4 == -_minor(table, [1, 0], [0, 1])
     assert Matrix([[0, _x**2], [_y**2, 0]]).det() == -(_x**2) * _y**2
 
 
 def test_vanishing_polynomial_minor_is_falsy_and_zero():
-    cancelled = MinorTable(_sparse_columns([[_x, _y], [_x, _y]])).minor([0, 1], [0, 1])
-    structural = MinorTable(_sparse_columns([[_x, 0], [_y, 0]])).minor([0, 1], [0, 1])
+    cancelled = _minor(MinorTable(_sparse_columns([[_x, _y], [_x, _y]])), [0, 1], [0, 1])
+    structural = _minor(MinorTable(_sparse_columns([[_x, 0], [_y, 0]])), [0, 1], [0, 1])
     for minor in (cancelled, structural):
         assert isinstance(minor, SparsePolynomial) and not minor and minor == 0
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetinv.exact import Matrix, MinorTable, PolyRing, SparsePolynomial, kernel_basis, rank
+from jetinv.exact import Matrix, MinorPlan, MinorTable, PolyRing, SparsePolynomial, kernel_basis, rank
 
 sympy = pytest.importorskip("sympy")
 
@@ -153,4 +153,5 @@ def test_polynomial_minors_agree_with_sympy(case):
         assert (bound, 0) in det.terms
     table = MinorTable([{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(len(a))])
     minor = oracle.extract(list(rows), list(range(len(rows)))).det(method="berkowitz")
-    assert sympy.expand(_to_sympy(table.minor(rows, range(len(rows)))) - minor) == 0
+    ours, = table.minors(MinorPlan([(rows, range(len(rows)))], table.supports))
+    assert sympy.expand(_to_sympy(ours) - minor) == 0

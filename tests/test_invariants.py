@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetinv.embedding import phi
-from jetinv.exact import Matrix, MinorTable, PolyRing, SparsePolynomial, kernel_basis, rank
+from jetinv.embedding import phi, phi_integral
+from jetinv.exact import Matrix, MinorPlan, MinorTable, PolyRing, SparsePolynomial, kernel_basis, rank
 from jetinv.jets import (
     JetMap,
     compose,
@@ -19,9 +19,11 @@ from jetinv.jets import (
 from jetinv.invariants import test_curve_system as curve_system
 from jetinv.invariants import (
     InvariantPoly,
+    TRIAL_BOUND,
     ResourceLimitError,
     _dedup_key,
     _generator_families,
+    _trial_plan,
     bulk_invariance_check,
     count_candidate_minors,
     generator_set,
@@ -141,6 +143,44 @@ def test_verify_suite_equals_the_rational_oracle(name, seed, trials):
     gens = _SUITES[name]
     assert verify_generator_suite(gens, trials=trials, seed=seed) == \
         verify_suite_in_rationals(gens, trials, seed)
+
+
+def _sparse_random_jet(zeroed):
+    """random_jet with the coordinates (coefficient index, coordinate) in
+    zeroed forced to 0, after the same draws."""
+    def draw(rng, p, q, k, bound=20, regular=False):
+        jet = random_jet(rng, p, q, k, bound=bound, regular=regular)
+        return JetMap(p, q, k, {s: tuple(Fraction(0) if (i, c) in zeroed else x for c, x in enumerate(vec))
+                                for i, (s, vec) in enumerate(jet.coeffs.items())})
+    return draw
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.sampled_from(sorted(_SUITES)), st.integers(0, 10**6), st.integers(1, 3),
+       st.sets(st.tuples(st.integers(0, 4), st.integers(0, 2)), max_size=6))
+def test_verify_suite_on_sparse_jets_equals_the_rational_oracle(name, seed, trials, zeroed):
+    """Jets with forced zero coefficients, the first coordinate of the first
+    coefficient always among them, give trial tables whose supports lie
+    strictly inside the structural supports of the shared plan; the report,
+    witness included, is still the rational oracle's."""
+    import oracles
+    from unittest import mock
+
+    gens, draw = _SUITES[name], _sparse_random_jet(zeroed | {(0, 0)})
+    first = draw(random.Random(seed), gens[0].p, gens[0].n, gens[0].k, bound=TRIAL_BOUND)
+    assert MinorTable(phi_integral(first)[0]).supports != _trial_plan(gens).supports
+    with mock.patch("jetinv.invariants.random_jet", draw), mock.patch.object(oracles, "random_jet", draw):
+        assert verify_generator_suite(gens, trials=trials, seed=seed) == \
+            verify_suite_in_rationals(gens, trials, seed)
+
+
+def test_trial_plan_of_the_3_4_generators():
+    """One plan for the 1,363 generators at (n, k) = (3, 4): 1,560 nodes with
+    the empty minor, where one recursive table per matrix memoized 2,747."""
+    plan = _trial_plan(generator_set(3, 4))
+    assert [len(level) for level in plan.levels] == [3, 21, 274, 1261]
+    assert sum(len(cells) for level in plan.levels for _, cells, _ in level) == 3247
+    assert 1 + sum(map(len, plan.levels)) == 1560 < 2747
 
 
 def test_verify_invariance_symbolic_small():
@@ -291,12 +331,11 @@ def test_solution_space_equals_perp():
 
 
 def test_solution_space_equals_perp_fails_on_misweighted_rows(monkeypatch):
-    import jetinv.symbasis
-
     g = random_jet(random.Random(31), 1, 3, 3, bound=7, regular=True)
     assert solution_space_equals_perp(g, 1)
     # unit weights break the monomial/hom pairing on coordinates such as u^(1,2)
-    monkeypatch.setattr(jetinv.symbasis, "orderings_count", lambda m: 1)
+    basis = sym_basis(3, 3)
+    monkeypatch.setattr(basis, "orderings", [1] * len(basis))
     assert not solution_space_equals_perp(g, 1)
 
 
@@ -462,7 +501,8 @@ def _packed_keys(*polys):
     """The dedup keys of polys packed by one MinorTable, as generator_set
     keys its candidates."""
     table = MinorTable([dict(enumerate(polys))])
-    return [_dedup_key(table.packed([i], [0])) for i in range(len(polys))]
+    plan = MinorPlan([([i], [0]) for i in range(len(polys))], table.supports)
+    return [_dedup_key(terms) for _, terms in table.packed(plan)]
 
 
 @_property
