@@ -72,19 +72,14 @@ def canonical_json(obj) -> str:
 
     An array is dispatched on its first item.  Empty, it is `[]`.  Its items
     are taken as all int only when the first is an int and the set of item
-    types is exactly {int}, and as all str likewise, so (True,) and (1.0,),
-    which equal (1,) as keys, never reach the memo of scalar arrays.  That
-    memo writes each such array once per (items, indent).
-
-    When the tuple that produced a memo text comes back as the same object,
-    the text is also filed in the identity memo, shared[indent][id(tuple)],
-    and every item of a mixed array is looked up there by id before it is
-    written: wedges share a few basis monomial objects among thousands of
-    factors.  This is sound because a filed tuple is held by the scalar
-    memo for the whole call and every item looked up is held by obj, so no
-    other live object can share its id."""
-    scalar_arrays: dict[tuple, tuple[object, str]] = {}  # key -> (first array, its text)
-    shared: defaultdict[str, dict[int, str]] = defaultdict(dict)  # indent -> id(tuple) -> text
+    types is exactly {int}, and as all str likewise; [1, true] and [1, 1.0]
+    are written item by item.  An all-int or all-str array is rendered once
+    per object and indent and filed in shared[indent][id(array)], where an
+    array led by an int or a str, and every item of a mixed array, is looked
+    up before it is written: wedges share a few basis monomial objects among
+    thousands of factors.  Every filed array and every item looked up is
+    held by obj for the whole call, so no two live objects share an id."""
+    shared: defaultdict[str, dict[int, str]] = defaultdict(dict)  # indent -> id(array) -> text
     heads: dict[tuple, list[tuple[str, str]]] = {}  # (*keys, indent) -> [(key, prefix)]
 
     def write(obj, newline: str) -> str:
@@ -96,23 +91,18 @@ def canonical_json(obj) -> str:
             if not obj:
                 return "[]"
             lead = type(obj[0])
-            if lead is int and set(map(type, obj)) == {int}:
-                encode = int.__repr__
-            elif lead is str and set(map(type, obj)) == {str}:
-                encode = encode_basestring_ascii
-            else:
-                memo = shared[inner]
-                return "[" + inner + ("," + inner).join([
-                    memo.get(id(x)) or write(x, inner) for x in obj
-                ]) + newline + "]"
-            key = (tuple(obj), newline)
-            first, text = scalar_arrays.get(key, (None, None))
-            if text is None:
-                text = "[" + inner + ("," + inner).join(map(encode, obj)) + newline + "]"
-                scalar_arrays[key] = (obj, text)
-            elif first is obj and type(obj) is tuple:
-                shared[newline][id(obj)] = text
-            return text
+            if lead is int or lead is str:
+                memo = shared[newline]
+                text = memo.get(id(obj))
+                if text is None and set(map(type, obj)) == {lead}:
+                    encode = int.__repr__ if lead is int else encode_basestring_ascii
+                    text = memo[id(obj)] = "[" + inner + ("," + inner).join(map(encode, obj)) + newline + "]"
+                if text is not None:
+                    return text
+            items = shared[inner]
+            return "[" + inner + ("," + inner).join([
+                items.get(id(x)) or write(x, inner) for x in obj
+            ]) + newline + "]"
         if isinstance(obj, dict):
             if not obj:
                 return "{}"

@@ -30,8 +30,8 @@ from operator import sub
 
 from .exact import (Matrix, add_into, divided, integral, rat, rat_str, row_space_basis,
                     sparse_product)
-from .jets import JetMap, flat_jet
-from .symbasis import Exponent, Monomial, SymBasis, sym_basis
+from .jets import JetMap, flat_jet, powers
+from .symbasis import Exponent, SymBasis, sym_basis
 
 
 @lru_cache(maxsize=None)
@@ -274,38 +274,24 @@ def flag_spans(m: PhiMatrix) -> list[list[list[Fraction]]]:
 # -- induced group actions -------------------------------------------------
 
 
-def sym_image_of_monomial(g: Matrix, m: Monomial, n: int) -> dict[Exponent, object]:
-    """Image of a basis monomial under the multiplicative action of g on C^n,
-    keyed by exponent vector.
-
-    g acts by columns: e_j maps to sum_i g[i][j] e_i, extended as an algebra
-    map to products of letters.
-    """
-    out: dict[Exponent, object] = {(0,) * n: Fraction(1)}
-    for letter in m:
-        out = sparse_product(out, _vector_to_sym([row[letter - 1] for row in g.data], n))
-    return out
-
-
 def apply_group_to_wedge(g: Matrix, w: WedgeVector) -> WedgeVector:
-    """Natural action of g in GL(n) on the wedge, factor by factor."""
+    """Natural action of g in GL(n) on the wedge, factor by factor.
+
+    g sends e_j to sum_i g[i][j] e_i, extended as an algebra map, so the
+    image of the basis monomial with exponent s is f(u)^s for the linear jet
+    f(u) = g^T u (coefficient e_i is row i of g): one ``jets.powers`` table
+    over the factors of w.
+    """
     basis = w.basis()
     if g.rows != w.n or g.cols != w.n:
         raise ValueError("matrix size must match the ambient dimension")
-    image_cache: dict[int, dict[int, Fraction]] = {}
-
-    def factor_image(pos: int) -> dict[int, Fraction]:
-        got = image_cache.get(pos)
-        if got is None:
-            mono = basis.monomial_at(pos)
-            img = sym_image_of_monomial(g, mono, w.n)
-            got = {basis.exponent_position[e]: c for e, c in img.items()}
-            image_cache[pos] = got
-        return got
-
+    linear = JetMap(w.n, w.n, w.k, dict(zip(_unit_exponents(w.n), g.data)))
+    exps, position = basis.exponents, basis.exponent_position
+    factors = dict.fromkeys(pos for t in w.terms for pos in t)
+    table = powers(linear, [exps[pos] for pos in factors])
+    image = {pos: {position[t]: c for t, c in table[exps[pos]].items()} for pos in factors}
     total: dict[tuple[int, ...], Fraction] = {}
-    for factors, coeff in w.terms.items():
-        piece = wedge_of_sparse_vectors(w.n, w.k, [factor_image(pos) for pos in factors])
+    for t, coeff in w.terms.items():
+        piece = wedge_of_sparse_vectors(w.n, w.k, [image[pos] for pos in t])
         add_into(total, piece.terms, coeff)
     return WedgeVector(w.n, w.k, w.r, total)
-

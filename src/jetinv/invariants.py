@@ -35,7 +35,7 @@ integral jet D * gamma, whose cells are all ints.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
 from typing import Mapping
@@ -77,7 +77,7 @@ class InvariantPoly:
 
     rows are Sym-basis monomials over C^n, cols are domain multi-indices; the
     polynomial itself is expanded lazily since evaluation only needs the
-    provenance.
+    provenance; the cache takes no part in == and dataclasses.replace drops it.
     """
 
     n: int
@@ -86,7 +86,7 @@ class InvariantPoly:
     rows: tuple[Monomial, ...]
     cols: tuple[Exponent, ...]
     weighted_degree: object  # int for p = 1, tuple for p > 1
-    _poly: SparsePolynomial | None = None
+    _poly: SparsePolynomial | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def poly(self) -> SparsePolynomial:
@@ -232,9 +232,12 @@ def generator_set(
             if terms and (key := _dedup_key(terms)) not in seen:
                 seen.add(key)
                 kept[q] = divided(table.unpack(terms), d ** sum(map(basis.degree_of, where[q][0])))
-    return [InvariantPoly(n=n, k=k, p=p, rows=tuple(map(basis.monomial_at, where[q][0])),
-                          cols=tuple(domain[: where[q][1]]), weighted_degree=where[q][2], _poly=poly)
-            for q, poly in kept.items()]
+    gens = []
+    for q, poly in kept.items():
+        gens.append(InvariantPoly(n=n, k=k, p=p, rows=tuple(map(basis.monomial_at, where[q][0])),
+                                  cols=tuple(domain[: where[q][1]]), weighted_degree=where[q][2]))
+        gens[-1]._poly = poly
+    return gens
 
 
 def scale_jet(jet: JetMap, lam: tuple[Fraction, ...]) -> JetMap:

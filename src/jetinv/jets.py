@@ -10,9 +10,10 @@ the closed-form entry formulas below carry the multiplicities of ordered
 compositions.
 
 The powers of a jet are the one table here: `powers` holds [u^t] f(u)^s,
-truncated at f.k.  `compose`, `group_matrix`, `invert` and the test-curve
-system of `invariants` read it, and every closed-form entry is tested
-against it.
+truncated at f.k.  `compose`, `group_matrix`, `invert`, the test-curve
+system of `invariants` and the induced action of GL(n) on wedges
+(`embedding.apply_group_to_wedge`, on the linear jet u -> g^T u) read it,
+and every closed-form entry is tested against it.
 """
 
 from __future__ import annotations

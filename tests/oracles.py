@@ -16,7 +16,7 @@ import math
 import random
 from fractions import Fraction
 
-from jetinv.embedding import p_point, phi, sym_image_of_monomial
+from jetinv.embedding import p_point, phi
 from jetinv.exact import Matrix, kernel_basis, rank
 from jetinv.invariants import TRIAL_BOUND, scale_jet
 from jetinv.jets import compose, random_jet, random_rational, random_reparam
@@ -186,13 +186,21 @@ def same_span(a, b):
 
 
 def sym_matrix_of(g, n, k):
-    """Dense matrix of the induced action on Sym^{<=k} C^n (columns = images)."""
+    """Dense matrix of the induced action on Sym^{<=k} C^n (columns = images).
+
+    g sends e_b to sum_a g[a][b] e_a, so the monomial e_{b_1} ... e_{b_d}
+    goes to the product of those linear forms, expanded here over every
+    letter tuple (a_1, ..., a_d): the term prod g[a_i][b_i] lands on the
+    sorted letters."""
     basis = sym_basis(n, k)
     size = len(basis)
     data = [[Fraction(0)] * size for _ in range(size)]
     for col, mono in enumerate(basis.monomials):
-        for e, c in sym_image_of_monomial(g, mono, n).items():
-            data[basis.exponent_position[e]][col] = c
+        for letters in itertools.product(range(1, n + 1), repeat=len(mono)):
+            term = Fraction(1)
+            for a, b in zip(letters, mono):
+                term *= g.data[a - 1][b - 1]
+            data[basis.index_of(tuple(sorted(letters)))][col] += term
     return Matrix(data)
 
 

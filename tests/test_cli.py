@@ -546,6 +546,7 @@ _property = settings(derandomize=True, max_examples=200, deadline=None, database
 
 _ONE = (1, 2)  # one tuple object, met again at other depths and beside look-alikes
 _STR = ("x",)
+_LIST = [1, 2]  # one list object, likewise
 
 
 @st.composite
@@ -555,8 +556,9 @@ def _shared_tuple_values(draw):
     tuples that are other objects, equal lists, look-alikes with bools and
     floats, and empty arrays.  Arrays that lead with an int go on with a
     bool, a float, a str or a pool tuple, and arrays that lead with a str go
-    on with an int.  Dicts reuse one key set in every insertion order, and
-    one value recurs twice at one depth and then once a depth higher."""
+    on with an int.  Dicts reuse one key set in every insertion order, one
+    value recurs twice at one depth and then once a depth higher, and one is
+    both a dict value and an item of a mixed array."""
     pool = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2))
                          | st.lists(st.sampled_from("ab"), max_size=2).map(tuple)
                          | st.just(()), min_size=1, max_size=3))
@@ -570,7 +572,8 @@ def _shared_tuple_values(draw):
         | st.dictionaries(st.sampled_from("abc"), inner, max_size=3)
         | st.permutations("abc").flatmap(
             lambda keys: st.lists(inner, min_size=3, max_size=3).map(lambda v: dict(zip(keys, v))))
-        | inner.map(lambda v: [[v, v], v]),
+        | inner.map(lambda v: [[v, v], v])
+        | inner.map(lambda v: {"a": v, "b": [v, 1]}),
         max_leaves=20,
     ))
 
@@ -600,6 +603,15 @@ def _shared_tuple_values(draw):
           [1, (1, 2), _ONE, 1], [True, 1], [1.0, 1]])
 # one tuple filed at one indent, met again deeper and shallower
 @example([[[_ONE, _ONE]], _ONE, [_ONE, [_ONE]], [[_ONE, 1]], _ONE, {"a": [[_ONE]]}])
+# one list object at two indents, and twice at one indent
+@example([_LIST, [_LIST, _LIST], _LIST, [[_LIST]], {"a": _LIST, "b": [_LIST]}])
+# equal-valued distinct tuples and lists at one indent: a degree-1 row
+# monomial and a domain exponent
+@example({"rows": [tuple([1]), tuple([2])], "cols": [tuple([1]), [1]], "x": [tuple([1]), [1]]})
+# an array that is both a dict value and an item of a mixed array
+@example([{"a": _LIST, "b": _ONE}, [_LIST, 1, _ONE, "x"], {"c": [_ONE, _LIST]}])
+# written item by item, also beside an equal all-int array met first
+@example([[1, 1], [1, True], [1, 1.0], ["a", 1], [1, True], [1, 1.0], ["a", 1]])
 def test_canonical_json_is_json_dumps(value):
     assert canonical_json(value) == json.dumps(value, indent=2, sort_keys=True)
 

@@ -327,3 +327,40 @@ def _jet_and_reparam(draw):
 def test_phi_intertwines_composition_and_group_matrix(pair):
     gamma, psi = pair
     assert phi(compose(gamma, psi)).dense() == phi(gamma).dense() @ group_matrix(psi)
+
+
+@st.composite
+def _matrix_and_wedge(draw):
+    """A matrix g, drawn as it comes, singular or with a zero column, and a
+    sparse wedge over Sym^{<=k} C^n with at most three terms."""
+    n, k = draw(st.sampled_from([(1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+    size = len(sym_basis(n, k))
+    g = [[draw(_coefficients) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["drawn", "singular", "zero column"]))
+    if kind == "singular" and n > 1:
+        for row in g:
+            row[-1] = 2 * row[0]
+    elif kind != "drawn":  # for n = 1 the only singular g
+        j = draw(st.integers(0, n - 1))
+        for row in g:
+            row[j] = Fraction(0)
+    r = draw(st.integers(1, min(3, size)))
+    factors = st.sets(st.integers(0, size - 1), min_size=r, max_size=r).map(sorted).map(tuple)
+    terms = draw(st.dictionaries(factors, _coefficients.filter(bool), max_size=3))
+    return Matrix(g), WedgeVector(n, k, r, terms)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_matrix_and_wedge())
+def test_group_action_on_wedge_is_the_wedge_of_oracle_columns(case):
+    """g acting on a wedge is the sum over its terms of the coefficient times
+    the wedge of the columns of the dense induced action at the term's
+    factors; that wedge's coefficient at rows T is the minor on T."""
+    g, w = case
+    image = sym_matrix_of(g, w.n, w.k).data
+    expected = {}
+    for factors, c in w.terms.items():
+        rows = [i for i, row in enumerate(image) if any(row[j] for j in factors)]
+        for t in itertools.combinations(rows, w.r):
+            expected[t] = expected.get(t, 0) + c * Matrix([[image[i][j] for j in factors] for i in t]).det()
+    assert apply_group_to_wedge(g, w).terms == {t: v for t, v in expected.items() if v}

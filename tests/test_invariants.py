@@ -57,6 +57,27 @@ def test_generator_set_1_1():
     assert len(gens) == 1 and str(gens[0].poly) == "u1_1"
 
 
+def test_replace_drops_the_cached_polynomial():
+    """A generator rebuilt by dataclasses.replace expands its own minor: with
+    its three rows reversed, one transposition, it is minus the original, as
+    a fresh entry with that provenance computes it."""
+    g = generator_set(2, 3)[-1]
+    assert len(g.rows) == 3 and g.poly
+    swapped = dataclasses.replace(g, rows=g.rows[::-1])
+    fresh = InvariantPoly(n=g.n, k=g.k, p=g.p, rows=g.rows[::-1], cols=g.cols,
+                          weighted_degree=g.weighted_degree)
+    assert swapped.poly == fresh.poly == -g.poly
+
+
+def test_equal_provenance_compares_equal_materialized_or_not():
+    for g in generator_set(2, 3):
+        bare = dataclasses.replace(g)
+        assert bare == g and bare._poly is None and g._poly is not None
+        assert g == InvariantPoly(n=g.n, k=g.k, p=g.p, rows=g.rows, cols=g.cols,
+                                  weighted_degree=g.weighted_degree)
+    assert generator_set(2, 3)[0] != dataclasses.replace(generator_set(2, 3)[0], weighted_degree=0)
+
+
 def test_generator_weighted_degrees_are_column_sums():
     gens = generator_set(3, 3, 1)
     for g in gens:
