@@ -31,10 +31,13 @@ scale, for generator dedup and for the stabilizer rows.
 Division-free minors, for polynomial entries and for the many minors that
 invariance checks read, come from one ``MinorPlan`` per query list, its
 Laplace sub-minors shared by all minors whose columns extend them, evaluated
-by one ``MinorTable`` per matrix.  A polynomial table packs each exponent
-vector into one int, with fields wide enough for any of its minors, so
-exponents add as ints without carrying; packing is injective, so generator
-dedup keys the packed terms and unpacks only the minors it keeps.
+by one ``MinorTable`` per matrix.  The plan is built in one post-order
+pass on an explicit stack: each sub-minor is expanded once, after its
+children, and joins the plan only if one of them did.  A polynomial table
+packs each exponent vector into one int, with fields wide enough for any of
+its minors, so exponents add as ints without carrying; packing is
+injective, so generator dedup keys the packed terms and unpacks only the
+minors it keeps.
 """
 
 from __future__ import annotations
@@ -42,8 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from collections import defaultdict
-from functools import reduce
-from itertools import compress, filterfalse
+from itertools import accumulate, compress, filterfalse
 from operator import add, lshift, mul, neg, or_
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -252,14 +254,20 @@ class SparsePolynomial:
 
     def term_list(self) -> list[tuple[tuple[int, ...], str]]:
         """Canonical JSON-ready term list, graded-lex descending."""
-        return [(exp, rat_str(self.terms[exp]))
-                for exp in sorted(self.terms, key=_grlex_key, reverse=True)]
+        return [(exp, rat_str(self.terms[exp])) for exp in self._grlex_descending()]
+
+    def _grlex_descending(self) -> list[tuple[int, ...]]:
+        """The exponents by total degree, then lex, both descending: two
+        C-level sorts, the second stable, with no Python key function."""
+        exps = sorted(self.terms, reverse=True)
+        exps.sort(key=sum, reverse=True)
+        return exps
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
+        for exp in self._grlex_descending():
             c = self.terms[exp]
             factors = [
                 name if e == 1 else f"{name}^{e}"
@@ -463,10 +471,13 @@ def integral_entries(values: Sequence[Coef]) -> tuple[list, int]:
 
 def divided(x: Coef, d: Scalar) -> Coef:
     """x / d for a scalar or polynomial x and a nonzero rational d: a
-    Fraction, or a polynomial with Fraction coefficients."""
-    if isinstance(x, SparsePolynomial):
-        return SparsePolynomial(x.ring, {e: Fraction(c, d) for e, c in x.terms.items()})
-    return Fraction(x, d)
+    Fraction, or a polynomial with Fraction coefficients.  Division by 1
+    only converts, with no gcd to take."""
+    if not isinstance(x, SparsePolynomial):
+        return Fraction(x) if d == 1 else Fraction(x, d)
+    cs = x.terms.values()
+    quotients = map(Fraction, cs) if d == 1 else [Fraction(c, d) for c in cs]
+    return SparsePolynomial(x.ring, dict(zip(x.terms, quotients)))
 
 
 def _bareiss(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int], int, int]:
@@ -623,47 +634,61 @@ class MinorPlan:
     c_1..c_{s-1}): a node is a column prefix and a row mask R, and level s
     lists those of s columns as (c_s, cells 2 R_i + 1 if the sign is negative
     else 2 R_i, child indices in level s - 1) over the R_i in c_s's support.
-    Childless nodes are structurally zero and pruned: a query on one, or on
+    ``reads[s]`` lists the queries of s columns in query order as (query,
+    node or None, negated).
+
+    One post-order pass builds it.  Each node is expanded once, on an
+    explicit stack whose frames resume their own bit loop, so the column
+    count is not bounded by the recursion limit: a child already indexed is
+    looked up, one not yet indexed is expanded before its parent goes on.
+    A node joins its level only if some child did; one without is
+    structurally zero and recorded as None.  A query on such a node, or on
     repeated rows, reads 0; one on rows in odd order is negated."""
 
     def __init__(self, queries: Sequence[tuple[Sequence[int], Sequence[int]]], supports: Sequence[int]):
         self.supports, self.count = list(supports), len(queries)
         top = max((len(cols) for _, cols in queries), default=0)
-        wanted, asked = [{} for _ in range(top + 1)], [[] for _ in range(top + 1)]  # per level
+        self.levels: list[list[tuple[int, list[int], list[int]]]] = [[] for _ in range(top)]
+        self.reads: list[list[tuple[int, int | None, bool]]] = [[] for _ in range(top + 1)]
+        levels, reads, supports = self.levels, self.reads, self.supports
+        index: list[dict] = [{(): {0: 0}}] + [{} for _ in range(top)]  # prefix -> row mask -> node
+        chains = {}  # column tuple -> (its prefixes' node dicts, each prefix's union of supports)
         for q, (rows, cols) in enumerate(queries):
             if len(rows) != len(cols):
                 raise ValueError("a minor needs as many rows as columns")
-            mask = odd = 0
+            mask = swaps = 0
             for r in rows:
-                odd ^= (mask >> r).bit_count() & 1
+                swaps += (mask >> r).bit_count()
                 mask |= 1 << r
-            wanted[len(cols)].setdefault(cols := tuple(cols), {})[mask] = None
-            asked[len(cols)].append((q, cols, mask, bool(odd)))
-        for s in range(top, 0, -1):  # each node's terms (cell, child mask), the children wanted below
-            for cols, masks in wanted[s].items():
-                below = wanted[s - 1].setdefault(cols[:-1], {})
-                reach = reduce(or_, map(self.supports.__getitem__, cols[:-1]), 0)
-                for mask in masks:
-                    off, terms = mask & ~reach, []  # a row the other columns miss must go here
-                    m = mask & self.supports[cols[-1]] & (off or -1) if not off & (off - 1) else 0
-                    while m:
-                        m ^= (bit := m & -m)
-                        below[mask ^ bit] = None
-                        negative = ((mask & (bit - 1)).bit_count() + s) % 2 == 0
-                        terms.append((2 * bit.bit_length() - 2 + negative, mask ^ bit))
-                    masks[mask] = terms
-        index, self.levels, self.reads = {(): {0: 0}}, [], [[(q, 0, odd) for q, _, _, odd in asked[0]]]
-        for s in range(1, top + 1):
-            nodes, found = [], {}
-            for cols, masks in wanted[s].items():
-                below, at = index.get(cols[:-1], {}), found.setdefault(cols, {})
-                for mask, terms in masks.items():
-                    if live := [(cell, below[m]) for cell, m in terms if m in below]:
-                        at[mask] = len(nodes)
-                        nodes.append((cols[-1], *zip(*live)))
-            self.levels.append(nodes)
-            self.reads.append([(q, found.get(c, {}).get(m), odd) for q, c, m, odd in asked[s]])
-            index = found
+            if (chain := chains.get(cols := tuple(cols))) is None:
+                dicts = [index[s].setdefault(cols[:s], {}) for s in range(len(cols) + 1)]
+                chain = chains[cols] = dicts, [0, *accumulate(map(supports.__getitem__, cols), or_)]
+            at, reach = chain
+            stack = [] if mask in at[-1] else [[len(cols), mask, None, [], []]]
+            while stack:  # frames [s, node mask, rows left to expand, cells, kids]
+                frame = stack[-1]
+                s, node, m, cells, kids = frame
+                if m is None:  # c_s takes a row of its support, the one row the others miss if any
+                    off = node & ~reach[s - 1]
+                    m = node & supports[cols[s - 1]] & (off or -1) if not off & (off - 1) else 0
+                below = at[s - 1]
+                while m:
+                    bit = m & -m
+                    if (j := below.get(node ^ bit, -1)) == -1:  # not indexed yet: expand it first
+                        frame[2] = m
+                        stack.append([s - 1, node ^ bit, None, [], []])
+                        break
+                    m ^= bit
+                    if j is not None:
+                        negative = ((node & (bit - 1)).bit_count() + s) % 2 == 0
+                        cells.append(2 * bit.bit_length() - 2 + negative)
+                        kids.append(j)
+                else:
+                    stack.pop()
+                    at[s][node] = len(levels[s - 1]) if cells else None
+                    if cells:
+                        levels[s - 1].append((cols[s - 1], cells, kids))
+            reads[len(cols)].append((q, at[-1][mask], bool(swaps & 1)))
 
 
 class MinorTable:

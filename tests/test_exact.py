@@ -13,6 +13,7 @@ from jetinv.exact import (
     PolyRing,
     SparsePolynomial,
     _det_laplace,
+    _grlex_key,
     integral,
     kernel_basis,
     parse_rat,
@@ -398,6 +399,32 @@ def test_one_plan_shared_by_matrices_on_its_support_equals_bareiss(case):
             assert minor == Matrix([[a[r][j] for j in cols] for r in rows]).det()
 
 
+@_property
+@given(_matrices_on_one_support())
+def test_every_plan_node_has_a_kid_and_every_index_is_in_range(case):
+    """Pruning leaves no childless node, kids point into the level below
+    (level 0 is the empty minor alone) and reads into their own level."""
+    supports, _, queries = case
+    plan = MinorPlan(queries, supports)
+    sizes = [1] + [len(level) for level in plan.levels]
+    for s, level in enumerate(plan.levels, 1):
+        for _, cells, kids in level:
+            assert len(cells) == len(kids) >= 1
+            assert all(0 <= j < sizes[s - 1] for j in kids)
+    for s, reads in enumerate(plan.reads):
+        assert all(j is None or 0 <= j < sizes[s] for _, j, _ in reads)
+    assert sorted(q for reads in plan.reads for q, _, _ in reads) == list(range(len(queries)))
+
+
+def test_a_1500_column_diagonal_minor_needs_no_recursion():
+    """The pass keeps its own stack: a query 1,500 columns deep builds
+    within the default recursion limit, and reads the diagonal product."""
+    n = 1500
+    plan = MinorPlan([(range(n), range(n))], [1 << c for c in range(n)])
+    assert [len(level) for level in plan.levels] == [1] * n
+    assert MinorTable([{c: c + 2} for c in range(n)]).minors(plan) == [math.factorial(n + 1)]
+
+
 def test_a_nonzero_outside_the_plan_support_raises():
     plan = MinorPlan([([0, 1], [0, 1])], [0b01, 0b11])
     assert MinorTable([{0: 2}, {0: 1, 1: 3}]).minors(plan) == [6]
@@ -459,6 +486,13 @@ _polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), _entries, max_size=5
 ).map(_RING.poly)
 _points = st.tuples(*[st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))] * 2)
+
+
+@_property
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(1, 9), max_size=12))
+def test_term_list_is_graded_lex_descending(terms):
+    poly = SparsePolynomial(PolyRing(["x", "y", "z"]), terms)
+    assert [e for e, _ in poly.term_list()] == sorted(terms, key=_grlex_key, reverse=True)
 
 
 @_property

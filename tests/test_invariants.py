@@ -204,6 +204,26 @@ def test_trial_plan_of_the_3_4_generators():
     assert 1 + sum(map(len, plan.levels)) == 1560 < 2747
 
 
+def test_candidate_plan_of_the_3_4_generator_set():
+    """generator_set(3, 4) reads its 6,104 candidates off one plan on the
+    symbolic table's supports: 6,104 nodes and 8,878 cells."""
+    from unittest import mock
+
+    plans = []
+
+    class Kept(MinorPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    with mock.patch("jetinv.invariants.MinorPlan", Kept):
+        generator_set(3, 4)
+    plan, = plans
+    assert plan.count == 6104
+    assert [len(level) for level in plan.levels] == [3, 21, 274, 5806]
+    assert sum(len(cells) for level in plan.levels for _, cells, _ in level) == 8878
+
+
 def test_verify_invariance_symbolic_small():
     gens = generator_set(2, 2, 1)
     for g in gens:
