@@ -76,9 +76,9 @@ def canonical_json(obj) -> str:
     are written item by item.  An all-int or all-str array is rendered once
     per object and indent and filed in shared[indent][id(array)], where an
     array led by an int or a str, and every item of a mixed array, is looked
-    up before it is written: wedges share a few basis monomial objects among
-    thousands of factors.  Every filed array and every item looked up is
-    held by obj for the whole call, so no two live objects share an id."""
+    up before it is written (a str item inline): wedges share a few basis
+    monomial objects among thousands of factors.  Every filed array and every
+    item looked up is held by obj for the whole call, so no two live objects share an id."""
     shared: defaultdict[str, dict[int, str]] = defaultdict(dict)  # indent -> id(array) -> text
     heads: dict[tuple, list[tuple[str, str]]] = {}  # (*keys, indent) -> [(key, prefix)]
 
@@ -101,7 +101,8 @@ def canonical_json(obj) -> str:
                     return text
             items = shared[inner]
             return "[" + inner + ("," + inner).join([
-                items.get(id(x)) or write(x, inner) for x in obj
+                items.get(id(x)) or (encode_basestring_ascii(x) if type(x) is str else write(x, inner))
+                for x in obj
             ]) + newline + "]"
         if isinstance(obj, dict):
             if not obj:
@@ -224,6 +225,8 @@ def cmd_phi(args) -> int:
 
 
 def cmd_generators(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"need --trials >= 1, got {args.trials}")
     gens = generator_set(args.n, args.k, args.p, force=args.force)
     by_degree: dict[str, int] = {}
     for g in gens:

@@ -26,8 +26,8 @@ as given (ints, Fractions or both), and so do wedges and orbit weights.
 Minor tables, the jet embedding and the test-curve systems scale through
 ``integral_entries``, which covers polynomial coefficients too, and take the
 scale back out of each finished entry with ``divided``.  ``primitive`` is
-the one division by the content: it keys integer vectors up to rational
-scale, for generator dedup and for the stabilizer rows.
+the one division by the content: it keys stabilizer rows up to rational
+scale.  ``term_list`` is the one term order, for printing and for JSON.
 Division-free minors, for polynomial entries and for the many minors that
 invariance checks read, come from one ``MinorPlan`` per query list, its
 Laplace sub-minors shared by all minors whose columns extend them, evaluated
@@ -36,8 +36,8 @@ pass on an explicit stack: each sub-minor is expanded once, after its
 children, and joins the plan only if one of them did.  A polynomial table
 packs each exponent vector into one int, with fields wide enough for any of
 its minors, so exponents add as ints without carrying; packing is
-injective, so generator dedup keys the packed terms and unpacks only the
-minors it keeps.
+injective, so generator dedup compares the packed terms, and a kept minor
+is unpacked only when it is read.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ def rat(x: Scalar) -> Fraction:
 
 def rat_str(x: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    x = rat(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(rat(x))  # Fraction's own str
 
 
 def parse_rat(s: str) -> Fraction:
@@ -254,34 +253,26 @@ class SparsePolynomial:
 
     def term_list(self) -> list[tuple[tuple[int, ...], str]]:
         """Canonical JSON-ready term list, graded-lex descending."""
-        return [(exp, rat_str(self.terms[exp])) for exp in self._grlex_descending()]
-
-    def _grlex_descending(self) -> list[tuple[int, ...]]:
-        """The exponents by total degree, then lex, both descending: two
-        C-level sorts, the second stable, with no Python key function."""
-        exps = sorted(self.terms, reverse=True)
-        exps.sort(key=sum, reverse=True)
-        return exps
+        return term_list(self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for exp in self._grlex_descending():
-            c = self.terms[exp]
+        for exp, c in term_list(self.terms):
             factors = [
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.ring.names, exp)
                 if e
             ]
             if not factors:
-                body = rat_str(c)
-            elif c == 1:
+                body = c
+            elif c == "1":
                 body = "*".join(factors)
-            elif c == -1:
+            elif c == "-1":
                 body = "-" + "*".join(factors)
             else:
-                body = rat_str(c) + "*" + "*".join(factors)
+                body = c + "*" + "*".join(factors)
             parts.append(body)
         s = parts[0]
         for p in parts[1:]:
@@ -292,6 +283,16 @@ class SparsePolynomial:
 
 
 Coef = Union[Fraction, SparsePolynomial]
+
+
+def term_list(terms: Mapping[tuple[int, ...], Scalar], scale: int = 1) -> list[tuple[tuple[int, ...], str]]:
+    """(exponent, rat_str of coefficient / scale), by total degree, then lex,
+    both descending: two C-level sorts, the second stable, with no Python key
+    function.  The str of an int or a Fraction is its ``rat_str``."""
+    exps = sorted(terms, reverse=True)
+    exps.sort(key=sum, reverse=True)
+    coefs = map(terms.__getitem__, exps)
+    return list(zip(exps, map(str, coefs if scale == 1 else (Fraction(c, scale) for c in coefs))))
 
 
 def add_into(target: dict, vec: Mapping, c: Scalar = 1) -> dict:
@@ -427,10 +428,7 @@ class Matrix:
         return [_back_substitute(ech, pivots, [0] * (n + i) + [-1])[:n] for i in range(count)]
 
     def to_strings(self) -> list[list[str]]:
-        return [
-            [rat_str(x) if isinstance(x, Fraction) else str(x) for x in row]
-            for row in self.data
-        ]
+        return [list(map(str, row)) for row in self.data]
 
 
 # -- fraction-free elimination ------------------------------------------

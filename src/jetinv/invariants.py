@@ -48,7 +48,7 @@ from .exact import (
     ResourceLimitError,
     SparsePolynomial,
     divided,
-    primitive,
+    term_list,
 )
 from .jets import (
     JetMap,
@@ -77,7 +77,10 @@ class InvariantPoly:
 
     rows are Sym-basis monomials over C^n, cols are domain multi-indices; the
     polynomial itself is expanded lazily since evaluation only needs the
-    provenance; the cache takes no part in == and dataclasses.replace drops it.
+    provenance.  ``generator_set`` leaves a kept minor packed, its table's
+    integer term map over the scale D^e: ``poly`` unpacks it on first use and
+    ``to_json`` writes from it.  Neither cache takes part in == and
+    dataclasses.replace drops both.
     """
 
     n: int
@@ -87,10 +90,14 @@ class InvariantPoly:
     cols: tuple[Exponent, ...]
     weighted_degree: object  # int for p = 1, tuple for p > 1
     _poly: SparsePolynomial | None = field(default=None, init=False, repr=False, compare=False)
+    _packed: tuple[MinorTable, dict, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def poly(self) -> SparsePolynomial:
-        if self._poly is None:
+        if self._poly is None and self._packed is not None:
+            table, terms, scale = self._packed
+            self._poly = divided(table.unpack(terms), scale)
+        elif self._poly is None:
             self._poly = _exact_minor(symbolic_jet(self.p, self.n, self.k)[0], *self.positions())
         return self._poly
 
@@ -100,11 +107,13 @@ class InvariantPoly:
         return [rows[m] for m in self.rows], [cols[s] for s in self.cols]
 
     def to_json(self) -> dict:
+        table, terms, scale = self._packed or (None, None, 1)
+        poly = self.poly if table is None else table.unpack(terms)
         return {
             "provenance": {"rows": self.rows, "cols": self.cols},
             "weighted_degree": self.weighted_degree,
-            "poly": self.poly.term_list(),
-            "vars": self.poly.ring.names,
+            "poly": term_list(poly.terms, scale),
+            "vars": poly.ring.names,
         }
 
 
@@ -117,11 +126,21 @@ def _exact_minor(gamma: JetMap, rows, cols) -> SparsePolynomial | Fraction:
     return divided(minor, d ** sum(map(sym_basis(gamma.q, gamma.k).degree_of, rows)))
 
 
-def _dedup_key(terms: Mapping[object, int]) -> tuple:
-    """The primitive part of an integer term map's sorted terms: two maps,
-    their keys packed by one table or both exponent tuples, give equal keys
-    iff they are rational multiples (Gauss's lemma)."""
-    return primitive(sorted(terms.items()))
+def _is_new(terms: Mapping[object, int], seen: dict[frozenset, list]) -> bool:
+    """Whether a nonzero integer term map is no rational multiple of one in
+    seen, filing it there if so.  seen buckets by support, which scaling keeps;
+    on one support f and g are proportional iff f[e] * g[e0] == g[e] * f[e0]."""
+    bucket = seen.setdefault(frozenset(terms), [])
+    e0 = next(iter(terms))
+    for other in bucket:
+        x, y = terms[e0], other[e0]
+        for e, c in terms.items():  # a loop, not all(): most maps have one to three terms
+            if c * y != other[e] * x:
+                break
+        else:
+            return False
+    bucket.append(terms)
+    return True
 
 
 def _generator_families(n: int, k: int, p: int) -> list[tuple[tuple[int, ...], object]]:
@@ -199,9 +218,9 @@ def generator_set(
     p = 1: every s x s minor of the first s columns, s = 1..k; p > 1:
     maximal minors only.  Structurally zero row choices are skipped.  With
     materialize the polynomials are expanded, zeros dropped and duplicates
-    up to scalar removed, keyed on the table's packed terms (packing is
-    injective, so equal keys still mean proportional minors); only the kept
-    minors are unpacked.  Otherwise provenance-only entries are returned.
+    up to scalar removed on the table's packed terms (``_is_new``; packing is
+    injective), and the kept minors stay packed until read.  Otherwise
+    provenance-only entries are returned.
     More than MINOR_COUNT_CEILING candidates raise ResourceLimitError before
     any is built, unless force.
     """
@@ -224,19 +243,18 @@ def generator_set(
     domain = sym_basis(p, k).exponents
     where = [(rows, len(c), wd) for c, wd in families
              for rows in _staircase_row_sets(positions_by_degree, c)]
-    kept = dict.fromkeys(range(len(where)))  # candidate -> its polynomial, once expanded
+    kept = dict.fromkeys(range(len(where)))  # candidate -> (table, packed minor, scale), once expanded
     if materialize:
         columns, d = phi_integral(symbolic_jet(p, n, k)[0])
-        table, seen, kept = MinorTable(columns), set(), {}
+        table, seen, kept = MinorTable(columns), {}, {}
         for q, terms in table.packed(MinorPlan([(rows, range(s)) for rows, s, _ in where], table.supports)):
-            if terms and (key := _dedup_key(terms)) not in seen:
-                seen.add(key)
-                kept[q] = divided(table.unpack(terms), d ** sum(map(basis.degree_of, where[q][0])))
+            if terms and _is_new(terms, seen):
+                kept[q] = table, terms, d ** sum(map(basis.degree_of, where[q][0]))
     gens = []
-    for q, poly in kept.items():
+    for q, packed in kept.items():
         gens.append(InvariantPoly(n=n, k=k, p=p, rows=tuple(map(basis.monomial_at, where[q][0])),
                                   cols=tuple(domain[: where[q][1]]), weighted_degree=where[q][2]))
-        gens[-1]._poly = poly
+        gens[-1]._packed = packed
     return gens
 
 

@@ -263,6 +263,18 @@ def test_generators_with_more_columns_than_rows_prints_none_fast(capsys):
     assert json.loads(out)["count"] == 0
 
 
+def test_generators_reject_zero_trials_before_expanding(capsys, monkeypatch):
+    """--trials < 1 is bad input, refused before any candidate minor is
+    expanded: a generator_set that runs would exit 4."""
+    def expand(*args, **kwargs):
+        raise AssertionError("generator_set ran")
+    monkeypatch.setattr("jetinv.cli.generator_set", expand)
+    code = main(["generators", "--n", "3", "--k", "5", "--force", "--verify", "--trials", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and "--trials" in captured.err
+
+
 def test_verifying_an_empty_generator_set_exits_2(capsys):
     # a check that ran no trial never reports ok
     code = main(["generators", "--n", "2", "--k", "12", "--p", "8", "--verify", "--json"])
@@ -496,6 +508,7 @@ GOLDEN_STDOUT = {
     "test-curve --p 2 --k 2 --n 2 --symbolic": "a2ee1569374d86fa9391b2da00b205c6988d3805695dfbce9c60ef4291413fed",
     "generators --n 4 --k 3 --verify --trials 3 --seed 5": "622f91d095b6fc39f5f5ac9357630423045ca922a6247a5580e1db6a4b130526",
     "generators --p 2 --n 4 --k 2": "691e08a0781db70893a03cfa8fb9b754433ed58161346bab8e955c2119759f81",
+    "generators --n 2 --k 5": "afc9b6e93dc7896e10d3748f797d613970c54d797b77c388555efb9921342c44",
 }
 
 

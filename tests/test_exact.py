@@ -21,6 +21,7 @@ from jetinv.exact import (
     rat_str,
     row_space_basis,
     sparse_product,
+    term_list,
 )
 from oracles import inverse, same_span, solve_unique
 
@@ -493,6 +494,15 @@ _points = st.tuples(*[st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 def test_term_list_is_graded_lex_descending(terms):
     poly = SparsePolynomial(PolyRing(["x", "y", "z"]), terms)
     assert [e for e, _ in poly.term_list()] == sorted(terms, key=_grlex_key, reverse=True)
+
+
+@_property
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-9, 9).filter(bool), max_size=12),
+       st.integers(1, 12))
+def test_term_list_over_a_scale_is_the_term_list_of_the_quotient(terms, scale):
+    poly = SparsePolynomial(PolyRing(["x", "y", "z"]), {e: Fraction(c, scale) for e, c in terms.items()})
+    assert term_list(terms, scale) == poly.term_list() == [
+        (e, rat_str(poly.terms[e])) for e in sorted(terms, key=_grlex_key, reverse=True)]
 
 
 @_property

@@ -21,8 +21,9 @@ from jetinv.invariants import (
     InvariantPoly,
     TRIAL_BOUND,
     ResourceLimitError,
-    _dedup_key,
+    _exact_minor,
     _generator_families,
+    _is_new,
     _trial_plan,
     bulk_invariance_check,
     count_candidate_minors,
@@ -72,7 +73,7 @@ def test_replace_drops_the_cached_polynomial():
 def test_equal_provenance_compares_equal_materialized_or_not():
     for g in generator_set(2, 3):
         bare = dataclasses.replace(g)
-        assert bare == g and bare._poly is None and g._poly is not None
+        assert bare == g and bare._packed is None and bare._poly is None and g._packed is not None
         assert g == InvariantPoly(n=g.n, k=g.k, p=g.p, rows=g.rows, cols=g.cols,
                                   weighted_degree=g.weighted_degree)
     assert generator_set(2, 3)[0] != dataclasses.replace(generator_set(2, 3)[0], weighted_degree=0)
@@ -538,29 +539,43 @@ _INT_POLYS = st.dictionaries(
 _NONZERO_RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool)
 
 
-def _packed_keys(*polys):
-    """The dedup keys of polys packed by one MinorTable, as generator_set
-    keys its candidates."""
-    table = MinorTable([dict(enumerate(polys))])
+def _packed_new(*polys):
+    """Whether each of polys, packed by one MinorTable, is new up to scale
+    after the ones before it, as generator_set dedups its candidates."""
+    table, seen = MinorTable([dict(enumerate(polys))]), {}
     plan = MinorPlan([([i], [0]) for i in range(len(polys))], table.supports)
-    return [_dedup_key(terms) for _, terms in table.packed(plan)]
+    return [_is_new(terms, seen) for _, terms in table.packed(plan)]
 
 
 @_property
 @given(_INT_POLYS, _NONZERO_RATIONALS)
-def test_dedup_key_ignores_rational_scalars(f, c):
+def test_support_buckets_collapse_rational_multiples(f, c):
     g = f * c.denominator  # so that c * g has integer coefficients too
     cg = SparsePolynomial(_KEY_RING, {e: int(c * v) for e, v in g.terms.items()})
-    key_cg, key_g, key_f = _packed_keys(cg, g, f)
-    assert cg == g * c and key_cg == key_g == key_f
+    assert cg == g * c and _packed_new(cg, g, f) == [True, False, False]
 
 
 @_property
-@given(_INT_POLYS, _INT_POLYS)
-def test_dedup_key_separates_non_proportional_polynomials(f, g):
-    (_, a), (_, b) = f.leading_term(), g.leading_term()
-    key_f, key_g = _packed_keys(f, g)
-    assert (key_f == key_g) == (f * b == g * a)
+@given(_INT_POLYS, _INT_POLYS, st.lists(st.integers(-6, 6).filter(bool), min_size=5, max_size=5))
+def test_support_buckets_separate_non_proportional_polynomials(f, g, cs):
+    """Also against h, a map on f's own support: a bucket hit is compared
+    exactly, not taken as a duplicate."""
+    h = SparsePolynomial(_KEY_RING, dict(zip(f.terms, cs)))
+    for other in (g, h):
+        (_, a), (_, b) = f.leading_term(), other.leading_term()
+        assert _packed_new(f, other) == [True, f * b != other * a]
+
+
+@pytest.mark.parametrize("n, k, p", [(2, 2, 1), (3, 3, 1), (2, 4, 1), (3, 4, 1), (3, 2, 2), (2, 3, 2)])
+def test_packed_json_equals_the_json_of_the_expanded_minor(n, k, p):
+    """to_json writes the terms straight off the packed minor: they equal the
+    terms of the materialized polynomial, and those of the minor expanded
+    afresh from the provenance."""
+    gamma = symbolic_jet(p, n, k)[0]
+    for g in generator_set(n, k, p):
+        packed = g.to_json()
+        for poly in (g.poly, _exact_minor(gamma, *g.positions())):
+            assert packed == {**packed, "poly": poly.term_list(), "vars": poly.ring.names}
 
 
 def test_generator_set_shares_one_tuple_per_monomial():
