@@ -9,11 +9,12 @@ the worked small cases and preserved by the right-action equivariance law
 
     phi(compose(gamma, psi)) = phi(gamma) @ group_matrix(psi).
 
-Elements of Sym^{<=k} C^n are exponent-keyed while they are multiplied:
-Sym C^n is the polynomial ring in n letters, so the shared truncated
-``exact.sparse_product`` multiplies them, and only finished columns and
-images are re-keyed to positions in the ordered Sym basis.  Wedge factors
-stay basis positions.
+Elements of Sym^{<=k} C^n are keyed by packed exponents while they are
+multiplied: Sym C^n is the polynomial ring in n letters, so an
+``exact.Packing`` with fields of k.bit_length() bits keys them and the one
+packed product ``exact.add_product`` multiplies them.  Finished columns are
+re-keyed to positions in the ordered Sym basis through a map from packed key
+to position built once per (n, k).  Wedge factors stay basis positions.
 
 Wedge vectors are kept sparse: a term is a strictly increasing tuple of
 positions into the ordered basis of Sym^{<=k} C^n, and every expansion routine
@@ -28,8 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
-from .exact import (Matrix, add_into, divided, integral, rat, rat_str, row_space_basis,
-                    sparse_product)
+from .exact import Matrix, Packing, add_into, add_product, divided, integral, rat, rat_str, row_space_basis
 from .jets import JetMap, flat_jet, powers
 from .symbasis import Exponent, SymBasis, sym_basis
 
@@ -39,9 +39,13 @@ def _unit_exponents(n: int) -> tuple[Exponent, ...]:
     return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
 
 
-def _vector_to_sym(vec, n: int) -> dict[Exponent, object]:
-    """A vector in C^n as a degree-1 element of the symmetric algebra."""
-    return {e: c for e, c in zip(_unit_exponents(n), vec) if c}
+@lru_cache(maxsize=None)
+def _packed_sym(n: int, k: int) -> tuple[list[int], dict[int, int]]:
+    """The packed keys of the n letters of Sym^{<=k} C^n, with fields of
+    k.bit_length() bits, and the Sym-basis position of each packed key."""
+    packing = Packing(n, k.bit_length())
+    return (list(map(packing.pack, _unit_exponents(n))),
+            {packing.pack(e): pos for pos, e in enumerate(sym_basis(n, k).exponents)})
 
 
 @dataclass
@@ -89,8 +93,9 @@ def phi_integral(gamma: JetMap) -> tuple[list[dict[int, object]], int]:
     """
     p, n, k = gamma.p, gamma.q, gamma.k
     scaled, d = gamma.integral()
-    heads = {s1: _vector_to_sym(vec, n) for s1, vec in scaled.coeffs.items()}
-    cols_by_exp: dict[Exponent, dict[Exponent, object]] = {}
+    letters, position = _packed_sym(n, k)
+    heads = {s1: {e: c for e, c in zip(letters, vec) if c} for s1, vec in scaled.coeffs.items()}
+    cols_by_exp: dict[Exponent, dict[int, object]] = {}
     for s in sym_basis(p, k).exponents:
         acc = dict(heads.get(s, {}))
         for s1, head in heads.items():
@@ -100,9 +105,8 @@ def phi_integral(gamma: JetMap) -> tuple[list[dict[int, object]], int]:
             tail = cols_by_exp.get(rest)
             if not tail:
                 continue
-            add_into(acc, sparse_product(head, tail))
+            add_product(acc, head, tail)
         cols_by_exp[s] = acc
-    position = sym_basis(n, k).exponent_position
     return [{position[e]: c for e, c in col.items()} for col in cols_by_exp.values()], d
 
 

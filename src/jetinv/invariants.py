@@ -107,13 +107,16 @@ class InvariantPoly:
         return [rows[m] for m in self.rows], [cols[s] for s in self.cols]
 
     def to_json(self) -> dict:
-        table, terms, scale = self._packed or (None, None, 1)
-        poly = self.poly if table is None else table.unpack(terms)
+        if self._packed is None:
+            terms, ring = term_list(self.poly.terms), self.poly.ring
+        else:
+            table, packed, scale = self._packed
+            terms, ring = table.packing.term_list(packed, scale), table.ring
         return {
             "provenance": {"rows": self.rows, "cols": self.cols},
             "weighted_degree": self.weighted_degree,
-            "poly": term_list(poly.terms, scale),
-            "vars": poly.ring.names,
+            "poly": terms,
+            "vars": ring.names,
         }
 
 

@@ -10,10 +10,14 @@ the closed-form entry formulas below carry the multiplicities of ordered
 compositions.
 
 The powers of a jet are the one table here: `powers` holds [u^t] f(u)^s,
-truncated at f.k.  `compose`, `group_matrix`, `invert`, the test-curve
-system of `invariants` and the induced action of GL(n) on wedges
-(`embedding.apply_group_to_wedge`, on the linear jet u -> g^T u) read it,
-and every closed-form entry is tested against it.
+truncated at f.k.  It multiplies on packed exponents, an `exact.Packing` of
+the p source letters with fields of f.k.bit_length() bits, through the one
+packed product `exact.add_product`, whose degree bound is one int compare;
+each power asked for comes back keyed by exponent tuples.  `compose`,
+`group_matrix`, `invert`, the test-curve system of `invariants` and the
+induced action of GL(n) on wedges (`embedding.apply_group_to_wedge`, on the
+linear jet u -> g^T u) read it, and every closed-form entry is tested
+against it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (Matrix, PolyRing, SparsePolynomial, add_into, integral_entries, rat, rat_str,
-                    parse_rat, sparse_product)
+from .exact import (Matrix, Packing, PolyRing, SparsePolynomial, add_into, add_product, integral_entries,
+                    rat, rat_str, parse_rat)
 from .symbasis import Exponent, Monomial, entries_to_exponent, sym_basis, vector_compositions
 
 CoefVec = tuple
@@ -132,10 +136,14 @@ def powers(f: JetMap, exps) -> dict[Exponent, dict]:
     as sparse maps t -> coefficient truncated at degree f.k.
 
     One memoized recursion: f^s = f^(s - e_j) * f_j at the first letter j of
-    s, so each power, asked for or passed on the way, costs one sparse
-    product.
+    s, so each power, asked for or passed on the way, costs one packed
+    product.  The t are packed with fields of f.k.bit_length() bits, wide
+    enough for any exponent of degree at most f.k, and unpacked once per
+    power asked for.
     """
-    coords = [{t: vec[j] for t, vec in f.coeffs.items() if vec[j]} for j in range(f.q)]
+    packing = Packing(f.p, f.k.bit_length())
+    below = packing.below(f.k)
+    coords = [{packing.pack(t): vec[j] for t, vec in f.coeffs.items() if vec[j]} for j in range(f.q)]
     memo: dict[Exponent, dict] = {}
 
     def power(s: Exponent) -> dict:
@@ -146,11 +154,11 @@ def powers(f: JetMap, exps) -> dict[Exponent, dict]:
                 got = coords[j]
             else:
                 rest = s[:j] + (s[j] - 1,) + s[j + 1:]
-                got = sparse_product(power(rest), coords[j], f.k)
+                got = add_product({}, power(rest), coords[j], below)
             memo[s] = got
         return got
 
-    return {s: power(s) for s in exps}
+    return {s: packing.unpack(power(s)) for s in exps}
 
 
 def compose(g: JetMap, f: JetMap) -> JetMap:

@@ -5,9 +5,10 @@ stabilizer systems on the expanded wedge and the full tensor, Hilbert-Mumford
 by subset enumeration, unique solutions and span equality read off kernels and
 ranks, orbit limits by EpsWeight sums, the induced action on
 Sym^{<=k} C^n as a dense matrix, the jet embedding and the powers of a
-jet summed term by term over ordered decompositions, and the invariance trials
-compared as rational determinants.  They use public jetinv names only, so a
-change to a private helper of the library cannot change an oracle with it.
+jet summed term by term over ordered decompositions, the product of sparse
+maps on exponent tuples, and the invariance trials compared as rational
+determinants.  They use public jetinv names only, so a change to a private
+helper of the library cannot change an oracle with it.
 """
 
 import bisect
@@ -227,6 +228,32 @@ def limit_by_eps_weights(w, lam):
         totals[factors] = total
     best = min(totals.values())
     return {f: c for f, c in w.terms.items() if totals[f] == best}
+
+
+# -- sparse products on exponent tuples -----------------------------------------
+
+
+def sparse_product(a, b, bound=None):
+    """Product of two sparse maps from exponent tuples to coefficients:
+    exponents add and coefficients multiply; with a bound, products of total
+    degree above it are dropped.  Zero coefficients are pruned by truthiness."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if bound is not None and sum(e1) + sum(e2) > bound:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def vector_to_sym(vec, n):
+    """A vector in C^n as a degree-1 element of the symmetric algebra."""
+    return {tuple(int(i == j) for i in range(n)): c for j, c in enumerate(vec) if c}
 
 
 # -- the embedding and jet powers by ordered decompositions ---------------------

@@ -44,7 +44,8 @@ from jetinv.orbits import (
     z_closed_form,
 )
 from jetinv.symbasis import orderings_count, sym_basis, sym_dim
-from oracles import distinguished_twisted_point, hilbert_mumford_bruteforce, stabilizer_full_tensor_e1
+from oracles import (distinguished_twisted_point, hilbert_mumford_bruteforce, sparse_product,
+                     stabilizer_full_tensor_e1, vector_to_sym)
 
 
 class _Budget:
@@ -262,8 +263,6 @@ def test_criterion_06_test_curve_codimension():
         sysm = curve_system(gamma, 1)
         ring = gamma.coeffs[(1, 0)][0].ring
         gv = lambda s, j: ring.var(f"g[{s[0]},{s[1]}]_{j}")
-        from jetinv.embedding import _vector_to_sym
-        from jetinv.exact import sparse_product
         from jetinv.symbasis import exponent_to_entries
 
         def quad_row(linear, pairs):
@@ -272,7 +271,7 @@ def test_criterion_06_test_curve_codimension():
                 key = (tuple(1 if i == j - 1 else 0 for i in range(3)), 0)
                 row[key] = linear[j - 1]
             for coeff, vv, ww in pairs:
-                prod = sparse_product(_vector_to_sym(vv, 3), _vector_to_sym(ww, 3))
+                prod = sparse_product(vector_to_sym(vv, 3), vector_to_sym(ww, 3))
                 for s, c in prod.items():
                     add = coeff * c * Fraction(1, orderings_count(exponent_to_entries(s)))
                     row[(s, 0)] = row.get((s, 0), ring.zero()) + add

@@ -10,20 +10,22 @@ from jetinv.exact import (
     Matrix,
     MinorPlan,
     MinorTable,
+    Packing,
     PolyRing,
     SparsePolynomial,
     _det_laplace,
     _grlex_key,
+    add_into,
+    add_product,
     integral,
     kernel_basis,
     parse_rat,
     rank,
     rat_str,
     row_space_basis,
-    sparse_product,
     term_list,
 )
-from oracles import inverse, same_span, solve_unique
+from oracles import inverse, same_span, solve_unique, sparse_product
 
 
 def test_rational_serialization():
@@ -500,16 +502,50 @@ def test_term_list_is_graded_lex_descending(terms):
 @given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-9, 9).filter(bool), max_size=12),
        st.integers(1, 12))
 def test_term_list_over_a_scale_is_the_term_list_of_the_quotient(terms, scale):
+    """Also off one sort of graded packed keys (exponents below 2^2)."""
     poly = SparsePolynomial(PolyRing(["x", "y", "z"]), {e: Fraction(c, scale) for e, c in terms.items()})
+    packing = Packing(3, 2)
+    assert packing.term_list({packing.pack(e): c for e, c in terms.items()}, scale) == term_list(terms, scale)
     assert term_list(terms, scale) == poly.term_list() == [
         (e, rat_str(poly.terms[e])) for e in sorted(terms, key=_grlex_key, reverse=True)]
+
+
+# Exponents of a product of two _polys terms are at most 4 < 2^3: no field carries.
+_PACKING = Packing(2, 3)
+
+
+def _packed(terms):
+    return {_PACKING.pack(e): c for e, c in terms.items()}
 
 
 @_property
 @given(_polys, _polys, st.integers(0, 5))
 def test_bounded_product_is_the_truncated_product(p, q, k):
     full = sparse_product(p.terms, q.terms)
-    assert sparse_product(p.terms, q.terms, k) == {e: c for e, c in full.items() if sum(e) <= k}
+    bounded = add_product({}, _packed(p.terms), _packed(q.terms), _PACKING.below(k))
+    assert _PACKING.unpack(bounded) == {e: c for e, c in full.items() if sum(e) <= k}
+
+
+# int, Fraction and polynomial coefficients, mixed in one map; small values on
+# few exponents, so that distinct term pairs often cancel.
+_mixed = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)),
+              st.dictionaries(st.tuples(st.integers(0, 1)), st.integers(-1, 1), max_size=2)
+              .map(PolyRing(["t"]).poly)).filter(bool),
+    max_size=5,
+)
+
+
+@_property
+@given(_mixed, _mixed, _mixed, st.one_of(st.none(), st.integers(0, 4)))
+def test_packed_product_is_the_tuple_keyed_product(acc, a, b, bound):
+    """add_product on packed keys: acc + a * b, truncated at the bound if any,
+    with every cancelled entry dropped, as the tuple-keyed reference has it."""
+    below = None if bound is None else _PACKING.below(bound)
+    got = add_product(_packed(acc), _packed(a), _packed(b), below)
+    assert _PACKING.unpack(got) == add_into(dict(acc), sparse_product(a, b, bound))
+    assert all(got.values())
 
 
 @_property

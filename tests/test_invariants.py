@@ -34,7 +34,7 @@ from jetinv.invariants import (
     verify_invariance_symbolic,
 )
 from jetinv.symbasis import orderings_count, sym_basis, sym_dim
-from oracles import verify_suite_in_rationals
+from oracles import sparse_product, vector_to_sym, verify_suite_in_rationals
 
 
 def test_generator_set_2_2_contents():
@@ -504,12 +504,10 @@ def test_example_8_3_symbolic_rows():
         row = {}
         for j in range(1, n + 1):
             row[((0,) * (j - 1) + (1,) + (0,) * (n - j), 0)] = linear_vec[j - 1]
-        from jetinv.embedding import _vector_to_sym
-        from jetinv.exact import sparse_product
         from jetinv.symbasis import exponent_to_entries, orderings_count
 
         for coeff, v, w in quad_pairs:
-            prod = sparse_product(_vector_to_sym(v, n), _vector_to_sym(w, n))
+            prod = sparse_product(vector_to_sym(v, n), vector_to_sym(w, n))
             for s, c in prod.items():
                 key = (s, 0)
                 add = coeff * c * Fraction(1, orderings_count(exponent_to_entries(s)))

@@ -24,7 +24,7 @@ from jetinv.jets import (
     torus_weights,
 )
 from jetinv.symbasis import orderings_count, partitions_of, sym_basis
-from oracles import inverse, power_coefficient
+from oracles import inverse, power_coefficient, sparse_product, vector_to_sym
 
 
 def test_compose_identity():
@@ -265,6 +265,24 @@ def test_powers_compose_and_group_matrix_are_power_oracle_sums(case):
     assert group_matrix(psi) == Matrix([[power_coefficient(psi, t, s) for t in ts] for s in ts])
 
 
+@pytest.mark.parametrize("p, k", [(1, 7), (1, 8), (2, 3), (2, 4)])
+def test_powers_are_the_reference_products_where_the_field_width_changes(p, k):
+    """The packed fields of ``powers`` are k.bit_length() bits wide: 3 then 4
+    for p = 1, 2 then 3 for p = 2.  Every power over two letters against
+    repeated tuple-keyed products truncated at k."""
+    f = random_jet(random.Random(k), p, 2, k, bound=5)
+    coords = [{t: vec[j] for t, vec in f.coeffs.items() if vec[j]} for j in range(2)]
+    exps = sym_basis(2, k).exponents
+    expected = {}
+    for s in exps:
+        prod = {(0,) * p: Fraction(1)}
+        for j, e in enumerate(s):
+            for _ in range(e):
+                prod = sparse_product(prod, coords[j], k)
+        expected[s] = prod
+    assert powers(f, exps) == expected
+
+
 def test_invert_rejects_symbolic_and_singular():
     psi, _ = symbolic_reparam(1, 2)
     with pytest.raises(TypeError):
@@ -315,8 +333,6 @@ def test_composition_matches_partition_expansion():
     )
     composed = compose(psi, gamma)
 
-    from jetinv.embedding import _vector_to_sym
-    from jetinv.exact import sparse_product
     from jetinv.symbasis import exponent_to_entries
 
     def psi_hom(sym_elt):
@@ -333,7 +349,7 @@ def test_composition_matches_partition_expansion():
             raw = {(0,) * n: Fraction(1)}
             for i in tau:
                 vec = tuple(c * factorial(i) for c in gamma.coeffs[(i,)])
-                raw = sparse_product(raw, _vector_to_sym(vec, n))
+                raw = sparse_product(raw, vector_to_sym(vec, n))
             coeff = Fraction(orderings_count(tau))
             for i in tau:
                 coeff /= factorial(i)
