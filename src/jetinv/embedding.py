@@ -142,14 +142,6 @@ class WedgeVector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WedgeVector):
-            return NotImplemented
-        return (
-            (self.n, self.k, self.r) == (other.n, other.k, other.r)
-            and self.terms == other.terms
-        )
-
     def scaled(self, c: Fraction) -> "WedgeVector":
         if c == 0:
             return WedgeVector(self.n, self.k, self.r, {})

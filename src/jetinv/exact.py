@@ -80,10 +80,6 @@ def rat_str(x: Fraction) -> str:
     return str(rat(x))  # Fraction's own str
 
 
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
 class PolyRing:
     """An ordered set of variable names; the factory for its polynomials.
 
@@ -309,18 +305,13 @@ class SparsePolynomial:
 Coef = Union[Fraction, SparsePolynomial]
 
 
-def term_list(terms: Mapping[tuple[int, ...], Scalar], scale: int = 1) -> list[tuple[tuple[int, ...], str]]:
-    """(exponent, rat_str of coefficient / scale), by total degree, then lex,
-    both descending: two C-level sorts, the second stable, with no Python key
+def term_list(terms: Mapping[tuple[int, ...], Scalar]) -> list[tuple[tuple[int, ...], str]]:
+    """(exponent, rat_str of coefficient), by total degree, then lex, both
+    descending: two C-level sorts, the second stable, with no Python key
     function.  The str of an int or a Fraction is its ``rat_str``."""
     exps = sorted(terms, reverse=True)
     exps.sort(key=sum, reverse=True)
-    return _listed(exps, map(terms.__getitem__, exps), scale)
-
-
-def _listed(exps, coefs, scale: int) -> list[tuple[tuple[int, ...], str]]:
-    """(exponent, str of coefficient / scale) pairs, in the order given."""
-    return list(zip(exps, map(str, coefs if scale == 1 else (Fraction(c, scale) for c in coefs))))
+    return list(zip(exps, map(str, map(terms.__getitem__, exps))))
 
 
 def add_into(target: dict, vec: Mapping, c: Scalar = 1) -> dict:
@@ -378,11 +369,11 @@ class Packing:
         tuples = self._tuples(terms)
         return {tuples[key]: c for key, c in terms.items()}
 
-    def term_list(self, terms: Mapping[int, Scalar], scale: int = 1) -> list[tuple[tuple[int, ...], str]]:
+    def term_list(self, terms: Mapping[int, Scalar]) -> list[tuple[tuple[int, ...], str]]:
         """The ``term_list`` of the unpacked map, off one descending sort of
         the keys."""
         keys = sorted(terms, reverse=True)
-        return _listed(map(self._tuples(keys).__getitem__, keys), map(terms.__getitem__, keys), scale)
+        return list(zip(map(self._tuples(keys).__getitem__, keys), map(str, map(terms.__getitem__, keys))))
 
 
 def add_product(acc: dict[int, Coef], a: Mapping[int, Coef], b: Mapping[int, Coef],

@@ -6,7 +6,9 @@ A generator is a minor of the embedded matrix of a symbolic jet: for curves
 (p = 1) the s x s minors of the first s columns for s = 1..k, which are the
 flag Plücker coordinates; for p > 1 only the maximal minors.  Generators are
 compared and deduplicated up to a nonzero rational scalar, since scalars
-affect neither invariance nor generation.
+affect neither invariance nor generation.  A symbolic jet has D = 1, so each
+generator is one packed integer term map of the symbolic jet's minor table,
+from ``generator_set`` to the JSON writer.
 
 Invariance checks default to exact evaluation at random rational points: a
 polynomial identity that fails does so outside a measure-zero set, so any
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import comb, prod
 from typing import Mapping
@@ -48,7 +51,6 @@ from .exact import (
     ResourceLimitError,
     SparsePolynomial,
     divided,
-    term_list,
 )
 from .jets import (
     JetMap,
@@ -75,12 +77,12 @@ TRIAL_BOUND = 10
 class InvariantPoly:
     """A minor generator with its provenance and torus weight.
 
-    rows are Sym-basis monomials over C^n, cols are domain multi-indices; the
-    polynomial itself is expanded lazily since evaluation only needs the
-    provenance.  ``generator_set`` leaves a kept minor packed, its table's
-    integer term map over the scale D^e: ``poly`` unpacks it on first use and
-    ``to_json`` writes from it.  Neither cache takes part in == and
-    dataclasses.replace drops both.
+    rows are Sym-basis monomials over C^n, cols are domain multi-indices.
+    The minor itself is kept packed, as its symbolic table's integer term
+    map: ``generator_set`` fills that cache, and a generator built by hand
+    or by dataclasses.replace fills it on first read from its provenance.
+    ``poly`` unpacks it once and ``to_json`` writes from it.  Neither cache
+    takes part in == or repr, and dataclasses.replace drops both.
     """
 
     n: int
@@ -89,17 +91,22 @@ class InvariantPoly:
     rows: tuple[Monomial, ...]
     cols: tuple[Exponent, ...]
     weighted_degree: object  # int for p = 1, tuple for p > 1
-    _poly: SparsePolynomial | None = field(default=None, init=False, repr=False, compare=False)
-    _packed: tuple[MinorTable, dict, int] | None = field(default=None, init=False, repr=False, compare=False)
+    _packed: tuple[MinorTable, dict] | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    def _packed_minor(self) -> tuple[MinorTable, dict]:
+        """(table, packed term map) of the minor, expanded by a one-query
+        plan on the symbolic table if ``generator_set`` did not leave it."""
+        if self._packed is None:
+            table = _symbolic_table(self.n, self.k, self.p)
+            (_, terms), = table.packed(MinorPlan([self.positions()], table.supports))
+            self._packed = table, terms
+        return self._packed
+
+    @cached_property
     def poly(self) -> SparsePolynomial:
-        if self._poly is None and self._packed is not None:
-            table, terms, scale = self._packed
-            self._poly = divided(table.unpack(terms), scale)
-        elif self._poly is None:
-            self._poly = _exact_minor(symbolic_jet(self.p, self.n, self.k)[0], *self.positions())
-        return self._poly
+        """The minor with Fraction coefficients, unpacked once."""
+        table, terms = self._packed_minor()
+        return divided(table.unpack(terms), 1)
 
     def positions(self) -> tuple[list[int], list[int]]:
         """Row and column positions of the minor in the embedded matrix."""
@@ -107,17 +114,21 @@ class InvariantPoly:
         return [rows[m] for m in self.rows], [cols[s] for s in self.cols]
 
     def to_json(self) -> dict:
-        if self._packed is None:
-            terms, ring = term_list(self.poly.terms), self.poly.ring
-        else:
-            table, packed, scale = self._packed
-            terms, ring = table.packing.term_list(packed, scale), table.ring
+        table, terms = self._packed_minor()
         return {
             "provenance": {"rows": self.rows, "cols": self.cols},
             "weighted_degree": self.weighted_degree,
-            "poly": terms,
-            "vars": ring.names,
+            "poly": table.packing.term_list(terms),
+            "vars": table.ring.names,
         }
+
+
+def _symbolic_table(n: int, k: int, p: int) -> MinorTable:
+    """The minor table of the embedded symbolic jet.  A symbolic jet has
+    D = 1, so ``phi_integral`` is phi itself and each minor of the table is
+    a generator's polynomial, with int coefficients."""
+    columns, _ = phi_integral(symbolic_jet(p, n, k)[0])
+    return MinorTable(columns)
 
 
 def _exact_minor(gamma: JetMap, rows, cols) -> SparsePolynomial | Fraction:
@@ -209,21 +220,29 @@ def _profile_count(counts: dict[int, int], col_degrees: tuple[int, ...]) -> int:
     return ways[0]
 
 
-def generator_set(
-    n: int,
-    k: int,
-    p: int = 1,
-    materialize: bool = True,
-    force: bool = False,
-) -> list[InvariantPoly]:
+def _candidates(n: int, k: int, p: int) -> list[tuple[tuple[int, ...], int, object]]:
+    """The structurally nonzero minor candidates as (row positions, column
+    count, weighted degree), family by family; with no family, no basis is
+    built."""
+    families = _generator_families(n, k, p)
+    if not families:
+        return []
+    positions_by_degree: dict[int, list[int]] = {}
+    for pos, m in enumerate(sym_basis(n, k).monomials):
+        positions_by_degree.setdefault(len(m), []).append(pos)
+    return [(rows, len(c), wd) for c, wd in families
+            for rows in _staircase_row_sets(positions_by_degree, c)]
+
+
+def generator_set(n: int, k: int, p: int = 1, force: bool = False) -> list[InvariantPoly]:
     """All flag Plücker minors of the symbolic embedded matrix.
 
     p = 1: every s x s minor of the first s columns, s = 1..k; p > 1:
-    maximal minors only.  Structurally zero row choices are skipped.  With
-    materialize the polynomials are expanded, zeros dropped and duplicates
-    up to scalar removed on the table's packed terms (``_is_new``; packing is
-    injective), and the kept minors stay packed until read.  Otherwise
-    provenance-only entries are returned.
+    maximal minors only.  Structurally zero row choices are skipped.  The
+    candidates are expanded by one plan on the symbolic table, zeros
+    dropped and duplicates up to scalar removed on the table's packed terms
+    (``_is_new``; packing is injective), and the kept minors stay packed
+    until read.
     More than MINOR_COUNT_CEILING candidates raise ResourceLimitError before
     any is built, unless force.
     """
@@ -236,28 +255,17 @@ def generator_set(
                 f"{count} candidate minors exceed the ceiling {MINOR_COUNT_CEILING}; "
                 "pass force to override"
             )
-    families = _generator_families(n, k, p)
-    if not families:
+    where = _candidates(n, k, p)
+    if not where:
         return []
-    basis = sym_basis(n, k)
-    positions_by_degree: dict[int, list[int]] = {}
-    for pos, m in enumerate(basis.monomials):
-        positions_by_degree.setdefault(len(m), []).append(pos)
-    domain = sym_basis(p, k).exponents
-    where = [(rows, len(c), wd) for c, wd in families
-             for rows in _staircase_row_sets(positions_by_degree, c)]
-    kept = dict.fromkeys(range(len(where)))  # candidate -> (table, packed minor, scale), once expanded
-    if materialize:
-        columns, d = phi_integral(symbolic_jet(p, n, k)[0])
-        table, seen, kept = MinorTable(columns), {}, {}
-        for q, terms in table.packed(MinorPlan([(rows, range(s)) for rows, s, _ in where], table.supports)):
-            if terms and _is_new(terms, seen):
-                kept[q] = table, terms, d ** sum(map(basis.degree_of, where[q][0]))
-    gens = []
-    for q, packed in kept.items():
-        gens.append(InvariantPoly(n=n, k=k, p=p, rows=tuple(map(basis.monomial_at, where[q][0])),
-                                  cols=tuple(domain[: where[q][1]]), weighted_degree=where[q][2]))
-        gens[-1]._packed = packed
+    basis, domain = sym_basis(n, k), sym_basis(p, k).exponents
+    table, seen, gens = _symbolic_table(n, k, p), {}, []
+    for q, terms in table.packed(MinorPlan([(rows, range(s)) for rows, s, _ in where], table.supports)):
+        if terms and _is_new(terms, seen):
+            rows, s, wd = where[q]
+            gens.append(InvariantPoly(n=n, k=k, p=p, rows=tuple(map(basis.monomial_at, rows)),
+                                      cols=tuple(domain[:s]), weighted_degree=wd))
+            gens[-1]._packed = table, terms
     return gens
 
 
@@ -316,7 +324,8 @@ def verify_generator_suite(
     scaling, embeds the three jets once, and compares every generator's exact
     minor values: unchanged under precomposition, scaled by the weighted
     degree under the torus.  The first discrepancy is returned as a witness
-    whose "kind" names the failed check.
+    whose "kind" names the failed check.  The jets have one (n, k, p), so
+    generators of more than one shape raise ValueError.
 
     The values are compared in the integer scale of ``phi_integral``: with I
     the integer minor and D the scale of each jet, I0 / D0^e == I1 / D1^e
@@ -327,7 +336,10 @@ def verify_generator_suite(
         raise ValueError(f"need trials >= 1, got {trials}")
     if not gens:
         raise ValueError("need at least one generator to verify, got none")
-    n, k, p = gens[0].n, gens[0].k, gens[0].p
+    shapes = {(g.n, g.k, g.p) for g in gens}
+    if len(shapes) > 1:
+        raise ValueError(f"generators of more than one shape (n, k, p): {sorted(shapes)}")
+    (n, k, p), = shapes
     plan, exps = _trial_plan(gens), [sum(map(len, g.rows)) for g in gens]
     degrees = {g.weighted_degree for g in gens}
     rng = random.Random(seed)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (Matrix, Packing, PolyRing, SparsePolynomial, add_into, add_product, integral_entries,
-                    rat, rat_str, parse_rat)
+                    rat, rat_str)
 from .symbasis import Exponent, Monomial, entries_to_exponent, sym_basis, vector_compositions
 
 CoefVec = tuple
@@ -85,14 +85,6 @@ class JetMap:
             return False
         return bool(self.linear_matrix().det())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, JetMap):
-            return NotImplemented
-        return (
-            (self.p, self.q, self.k) == (other.p, other.q, other.k)
-            and self.coeffs == other.coeffs
-        )
-
     def to_json(self) -> dict:
         coeffs = {}
         for s in sorted(self.coeffs):
@@ -105,7 +97,7 @@ class JetMap:
         coeffs = {}
         for key, vec in obj["coeffs"].items():
             s = tuple(int(x) for x in key.strip("[]").split(","))
-            coeffs[s] = tuple(parse_rat(c) for c in vec)
+            coeffs[s] = tuple(map(Fraction, vec))
         return cls(int(obj["p"]), int(obj["q"]), int(obj["k"]), coeffs)
 
 
@@ -280,11 +272,6 @@ def invert(psi: JetMap) -> JetMap:
     p = psi.p
     rows = group_matrix(psi).inverse_rows(p)
     return JetMap(p, p, psi.k, dict(zip(sym_basis(p, psi.k).exponents, zip(*rows))))
-
-
-def torus_weights(p: int, k: int) -> dict[Exponent, tuple[int, ...]]:
-    """Torus weight of each jet coefficient: coordinate s scales by lambda^s."""
-    return {s: s for s in sym_basis(p, k).exponents}
 
 
 # -- random sampling ------------------------------------------------------

@@ -221,7 +221,7 @@ def test_criterion_05_invariance_suite():
         bulk = bulk_invariance_check(4, 4, trials=100, seed=99)
         assert bulk["ok"], bulk
         sample_rng = random.Random(7)
-        gens44 = generator_set(4, 4, 1, materialize=False, force=True)
+        gens44 = generator_set(4, 4, 1, force=True)
         sample = sample_rng.sample(gens44, 60)
         report = verify_generator_suite(sample, trials=100, seed=44)
         assert report["ok"], report

@@ -21,6 +21,7 @@ from jetinv.invariants import (
     InvariantPoly,
     TRIAL_BOUND,
     ResourceLimitError,
+    _candidates,
     _exact_minor,
     _generator_families,
     _is_new,
@@ -71,9 +72,13 @@ def test_replace_drops_the_cached_polynomial():
 
 
 def test_equal_provenance_compares_equal_materialized_or_not():
+    """dataclasses.replace drops the packed minor and the polynomial; neither
+    takes part in == or repr."""
     for g in generator_set(2, 3):
+        assert g.poly and "poly" in vars(g) and g._packed is not None
         bare = dataclasses.replace(g)
-        assert bare == g and bare._packed is None and bare._poly is None and g._packed is not None
+        assert bare == g and repr(bare) == repr(g)
+        assert bare._packed is None and "poly" not in vars(bare)
         assert g == InvariantPoly(n=g.n, k=g.k, p=g.p, rows=g.rows, cols=g.cols,
                                   weighted_degree=g.weighted_degree)
     assert generator_set(2, 3)[0] != dataclasses.replace(generator_set(2, 3)[0], weighted_degree=0)
@@ -241,6 +246,17 @@ def test_verify_generator_suite():
     assert rep["ok"] and rep["generators"] == len(gens)
 
 
+def test_generators_of_mixed_shapes_are_refused():
+    """The trial jets and the plan have one (n, k, p): a generator of another
+    shape would be read as some other minor, so a mixed list raises."""
+    fake = InvariantPoly(n=3, k=2, p=1, rows=((3,),), cols=((2,),), weighted_degree=2)
+    assert verify_generator_suite([fake], trials=5, seed=0)["witness"]["kind"] == "invariance"
+    for mixed in (generator_set(2, 2) + [fake], generator_set(2, 2) + generator_set(3, 3)[:3],
+                  generator_set(2, 2) + generator_set(3, 3), generator_set(3, 2, 2)[:1] + generator_set(3, 2)):
+        with pytest.raises(ValueError, match="shape"):
+            verify_generator_suite(mixed, trials=5, seed=0)
+
+
 def test_bulk_invariance_check():
     rep = bulk_invariance_check(4, 4, trials=10, seed=9)
     assert rep["ok"] and rep["failures"] == 0
@@ -278,7 +294,7 @@ def test_count_equals_enumeration():
                 count = count_candidate_minors(n, k, p)
                 if count > 30000:
                     continue
-                assert count == len(generator_set(n, k, p, materialize=False, force=True)), (n, k, p)
+                assert count == len(_candidates(n, k, p)), (n, k, p)
                 shapes += 1
     assert shapes == 48
     assert count_candidate_minors(3, 2, 2) == 75
@@ -574,6 +590,22 @@ def test_packed_json_equals_the_json_of_the_expanded_minor(n, k, p):
         packed = g.to_json()
         for poly in (g.poly, _exact_minor(gamma, *g.positions())):
             assert packed == {**packed, "poly": poly.term_list(), "vars": poly.ring.names}
+
+
+@pytest.mark.parametrize("n, k, p", [(2, 3, 1), (3, 3, 1), (3, 2, 2)])
+def test_replaced_generators_expand_their_own_packed_minor(n, k, p):
+    """A generator rebuilt by dataclasses.replace carries no packed minor; it
+    expands its provenance on first read to the same JSON and polynomial."""
+    for g in generator_set(n, k, p):
+        bare = dataclasses.replace(g)
+        assert bare.to_json() == g.to_json() and bare._packed is not None
+        assert dataclasses.replace(g).poly == g.poly
+
+
+def test_structurally_zero_generator_writes_no_terms():
+    g = InvariantPoly(n=2, k=2, p=1, rows=((1, 1),), cols=((1,),), weighted_degree=1)
+    assert g.to_json()["poly"] == [] and not g.poly
+    assert g.to_json()["vars"] == symbolic_jet(1, 2, 2)[1].names
 
 
 def test_generator_set_shares_one_tuple_per_monomial():

@@ -21,7 +21,6 @@ from jetinv.jets import (
     random_reparam,
     symbolic_jet,
     symbolic_reparam,
-    torus_weights,
 )
 from jetinv.symbasis import orderings_count, partitions_of, sym_basis
 from oracles import inverse, power_coefficient, sparse_product, vector_to_sym
@@ -289,14 +288,6 @@ def test_invert_rejects_symbolic_and_singular():
         invert(psi)
     with pytest.raises(ValueError):
         invert(JetMap(1, 1, 2, {(2,): (Fraction(1),)}))
-
-
-def test_torus_weights():
-    w1 = torus_weights(1, 4)
-    assert w1[(3,)] == (3,)
-    w2 = torus_weights(2, 3)
-    assert w2[(1, 1)] == (1, 1)
-    assert w2[(3, 0)] == (3, 0)
 
 
 def test_composition_matches_partition_expansion():
