@@ -13,8 +13,13 @@ import os
 import random
 import sys
 from collections import defaultdict
+from collections.abc import Iterator
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, compress, filterfalse, islice, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import is_, itemgetter
 from pathlib import Path
 
 from .exact import ResourceLimitError
@@ -56,82 +61,243 @@ EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a filter SIGPI
 OUTPUT_CELL_CEILING = 100_000
 
 
+# Arrays longer than this are rendered, and written out, BATCH items at a time.
+BATCH = 256
+
+_ARRAYS = frozenset((list, tuple))
+_FILED = frozenset((int, str))  # the item types of the arrays filed by id
+
 # C encoder for every scalar but str; a type JSON cannot take raises TypeError
 _scalar = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
                          ": ", ", ", True, False, True)
 
 
-def canonical_json(obj) -> str:
+def canonical_json(obj) -> Iterator[str]:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for str dict
-    keys.  The cost follows the payload's shape: a few key sets, a few
-    monomials, repeated thousands of times.
+    keys, as chunks of text to be written in order.  The cost follows the
+    payload's shape: a few key sets, a few monomials, repeated thousands of
+    times, so values are rendered a column at a time.
 
-    A dict's head, its sorted keys each with the ready-made `{` or `,`, the
-    indent and the encoded `"key": `, is built once per (key tuple in
-    insertion order, indent) in a call; str values are written inline.
+    ``_Writer.render`` takes a list of values at one indent and returns their
+    texts.  Values are grouped by type; a column of strs or of ints is one
+    C-level ``map``.  Dicts whose keys come in one insertion order take one
+    sorted head, cached per order and indent, and each key's column is read
+    with ``itemgetter`` and rendered at the next indent.  An array led by an
+    int or a str is first looked up by id among the texts filed at its indent;
+    the ones not found, each once, are rendered and, when all their items
+    are ints or all are strs, filed: a wedge's thousands of factors are a few
+    dozen monomials, and a term list's exponents are the minor table's
+    shared tuples.  Every filed array is held by obj for the whole call, so
+    no two live objects share an id.  A run of equal-length arrays with items
+    of several types, no longer than the run, such as (exponent, coeff)
+    pairs, is rendered column by column; any other run of arrays is
+    flattened, rendered as one column and regrouped.  Each record is one
+    ``"".join`` over a ``zip`` of its columns with the repeated prefixes and
+    separators.
 
-    An array is dispatched on its first item.  Empty, it is `[]`.  Its items
-    are taken as all int only when the first is an int and the set of item
-    types is exactly {int}, and as all str likewise; [1, true] and [1, 1.0]
-    are written item by item.  An all-int or all-str array is rendered once
-    per object and indent and filed in shared[indent][id(array)], where an
-    array led by an int or a str, and every item of a mixed array, is looked
-    up before it is written (a str item inline): wedges share a few basis
-    monomial objects among thousands of factors.  Every filed array and every
-    item looked up is held by obj for the whole call, so no two live objects share an id."""
-    shared: defaultdict[str, dict[int, str]] = defaultdict(dict)  # indent -> id(array) -> text
-    heads: dict[tuple, list[tuple[str, str]]] = {}  # (*keys, indent) -> [(key, prefix)]
+    Dicts, and arrays led by a dict, that hold an array of more than BATCH
+    items are walked key by key and item by item.  Such an array is rendered
+    and yielded BATCH items at a time, and the text before a batch goes out
+    with it, so a payload holding no such array is a single chunk."""
+    writer = _Writer()
+    for _ in writer.stream(obj, "\n"):
+        yield "".join(writer.parts)
+        writer.parts.clear()
+    yield "".join(writer.parts)
 
-    def write(obj, newline: str) -> str:
-        """obj at the line whose break and indent is newline."""
-        if isinstance(obj, str):
-            return encode_basestring_ascii(obj)
+
+class _Writer:
+    """One canonical_json call: the texts filed by id at each indent, and the
+    text not yet yielded.  A class rather than closures that call each other,
+    so a finished call leaves no reference cycle behind for the collector."""
+
+    def __init__(self) -> None:
+        self.shared: defaultdict[str, dict[int, str]] = defaultdict(dict)  # newline -> id(array) -> text
+        self.parts: list[str] = []
+
+    def render(self, values, newline: str) -> list[str]:
+        """The text of each value at the line whose break and indent is newline."""
+        kinds = set(map(type, values))
+        if len(kinds) != 1:
+            return _scatter(values, map(type, values), lambda group: self.render(group, newline))
+        return self.render_as(kinds.pop(), values, newline)
+
+    def render_as(self, kind: type, values, newline: str) -> list[str]:
+        """render, for values all of type kind."""
+        if kind is str:
+            return list(map(encode_basestring_ascii, values))
+        if kind is int:
+            return list(map(int.__repr__, values))
+        if issubclass(kind, (list, tuple)):
+            return self.arrays(values, newline)
+        if issubclass(kind, dict):
+            return self.dicts(values, newline)
+        return ["".join(_scalar(v, 0)) for v in values]
+
+    def dicts(self, values, newline: str) -> list[str]:
+        """render, for dicts: one column per key of each insertion order of keys."""
+        orders = set(map(tuple, values))
+        if len(orders) > 1:
+            return _scatter(values, map(tuple, values), lambda group: self.dicts(group, newline))
+        keys, prefixes = _head(orders.pop(), newline)
+        if not keys:
+            return ["{}"] * len(values)
+        inner, end = newline + "  ", newline + "}"
+        if len(keys) > len(values):  # fewer records than keys: their values as one column
+            texts = iter(self.render([d[k] for d in values for k in keys], inner))
+            return ["".join(chain.from_iterable(zip(prefixes, islice(texts, len(keys))))) + end for _ in values]
+        columns = []
+        for key, prefix in zip(keys, prefixes):
+            columns += (repeat(prefix), self.render(list(map(itemgetter(key), values)), inner))
+        return list(map("".join, zip(*columns, repeat(end))))
+
+    def arrays(self, values, newline: str) -> list[str]:
+        """render, for arrays: those led by an int or a str go through the memo."""
+        lead = values[0]
+        if not lead or type(lead[0]) not in _FILED:
+            return self.records(values, newline)
+        memo = self.shared[newline]
+        ids = list(map(id, values))
+        texts = list(map(memo.get, ids))
+        if all(texts):
+            return texts
+        todo = dict(zip(ids, values))
+        if memo:
+            unfiled = list(filterfalse(memo.__contains__, todo))
+            todo = dict(zip(unfiled, map(todo.__getitem__, unfiled)))
+        fresh = dict(zip(todo, self.records(list(todo.values()), newline)))
+        if set(map(type, chain.from_iterable(todo.values()))) in ({int}, {str}):
+            memo.update(fresh)
+        return list(map(fresh.get, ids, texts))
+
+    def records(self, values, newline: str) -> list[str]:
+        """render, for arrays, each rendered here: column by column, or
+        flattened and regrouped."""
         inner = newline + "  "
-        if isinstance(obj, (list, tuple)):
-            if not obj:
-                return "[]"
-            lead = type(obj[0])
-            if lead is int or lead is str:
-                memo = shared[newline]
-                text = memo.get(id(obj))
-                if text is None and set(map(type, obj)) == {lead}:
-                    encode = int.__repr__ if lead is int else encode_basestring_ascii
-                    text = memo[id(obj)] = "[" + inner + ("," + inner).join(map(encode, obj)) + newline + "]"
-                if text is not None:
-                    return text
-            items = shared[inner]
-            return "[" + inner + ("," + inner).join([
-                items.get(id(x)) or (encode_basestring_ascii(x) if type(x) is str else write(x, inner))
-                for x in obj
-            ]) + newline + "]"
-        if isinstance(obj, dict):
-            if not obj:
-                return "{}"
-            head = heads.get((*obj, newline))
-            if head is None:
-                head = heads[(*obj, newline)] = [
-                    (k, ("," if i else "{") + inner + encode_basestring_ascii(k) + ": ")
-                    for i, k in enumerate(sorted(obj))]
-            return "".join([
-                prefix + (encode_basestring_ascii(v) if type(v := obj[k]) is str else write(v, inner))
-                for k, prefix in head
-            ]) + newline + "}"
-        return "".join(_scalar(obj, 0))
+        lengths = list(map(len, values))
+        width = lengths[0]
+        items = list(chain.from_iterable(values))
+        if lengths.count(width) < len(lengths):
+            return _regroup(self.render(items, inner), lengths, newline)
+        if not width:
+            return ["[]"] * len(values)
+        kinds = set(map(type, items))
+        if len(kinds) == 1 or width > len(values):
+            texts = iter(self.render_as(kinds.pop(), items, inner) if len(kinds) == 1 else self.render(items, inner))
+            return list(map("".join, zip(repeat("[" + inner), map(("," + inner).join, zip(*[texts] * width)),
+                                         repeat(newline + "]"))))
+        columns = [repeat("[" + inner)]
+        for j in range(width):
+            columns += (self.render(list(map(itemgetter(j), values)), inner), repeat("," + inner))
+        columns[-1] = repeat(newline + "]")
+        return list(map("".join, zip(*columns)))
 
-    return write(obj, "\n")
+    def stream(self, value, newline: str) -> Iterator[None]:
+        """Append value's text at newline to parts, pausing after each batch."""
+        parts, inner = self.parts, newline + "  "
+        if isinstance(value, (list, tuple)) and len(value) > BATCH:
+            for start in range(0, len(value), BATCH):
+                parts.append(("," if start else "[") + inner)
+                parts.append(("," + inner).join(self.render(value[start:start + BATCH], inner)))
+                yield
+            parts.append(newline + "]")
+        elif isinstance(value, dict) and _holds_long(value):
+            for key, prefix in zip(*_head(tuple(value), newline)):
+                parts.append(prefix)
+                yield from self.stream(value[key], inner)
+            parts.append(newline + "}")
+        elif isinstance(value, (list, tuple)) and _holds_long(value):
+            for i, item in enumerate(value):
+                parts.append(("," if i else "[") + inner)
+                yield from self.stream(item, inner)
+            parts.append(newline + "]")
+        else:
+            parts.extend(self.render([value], newline))
+
+
+@lru_cache(maxsize=1024)
+def _head(order: tuple, newline: str) -> tuple[tuple, tuple[str, ...]]:
+    """A dict's sorted keys, each with its `{` or `,`, the indent and its
+    `"key": `, for the dict's keys in insertion order at newline."""
+    inner = newline + "  "
+    keys = tuple(sorted(order))
+    return keys, tuple(("," if i else "{") + inner + encode_basestring_ascii(k) + ": " for i, k in enumerate(keys))
+
+
+def _holds_long(value) -> bool:
+    """Whether value is or holds an array of more than BATCH items, looking
+    through dicts and the dicts of arrays led by a dict only: the items of
+    other arrays, such as a term list's exponents, are not read.  The values
+    of an array's dicts are checked together, a C-level pass each."""
+    if type(value) is dict:
+        return any(map(_holds_long, value.values()))
+    if type(value) not in _ARRAYS:
+        return False
+    if len(value) > BATCH:
+        return True
+    if not value or type(value[0]) is not dict:
+        return False
+    values = list(chain.from_iterable(map(dict.values, compress(value, map(is_, map(type, value), repeat(dict))))))
+    kinds = list(map(type, values))
+    arrays = list(filter(None, compress(values, map(_ARRAYS.__contains__, kinds))))
+    if max(map(len, arrays), default=0) > BATCH:
+        return True
+    led = compress(arrays, map(is_, map(type, map(itemgetter(0), arrays)), repeat(dict)))
+    return any(map(_holds_long, chain(compress(values, map(is_, kinds, repeat(dict))), led)))
+
+
+def _scatter(values, labels, render_group) -> list[str]:
+    """render_group on each group of values that share a label, its texts put
+    back in the values' places."""
+    where: dict = {}
+    for i, label in enumerate(labels):
+        where.setdefault(label, []).append(i)
+    texts = [""] * len(values)
+    for group in where.values():
+        for i, text in zip(group, render_group([values[i] for i in group])):
+            texts[i] = text
+    return texts
+
+
+def _regroup(texts: list[str], lengths: list[int], newline: str) -> list[str]:
+    """Arrays at newline of the given lengths, their item texts taken in order."""
+    inner = newline + "  "
+    start, sep, end = "[" + inner, "," + inner, newline + "]"
+    it = iter(texts)
+    return [start + sep.join(islice(it, n)) + end if n else "[]" for n in lengths]
+
+
+@contextmanager
+def _writing(flag: str, path) -> Iterator[None]:
+    """An OS error writing the file a flag names is bad input."""
+    try:
+        yield
+    except OSError as e:
+        raise ValueError(f"cannot write {flag} {path}: {e.strerror or e}") from None
 
 
 def _emit(payload: dict, args) -> None:
-    text = canonical_json(payload)
-    if getattr(args, "out", None):
+    """Canonical JSON, rendered once and written chunk by chunk to --out and,
+    with --json, to stdout; without --json a table goes to stdout."""
+    path, to_stdout = getattr(args, "out", None), getattr(args, "json", False)
+    if path or to_stdout:
+        out = None
+        if path:
+            with _writing("--out", path):
+                out = open(path, "w", encoding="ascii")
         try:
-            Path(args.out).write_text(text + "\n")
-        except OSError as e:
-            raise ValueError(f"cannot write --out {args.out}: {e.strerror or e}") from None
-    if getattr(args, "json", False):
-        print(text)
-        return
-    _print_human(payload)
+            for chunk in chain(canonical_json(payload), ("\n",)):
+                if out is not None:
+                    with _writing("--out", path):
+                        out.write(chunk)
+                if to_stdout:
+                    sys.stdout.write(chunk)
+        finally:
+            if out is not None:
+                with _writing("--out", path):
+                    out.close()
+    if not to_stdout:
+        _print_human(payload)
 
 
 def _print_human(payload: dict, indent: str = "") -> None:
@@ -391,11 +557,10 @@ def cmd_fixtures(args) -> int:
     if args.fixtures_cmd == "regenerate":
         for name, payload in fixtures.items():
             path = directory / f"{name}.json"
-            try:
+            with _writing("--dir", args.dir):
                 directory.mkdir(parents=True, exist_ok=True)
-                path.write_text(canonical_json(payload) + "\n")
-            except OSError as e:
-                raise ValueError(f"cannot write --dir {args.dir}: {e.strerror or e}") from None
+                with path.open("w", encoding="ascii") as file:
+                    file.writelines(chain(canonical_json(payload), ("\n",)))
             print(f"wrote {path}")
         return EXIT_OK
     if not directory.is_dir():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetinv.cli import canonical_json, main
+from jetinv.cli import BATCH, canonical_json, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -562,6 +562,11 @@ _STR = ("x",)
 _LIST = [1, 2]  # one list object, likewise
 
 
+def _records(count):
+    """count wedge-term records sharing a few factor tuples."""
+    return [{"factors": [_ONE, (i % 3, 2)], "coeff": str(i - 5)} for i in range(count)]
+
+
 @st.composite
 def _shared_tuple_values(draw):
     """JSON values whose leaves are drawn from one pool of tuple objects, so
@@ -625,8 +630,23 @@ def _shared_tuple_values(draw):
 @example([{"a": _LIST, "b": _ONE}, [_LIST, 1, _ONE, "x"], {"c": [_ONE, _LIST]}])
 # written item by item, also beside an equal all-int array met first
 @example([[1, 1], [1, True], [1, 1.0], ["a", 1], [1, True], [1, 1.0], ["a", 1]])
+# 0, 1, BATCH and BATCH + 1 records: the last is written in two batches
+@example({"n": 2, "terms": _records(0)})
+@example({"n": 2, "terms": _records(1)})
+@example({"n": 2, "terms": _records(BATCH)})
+@example({"n": 2, "terms": _records(BATCH + 1)})
+# one record with another key set, in a short run and in a batched one
+@example([{"coeff": "1", "factors": [_ONE]}, {"coeff": "2", "other": [_ONE]}, {"coeff": "3", "factors": []}])
+@example({"terms": _records(BATCH + 2) + [{"coeff": "2", "other": [_ONE]}] + _records(3)})
+# a pair array holding one 3-tuple, short and batched
+@example([((1, 2), "1"), ((2, 1), "-1"), ((0, 3), "2", "x"), ((1, 2), "1/2")])
+@example({"poly": [((i, 1), str(i)) for i in range(BATCH)] + [((0, 3), "2", "x")]})
+# a filed tuple beside equal lists inside records
+@example([{"e": _ONE, "f": [1, 2]}, {"e": [1, 2], "f": _ONE}, {"e": tuple([1, 2]), "f": [_ONE, [1, 2]]}])
+# a dict array of at most BATCH records, one of which holds a batched array
+@example({"generators": [{"poly": _records(2)}, {"poly": _records(BATCH + 1), "vars": _STR}, {"poly": []}]})
 def test_canonical_json_is_json_dumps(value):
-    assert canonical_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert "".join(canonical_json(value)) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @_property
@@ -636,7 +656,7 @@ def test_canonical_json_rejects_what_it_does_not_take(value, bad):
     TypeError wherever it sits."""
     for payload in (bad, [value, bad], {"k": (bad,), "v": value}):
         with pytest.raises(TypeError):
-            canonical_json(payload)
+            "".join(canonical_json(payload))
 
 
 @pytest.mark.parametrize("argv", [
@@ -652,7 +672,58 @@ def test_canonical_json_on_real_payloads(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0
     parsed = json.loads(out)
-    assert out == canonical_json(parsed) + "\n" == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
+    assert out == "".join(canonical_json(parsed)) + "\n" == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
+
+
+def test_long_payloads_go_out_batch_by_batch(capsys, monkeypatch, tmp_path):
+    """A wedge of 1,800 terms leaves the writer in one chunk per BATCH terms,
+    the same chunks to stdout and to --out; a payload with no array longer
+    than BATCH is one chunk."""
+    import jetinv.cli
+
+    chunks = []
+
+    def recorded(obj):
+        for chunk in canonical_json(obj):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(jetinv.cli, "canonical_json", recorded)
+    argv = "orbit closed-form --k 6 --sigma 5 --kind mu"
+    target = tmp_path / "mu.json"
+    code = main(argv.split() + ["--json", "--out", str(target)])
+    out = capsys.readouterr().out
+    assert code == 0 and len(json.loads(out)["terms"]) == 1800
+    assert len(chunks) == -(-1800 // BATCH) + 1  # the last chunk closes the array and the dict
+    assert out == target.read_text() == "".join(chunks) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+    chunks.clear()
+    assert main(["orbit", "codim-report", "--k", "4", "--json"]) == 0
+    assert len(chunks) == 1 and capsys.readouterr().out == chunks[0] + "\n"
+
+
+def test_error_inside_a_streamed_array_exits_4(capsys, monkeypatch):
+    """A value JSON cannot hold, deep in the second batch of terms, ends the
+    run with exit 4 and one internal-error line; stdout holds the text
+    written before it, a prefix of the payload."""
+    import jetinv.embedding
+
+    argv = "orbit closed-form --k 6 --sigma 5 --kind mu --json".split()
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    to_json = jetinv.embedding.WedgeVector.to_json
+
+    def broken(self):
+        obj = to_json(self)
+        obj["terms"][BATCH + 5]["factors"][2] = Fraction(1, 2)
+        return obj
+
+    monkeypatch.setattr(jetinv.embedding.WedgeVector, "to_json", broken)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == "internal error: TypeError: Object of type Fraction is not JSON serializable\n"
+    assert captured.out and whole.startswith(captured.out) and len(captured.out) < len(whole)
 
 
 # SHA-256 of the human-readable stdout (no --json). The payloads hold tuples;
