@@ -10,6 +10,15 @@ affect neither invariance nor generation.  A symbolic jet has D = 1, so each
 generator is one packed integer term map of the symbolic jet's minor table,
 from ``generator_set`` to the JSON writer.
 
+Most p = 1 candidates repeat another minor, and most of those are proved
+duplicates before expansion.  With the row degrees sorted, a row of degree
+d_j = j starts a block of a block-triangular minor, and a one-row block is a
+positive multiple of a monomial in the first-order coordinates.  So the
+non-monomial blocks and the product of the monomial ones fix the minor up to
+scalar, and the enumeration keeps only the first candidate of each such key.
+The skip is exact: a skipped candidate is never the first of its
+proportionality class, so deduplication would have dropped it anyway.
+
 Invariance checks default to exact evaluation at random rational points: a
 polynomial identity that fails does so outside a measure-zero set, so any
 failing generator is refuted with probability 1 per trial, and the identity
@@ -47,6 +56,7 @@ from .exact import (
     Matrix,
     MinorPlan,
     MinorTable,
+    Packing,
     PolyRing,
     ResourceLimitError,
     SparsePolynomial,
@@ -171,32 +181,63 @@ def _generator_families(n: int, k: int, p: int) -> list[tuple[tuple[int, ...], o
     return [(degrees, (sum(degrees) // p,) * p)]
 
 
-def _staircase_row_sets(positions_by_degree: dict[int, list[int]], c: tuple[int, ...]):
-    """Row position sets whose sorted degrees d_1 <= ... <= d_s satisfy
-    d_j <= c_j.  A column of degree c vanishes on rows of degree above c, so
-    any other row set has no perfect matching on the support (Hall's
-    condition) and gives a structurally zero minor."""
-    all_rows = [(d, pos) for d in sorted(positions_by_degree) for pos in positions_by_degree[d]]
+def _staircase_row_sets(all_rows: list[tuple[int, int]], c: tuple[int, ...], letters: list[int]):
+    """Row position sets, from (degree, position) pairs sorted by degree,
+    whose sorted degrees d_1 <= ... <= d_s satisfy d_j <= c_j, less those
+    whose minor provably repeats an earlier one up to scalar.
 
-    def rec(chosen: list[int], start: int):
+    A column of degree c vanishes on rows of degree above c, so any other row
+    set has no perfect matching on the support (Hall's condition) and gives
+    a structurally zero minor.  For the same reason, with the flag columns
+    c = (1, ..., s), a row of degree d_j = j and every row after it vanish
+    on the columns before j: row j starts a new block, and the minor is the
+    product of the block minors.  A one-row block is a positive multiple of
+    the monomial of its row's first-order coordinates, whose letter counts
+    ``letters`` packs in fields that hold s(s + 1)/2.  So the key (the rows
+    of each longer block, whose first row's degree fixes its columns, and
+    the sum of the one-row blocks' letters) fixes the minor up to a positive
+    scalar, and only the first row set of each key is yielded: a later one
+    is never the first of its proportionality class.  For p > 1, c_j < j
+    past the first column, and no row set splits.
+    """
+    seen: set[tuple[tuple, int]] = set()
+
+    def close(chosen: list[int], start: int, blocks: tuple, mono: int) -> tuple[tuple, int]:
+        """The key with the block of chosen[start:] closed."""
+        if len(chosen) - start == 1:
+            return blocks, mono + letters[chosen[start]]
+        return blocks + (tuple(chosen[start:]),), mono
+
+    def rec(chosen: list[int], first: int, start: int, blocks: tuple, mono: int):
         j = len(chosen)
         if j == len(c):
-            yield tuple(chosen)
+            key = close(chosen, start, blocks, mono)
+            if key not in seen:
+                seen.add(key)
+                yield tuple(chosen)
             return
-        for idx in range(start, len(all_rows)):
+        cut = None
+        for idx in range(first, len(all_rows)):
             d, pos = all_rows[idx]
             if d > c[j]:
                 break  # rows are degree-sorted; all later rows fail too
-            chosen.append(pos)
-            yield from rec(chosen, idx + 1)
+            if j and d == j + 1:  # row j opens a block: close the one before
+                cut = cut or close(chosen, start, blocks, mono)
+                chosen.append(pos)
+                yield from rec(chosen, idx + 1, j, *cut)
+            else:
+                chosen.append(pos)
+                yield from rec(chosen, idx + 1, start, blocks, mono)
             chosen.pop()
 
-    yield from rec([], 0)
+    yield from rec([], 0, 0, (), 0)
 
 
 def count_candidate_minors(n: int, k: int, p: int = 1) -> int:
     """Number of structurally nonzero minor candidates, before deduplication:
-    the row sets of `_staircase_row_sets`, counted without enumerating them."""
+    every row set under the staircase rule of `_staircase_row_sets`, the
+    block-factor duplicates that it skips included, counted without
+    enumerating them."""
     counts = {d: comb(n + d - 1, d) for d in range(1, k + 1)}  # rows of each degree
     return sum(_profile_count(counts, c) for c, _ in _generator_families(n, k, p))
 
@@ -222,23 +263,29 @@ def _profile_count(counts: dict[int, int], col_degrees: tuple[int, ...]) -> int:
 
 def _candidates(n: int, k: int, p: int) -> list[tuple[tuple[int, ...], int, object]]:
     """The structurally nonzero minor candidates as (row positions, column
-    count, weighted degree), family by family; with no family, no basis is
+    count, weighted degree), family by family, less the block-factor
+    duplicates that `_staircase_row_sets` skips; with no family, no basis is
     built."""
     families = _generator_families(n, k, p)
     if not families:
         return []
-    positions_by_degree: dict[int, list[int]] = {}
-    for pos, m in enumerate(sym_basis(n, k).monomials):
-        positions_by_degree.setdefault(len(m), []).append(pos)
+    basis = sym_basis(n, k)
+    all_rows = sorted((len(m), pos) for pos, m in enumerate(basis.monomials))
+    packing = Packing(n, (k * (k + 1) // 2).bit_length())
+    letters = list(map(packing.pack, basis.exponents))
     return [(rows, len(c), wd) for c, wd in families
-            for rows in _staircase_row_sets(positions_by_degree, c)]
+            for rows in _staircase_row_sets(all_rows, c, letters)]
 
 
 def generator_set(n: int, k: int, p: int = 1, force: bool = False) -> list[InvariantPoly]:
     """All flag Plücker minors of the symbolic embedded matrix.
 
     p = 1: every s x s minor of the first s columns, s = 1..k; p > 1:
-    maximal minors only.  Structurally zero row choices are skipped.  The
+    maximal minors only.  Structurally zero row choices are skipped, and so
+    is every p = 1 row choice whose blocks (cut where the sorted row degree
+    d_j equals j) repeat an earlier one's, the one-row blocks compared by
+    their product, a monomial: its minor is a scalar multiple of the
+    earlier one, which deduplication would keep instead.  The remaining
     candidates are expanded by one plan on the symbolic table, zeros
     dropped and duplicates up to scalar removed on the table's packed terms
     (``_is_new``; packing is injective), and the kept minors stay packed

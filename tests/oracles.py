@@ -6,9 +6,10 @@ by subset enumeration, unique solutions and span equality read off kernels and
 ranks, orbit limits by EpsWeight sums, the induced action on
 Sym^{<=k} C^n as a dense matrix, the jet embedding and the powers of a
 jet summed term by term over ordered decompositions, the product of sparse
-maps on exponent tuples, and the invariance trials compared as rational
-determinants.  They use public jetinv names only, so a change to a private
-helper of the library cannot change an oracle with it.
+maps on exponent tuples, the staircase minor candidates from every row
+combination, and the invariance trials compared as rational determinants.
+They use public jetinv names only, so a change to a private helper of the
+library cannot change an oracle with it.
 """
 
 import bisect
@@ -301,6 +302,29 @@ def power_coefficient(gamma, m, s):
                 term = term * gamma.coefficient(piece)[a]
             total = total + term
     return total
+
+
+# -- staircase candidates by brute force ----------------------------------------
+
+
+def staircase_candidates(n, k, p):
+    """Every structurally nonzero minor candidate as (row positions, column
+    count, weighted degree), family by family, with nothing skipped: each
+    combination of row positions whose sorted degrees lie under the sorted
+    column degrees.  The families are the first s columns, s = 1..k, for
+    p = 1, and all columns for p > 1 if they do not outnumber the rows."""
+    rows, cols = sym_basis(n, k), sym_basis(p, k).exponents
+    if p == 1:
+        families = [(cols[:s], s * (s + 1) // 2) for s in range(1, k + 1)]
+    else:
+        families = [(cols, tuple(map(sum, zip(*cols))))] if len(cols) <= len(rows) else []
+    out = []
+    for family, wd in families:
+        col_degrees = sorted(map(sum, family))
+        for chosen in itertools.combinations(range(len(rows)), len(family)):
+            if all(d <= c for d, c in zip(sorted(map(rows.degree_of, chosen)), col_degrees)):
+                out.append((chosen, len(family), wd))
+    return out
 
 
 # -- invariance trials in rationals --------------------------------------------

@@ -19,12 +19,14 @@ from jetinv.jets import (
 from jetinv.invariants import test_curve_system as curve_system
 from jetinv.invariants import (
     InvariantPoly,
+    MINOR_COUNT_CEILING,
     TRIAL_BOUND,
     ResourceLimitError,
     _candidates,
     _exact_minor,
     _generator_families,
     _is_new,
+    _symbolic_table,
     _trial_plan,
     bulk_invariance_check,
     count_candidate_minors,
@@ -35,6 +37,7 @@ from jetinv.invariants import (
     verify_invariance_symbolic,
 )
 from jetinv.symbasis import orderings_count, sym_basis, sym_dim
+import oracles
 from oracles import sparse_product, vector_to_sym, verify_suite_in_rationals
 
 
@@ -190,7 +193,6 @@ def test_verify_suite_on_sparse_jets_equals_the_rational_oracle(name, seed, tria
     coefficient always among them, give trial tables whose supports lie
     strictly inside the structural supports of the shared plan; the report,
     witness included, is still the rational oracle's."""
-    import oracles
     from unittest import mock
 
     gens, draw = _SUITES[name], _sparse_random_jet(zeroed | {(0, 0)})
@@ -211,8 +213,9 @@ def test_trial_plan_of_the_3_4_generators():
 
 
 def test_candidate_plan_of_the_3_4_generator_set():
-    """generator_set(3, 4) reads its 6,104 candidates off one plan on the
-    symbolic table's supports: 6,104 nodes and 8,878 cells."""
+    """generator_set(3, 4) reads the 2,248 candidates that the block key
+    keeps, of 6,104, off one plan on the symbolic table's supports: 2,408
+    nodes and 4,822 cells."""
     from unittest import mock
 
     plans = []
@@ -225,9 +228,9 @@ def test_candidate_plan_of_the_3_4_generator_set():
     with mock.patch("jetinv.invariants.MinorPlan", Kept):
         generator_set(3, 4)
     plan, = plans
-    assert plan.count == 6104
-    assert [len(level) for level in plan.levels] == [3, 21, 274, 5806]
-    assert sum(len(cells) for level in plan.levels for _, cells, _ in level) == 8878
+    assert plan.count == 2248
+    assert [len(level) for level in plan.levels] == [3, 21, 274, 2110]
+    assert sum(len(cells) for level in plan.levels for _, cells, _ in level) == 4822
 
 
 def test_verify_invariance_symbolic_small():
@@ -285,8 +288,10 @@ def test_generator_count_limit():
 
 
 def test_count_equals_enumeration():
-    """One staircase rule: the count is the number of enumerated candidates
-    on every shape small enough to enumerate."""
+    """One staircase rule: the count is the number of candidates that the
+    brute-force oracle enumerates, on every shape small enough to enumerate;
+    the enumeration behind generator_set skips the block-factor duplicates
+    among them."""
     shapes = 0
     for p in (1, 2, 3):
         for n in range(1, 6):
@@ -294,11 +299,55 @@ def test_count_equals_enumeration():
                 count = count_candidate_minors(n, k, p)
                 if count > 30000:
                     continue
-                assert count == len(_candidates(n, k, p)), (n, k, p)
+                assert count == len(oracles.staircase_candidates(n, k, p)), (n, k, p)
                 shapes += 1
     assert shapes == 48
     assert count_candidate_minors(3, 2, 2) == 75
     assert count_candidate_minors(4, 2, 2) == 910
+    assert count_candidate_minors(3, 4) == 6104 and len(_candidates(3, 4, 1)) == 2248
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, 5)
+                                  if count_candidate_minors(n, k) <= MINOR_COUNT_CEILING] + [(2, 5)])
+def test_block_skip_keeps_the_generators_of_every_candidate(n, k):
+    """The generators, term maps included, are those that _is_new keeps
+    from one plan over every oracle candidate: a candidate that the block
+    key skips is never the first of its proportionality class."""
+    basis, domain = sym_basis(n, k), sym_basis(1, k).exponents
+    where = oracles.staircase_candidates(n, k, 1)
+    table, seen, expected = _symbolic_table(n, k, 1), {}, []
+    for q, terms in table.packed(MinorPlan([(rows, range(s)) for rows, s, _ in where], table.supports)):
+        if terms and _is_new(terms, seen):
+            rows, s, wd = where[q]
+            expected.append((tuple(map(basis.monomial_at, rows)), tuple(domain[:s]), wd, terms))
+    assert [(g.rows, g.cols, g.weighted_degree, g._packed_minor()[1])
+            for g in generator_set(n, k)] == expected
+
+
+_BLOCK_CANDIDATES = {shape: oracles.staircase_candidates(*shape, 1) for shape in ((3, 4), (2, 5))}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(sorted(_BLOCK_CANDIDATES)), st.integers(0, 10**6))
+def test_a_flag_minor_is_the_product_of_its_blocks(shape, i):
+    """With the row degrees sorted, a row of degree d_j = j opens a block:
+    the minor is the product of the block minors, and a one-row block is a
+    positive multiple of the monomial of its row's first-order coordinates,
+    the first n variables of the symbolic jet."""
+    n, k = shape
+    rows, s, _ = _BLOCK_CANDIDATES[shape][i % len(_BLOCK_CANDIDATES[shape])]
+    basis, gamma = sym_basis(n, k), symbolic_jet(1, n, k)[0]
+    rows = sorted(rows, key=basis.degree_of)
+    starts = [j for j in range(s) if basis.degree_of(rows[j]) == j + 1] + [s]
+    blocks = [_exact_minor(gamma, rows[a:b], list(range(a, b))) for a, b in zip(starts, starts[1:])]
+    product = blocks[0]
+    for block in blocks[1:]:
+        product = product * block
+    assert _exact_minor(gamma, rows, list(range(s))) == product
+    for a, b, block in zip(starts, starts[1:], blocks):
+        if b - a == 1:
+            (exponent, coeff), = block.terms.items()
+            assert coeff > 0 and exponent == basis.exponents[rows[a]] + (0,) * (len(exponent) - n)
 
 
 def test_generator_families_need_no_basis(monkeypatch):
