@@ -297,27 +297,35 @@ def _emit(payload: dict, args) -> None:
                 with _writing("--out", path):
                     out.close()
     if not to_stdout:
-        _print_human(payload)
+        _print_human(payload, {})
 
 
-def _print_human(payload: dict, indent: str = "") -> None:
+def _print_human(payload: dict, memo: dict, indent: str = "") -> None:
     for key in sorted(payload):
         value = payload[key]
         if isinstance(value, dict):
             print(f"{indent}{key}:")
-            _print_human(value, indent + "  ")
+            _print_human(value, memo, indent + "  ")
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             print(f"{indent}{key}:")
             for item in value:
                 print(f"{indent}  -")
-                _print_human(item, indent + "    ")
+                _print_human(item, memo, indent + "    ")
         else:
-            print(f"{indent}{key}: {_listed(value)}")
+            print(f"{indent}{key}: {_shown(value, memo) if isinstance(value, (list, tuple)) else value}")
 
 
-def _listed(value):
-    """value with its tuples as lists, the way its JSON shows them."""
-    return [_listed(x) for x in value] if isinstance(value, (list, tuple)) else value
+def _shown(value: list | tuple, memo: dict) -> str:
+    """repr(value) with its tuples shown as lists, as its JSON shows them.  An
+    array of leaves is one join of their reprs, filed by id in memo (the
+    payload keeps it alive), so a tuple that many terms share is shown once."""
+    text = memo.get(id(value))
+    if text is None:
+        if any(map(isinstance, value, repeat((list, tuple)))):
+            items = [_shown(x, memo) if isinstance(x, (list, tuple)) else repr(x) for x in value]
+            return "[" + ", ".join(items) + "]"
+        text = memo[id(value)] = "[" + ", ".join(map(repr, value)) + "]"
+    return text
 
 
 def _check_sizes(args, n: int, N: int = 1, coeff_bound: int = 1) -> None:

@@ -29,10 +29,12 @@ Every linear solve over the rationals (rank, kernel, determinant, inverse,
 row-space basis) goes through one Bareiss fraction-free elimination, so
 intermediate entries stay integral, and one back substitution on its echelon
 rows.  Rank and kernel share ``_block_echelons``, one elimination per
-connected block of columns: the rank is the sum of the block pivots.  The
-determinant, the inverse and the row-space basis are defined on the echelon
-of the whole matrix (its sign and scale, the augmented identity, its rows),
-so they eliminate it whole.  ``integral``, the lcm-of-denominators scaling,
+connected block of columns: the rank is the sum of the block pivots.
+``_blocks`` splits by row supports, of dense rows or of the (column, value)
+pairs that ``sparse_rank`` writes dense block by block.  The determinant,
+the inverse and the row-space basis are defined on the echelon of the whole
+matrix (its sign and scale, the augmented identity, its rows), so they
+eliminate it whole.  ``integral``, the lcm-of-denominators scaling,
 is the one conversion into integers: the elimination applies it to each row
 as given (ints, Fractions or both), and so do wedges and orbit weights.
 Minor tables, the jet embedding and the test-curve systems scale through
@@ -600,11 +602,12 @@ def _back_substitute(ech: list[list[int]], pivots: list[int], x: list[Fraction])
     return x
 
 
-def _blocks(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[list[int], list[list[Scalar]]]]:
-    """The connected blocks of a system, in the order of their first columns:
-    two columns share a block when some nonzero row touches both.  A block is
-    its ascending columns and its rows cut to them; a column that no row
-    touches is a block without rows, and zero rows are dropped."""
+def _blocks(supports: Sequence[Sequence[int]], ncols: int) -> list[tuple[list[int], list[int]]]:
+    """The connected blocks of a system given by its rows' supports, in the
+    order of their first columns: two columns share a block when some row
+    touches both.  A block is its ascending columns and its row indices; a
+    column that no row touches is a block without rows, and rows with empty
+    support are dropped.  Each caller cuts its own rows to the columns."""
     parent = list(range(ncols))
 
     def find(j: int) -> int:
@@ -612,26 +615,24 @@ def _blocks(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[list[int
             parent[j] = j = parent[parent[j]]
         return j
 
-    supports = [list(compress(range(ncols), row)) for row in rows]
     for support in supports:
         for j in support[1:]:
             parent[find(j)] = find(support[0])
-    blocks: dict[int, tuple[list[int], list[list[Scalar]]]] = {}
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
     for j in range(ncols):
         blocks.setdefault(find(j), ([], []))[0].append(j)
-    for row, support in zip(rows, supports):
+    for i, support in enumerate(supports):
         if support:
-            cols, block = blocks[find(support[0])]
-            block.append([row[j] for j in cols])
+            blocks[find(support[0])][1].append(i)
     return list(blocks.values())
 
 
 def _block_echelons(rows: Sequence[Sequence[Scalar]],
                     ncols: int) -> Iterator[tuple[list[int], list[list[int]], list[int]]]:
-    """(columns, echelon rows, pivots) of each block of ``_blocks``, the
+    """(columns, echelon rows, pivots) of each block of a dense system, the
     pivots indexing the block's own columns."""
-    for cols, block in _blocks(rows, ncols):
-        ech, pivots, _, _ = _bareiss(block)
+    for cols, members in _blocks([list(compress(range(ncols), row)) for row in rows], ncols):
+        ech, pivots, _, _ = _bareiss([[rows[i][j] for j in cols] for i in members])
         yield cols, ech, pivots
 
 
@@ -672,6 +673,20 @@ def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """The sum of the block ranks: a block-diagonal system's rank."""
     return sum(len(pivots) for _, _, pivots in _block_echelons(rows, len(rows[0]) if rows else 0))
+
+
+def sparse_rank(rows: Sequence[Sequence[tuple[int, Scalar]]], ncols: int) -> int:
+    """The rank of a system whose rows are (column, value) pairs, a value
+    possibly 0: the sum of the block ranks, each block written dense over its
+    own columns only, so no row as wide as the system is built."""
+    total = 0
+    for cols, members in _blocks([[j for j, _ in row] for row in rows], ncols):
+        at, block = dict(zip(cols, range(len(cols)))), [[0] * len(cols) for _ in members]
+        for row, i in zip(block, members):
+            for j, x in rows[i]:
+                row[at[j]] = x
+        total += len(_bareiss(block)[1])
+    return total
 
 
 def row_space_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:

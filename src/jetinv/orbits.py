@@ -47,11 +47,12 @@ the one grade w(a) - w(b) = w(q) - s; the trace and twist rows touch the
 diagonal grade, and the twist's span rows one unknown each.  The systems are
 block diagonal: the stabilizer of a torus weight vector is torus-stable, hence
 graded (the weight-space argument; Humphreys, Introduction to Lie Algebras and
-Representation Theory).  ``exact.kernel_basis`` finds the blocks from the
-rows' own supports, so a wedge with no grading is solved the same way, and
+Representation Theory).  ``exact.sparse_rank`` finds the blocks from the
+rows' own supports, so a wedge with no grading is ranked the same way, and
 the blocks are small: the largest has 8 of the 64 unknowns of the base
-system at k = 8, and 19 of 361 at (p, k) = (3, 3).  The rows are built in
-integers (see _span_stabilizer).
+system at k = 8, and 19 of 361 at (p, k) = (3, 3).  The dimension is the
+number of unknowns minus that rank, and a kernel basis is built only when
+read.  The rows are built in integers (see _span_stabilizer).
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ import bisect
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import add, itemgetter
 
 from .exact import (
@@ -77,6 +79,7 @@ from .exact import (
     rank,
     rat,
     rat_str,
+    sparse_rank,
 )
 from .embedding import WedgeVector, wedge_of_sparse_vectors
 from .jets import group_matrix, symbolic_reparam
@@ -93,9 +96,9 @@ from .symbasis import (
 
 WEDGE_TERM_CEILING = 6000
 # Largest span-stabilizer cost (_span_cost, in dense row cells) solved without
-# --force.  A cell takes 20 to 75 ns, so the ungated systems take at most
-# about 1.3 s: distinguished_stabilizer at (p, k) = (1, 17) 0.7 s and 62 MB,
-# (2, 6) 0.4 s, (8, 2) 0.5 s; codim_report(12) 0.7 to 1.1 s.
+# --force, a conservative gate now that the rows are sparse: the ungated edges
+# take under 0.5 s in a fresh process, stabilizer --k 17 0.36 s and 44 MB,
+# codim-report --k 12 0.46 s, probe-p (2, 6) 0.18 s and (8, 2) 0.12 s.
 SPAN_COST_CEILING = 25_000_000
 
 
@@ -357,24 +360,22 @@ class TwistedPoint:
 
 @dataclass
 class StabilizerResult:
+    """The dimension, ncols minus the rank of the sparse system kept: rows of
+    (unknown, coefficient) pairs, X's n^2 entries row-major first.  The basis
+    is computed from it on first read."""
+
     dimension: int
-    basis: list[Matrix]
+    n: int
+    rows: list[tuple[tuple[int, Scalar], ...]] = field(repr=False)
+    ncols: int
 
-
-def _stabilizer_kernel(sparse: Iterable[dict[int, int]], constraints: list[list],
-                       ncols: int) -> list[list[Fraction]]:
-    """Kernel of a stabilizer system given by sparse integer rows (unknown ->
-    coefficient) stacked over dense constraint rows.  The sparse rows have
-    few terms and often repeat up to scale: each is taken to its primitive
-    part, and repeats are dropped, keeping the kernel."""
-    distinct = dict.fromkeys(primitive(tuple(row.items())) for row in sparse)
-    rows = []
-    for terms in distinct:
-        row = [0] * ncols
-        for j, c in terms:
-            row[j] = c
-        rows.append(row)
-    return kernel_basis(rows + constraints, ncols)
+    @cached_property
+    def basis(self) -> list[Matrix]:
+        dense = [[0] * self.ncols for _ in self.rows]
+        for row, pairs in zip(dense, self.rows):
+            for j, c in pairs:
+                row[j] = c
+        return [_reshape(vec[: self.n**2], self.n) for vec in kernel_basis(dense, self.ncols)]
 
 
 def _span_stabilizer(n: int, vectors: list[dict[Monomial, Scalar]], algebra: str, mode: str,
@@ -389,7 +390,9 @@ def _span_stabilizer(n: int, vectors: list[dict[Monomial, Scalar]], algebra: str
     is scaled by a constant, which keeps its kernel.  E_{a<-b} replaces one
     letter b by a, times the multiplicity of b, so a letter index (b ->
     pivot, term with one b removed, multiplicity times coefficient) is built
-    once, and each unknown touches only the terms that hold its b."""
+    once, and each unknown touches only the terms that hold its b.  Every
+    row is (unknown, coefficient) pairs; the residual rows, taken to their
+    primitive parts, drop repeats up to scale, which keeps the kernel."""
     if algebra not in ("sl", "gl") or mode not in ("affine", "projective"):
         raise ValueError("algebra must be sl or gl, and mode affine or projective")
     if not all(vectors):
@@ -409,9 +412,8 @@ def _span_stabilizer(n: int, vectors: list[dict[Monomial, Scalar]], algebra: str
                     by_letter.setdefault(b, []).append((piv, m[:i] + m[i + 1:], mult * c))
     unknowns = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]  # X, row-major
     rows: dict[tuple[Monomial, Monomial], dict[int, int]] = {}  # (P_i, q) -> unknown -> coefficient
-    trace: list[int] = []  # D tr(X|V) = sum_i (Sym(X) u_i)[P_i], a row over the unknowns
+    trace: dict[int, Scalar] = {}  # D tr(X|V) = sum_i (Sym(X) u_i)[P_i], a row over the unknowns
     for j, (a, b) in enumerate(unknowns):
-        trace.append(0)
         for piv, terms in itertools.groupby(by_letter.get(b, ()), itemgetter(0)):
             image = {}  # Sym(E_{a<-b}) u, without collisions
             for _, rest, c in terms:
@@ -421,23 +423,24 @@ def _span_stabilizer(n: int, vectors: list[dict[Monomial, Scalar]], algebra: str
             for q, c in image.items():
                 if q in reduced:
                     add_into(residual, reduced[q], -c)
-            trace[-1] += image.get(piv, 0)
+            if piv in image:
+                trace[j] = trace.get(j, 0) + image[piv]
             for q, c in residual.items():
                 rows.setdefault((piv, q), {})[j] = c
+    diagonal = range(0, n * n, n + 1)  # the unknowns X_aa
+    ncols = n * n + (mode == "projective")
+    spans = []  # X e_j in span(e_1..e_p): one unknown each
     if mode == "projective":  # the scalar unknown c: tr(X|V) - c = 0
-        constraints = [trace + [-scale]]
-    elif twist is None:
-        constraints = [trace]
-    else:  # a tr(X|V) + b sum_{j<=p} X_jj = 0, and X keeps span(e_1..e_p)
+        trace[n * n] = -scale
+    elif twist is not None:  # a tr(X|V) + b sum_{j<=p} X_jj = 0, and X keeps span(e_1..e_p)
         ratio, p = twist
-        constraints = [[t + scale * ratio if a == b <= p else t for t, (a, b) in zip(trace, unknowns)]]
-        constraints += [[int(u == (a, j)) for u in unknowns]
-                        for j in range(1, p + 1) for a in range(p + 1, n + 1)]
-    ncols = len(constraints[0])
-    if algebra == "sl":  # tr X = 0
-        constraints.append([int(a == b) for a, b in unknowns] + [0] * (ncols - len(unknowns)))
-    kern = _stabilizer_kernel(rows.values(), constraints, ncols)
-    return StabilizerResult(len(kern), [_reshape(vec[: len(unknowns)], n) for vec in kern])
+        for j in diagonal[:p]:
+            trace[j] = trace.get(j, 0) + scale * ratio
+        spans = [(((a - 1) * n + j - 1, 1),) for j in range(1, p + 1) for a in range(p + 1, n + 1)]
+    sl = [tuple((j, 1) for j in diagonal)] if algebra == "sl" else []  # tr X = 0
+    system = list(dict.fromkeys(primitive(tuple(row.items())) for row in rows.values()))
+    system += [tuple(trace.items()), *spans, *sl]
+    return StabilizerResult(ncols - sparse_rank(system, ncols), n, system, ncols)
 
 
 def _decompose(w: WedgeVector) -> list[dict[int, Fraction]]:
@@ -789,15 +792,15 @@ def distinguished_stabilizer(p: int, k: int, M: int = 1, force: bool = False) ->
 
 
 def _span_cost(p: int, k: int) -> int:
-    """Estimated cells of the span system of the flat jet (p, k), in units
-    of one dense row cell.  Each entry of the letter index gives one image,
-    and so one row n^2 cells wide, per letter a; there are E entries, one
+    """Estimated cells of the span system of the flat jet (p, k), written
+    dense.  Each entry of the letter index gives one image, and so one dense
+    row n^2 cells wide, per letter a; there are E entries, one
     per distinct letter of each support term.  A term holding a letter of
     degree d is that letter times any multiset of degree <= k - d, so E =
     sum_d m_d S(k - d), with m_d letters of degree d and S(j) the multisets
-    of degree <= j, counted by prod_d (1 - x^d)^(-m_d).  The p n - 1 kernel
-    vectors are n^2 Fractions each, and such a cell costs about a dozen row
-    cells."""
+    of degree <= j, counted by prod_d (1 - x^d)^(-m_d).  The 12 p n^3 term
+    priced p n - 1 kernel vectors of n^2 Fractions, no longer built: the
+    estimate over-counts the sparse rows and stays as a conservative gate."""
     n = sym_dim(p, k)
     counts = [1] + [0] * k  # multisets of letters by total degree
     for d in range(1, k + 1):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetinv.cli import BATCH, canonical_json, main
+from jetinv.cli import BATCH, _shown, canonical_json, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -732,6 +732,8 @@ HUMAN_STDOUT = {
     "orbit limit --k 4 --sigma 2 --kind lambda": "87dc24b7f0f5e800398e400517e5db7b61ac092d50473c795ab5c59074d09f59",
     "orbit closed-form --k 5 --sigma 3 --kind mu": "f8903de3c487f9b89df5f0df74ca0606669e5cb8a5724890d18a7636fb7dfd98",
     "generators --n 2 --k 2": "765ccc70ac196cf9b715fd6dfc22a4b751a493f252ed9549e2bfd67c4f4bc466",
+    "generators --n 3 --k 4": "7405f1ca26d9776f0240ad4cfc526e15c418ee61dab0a57e2d89f8de6997c7a4",
+    "generators --p 2 --n 3 --k 2": "553fe994f30a869378aaba67461f8d41f45089623bb81b13d97fe8c564c1b788",
 }
 
 
@@ -740,6 +742,47 @@ def test_human_stdout(capsys, argv):
     code = main(argv.split())
     out = capsys.readouterr().out
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == HUMAN_STDOUT[argv]
+
+
+def _listed(value):
+    """The table's former rendering: every tuple copied into a list, then str."""
+    return [_listed(x) for x in value] if isinstance(value, (list, tuple)) else value
+
+
+_leaves = st.one_of(st.integers(-3, 300), st.booleans(), st.none(),
+                    st.sampled_from(["1/2", "-7", "(", ")", "a(b)", ",)", "()", "it's", 'say "x"', "\\(", ""]))
+_shared = (4, 0, 1)  # one exponent tuple that many terms hold
+_arrays = st.recursive(st.one_of(_leaves, st.just(_shared)),
+                       lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                               st.lists(inner, max_size=4).map(tuple)), max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.lists(_arrays, max_size=4), st.lists(_arrays, max_size=4).map(tuple)))
+@example([((1,), "2"), ((), "(x,)"), (_shared, "-1"), (_shared, ")"), [[(3,)]]])
+def test_table_arrays_read_as_their_lists(value):
+    """1-tuples, empty arrays, shared tuples and strings holding parentheses
+    or quotes show as they did when every tuple was copied into a list."""
+    memo = {}
+    assert _shown(value, memo) == str(_listed(value))
+    assert _shown(value, memo) == str(_listed(value))  # again, off the memo
+
+
+def test_stabilizer_commands_build_no_kernel_basis(capsys, monkeypatch):
+    """stabilizer, codim-report and probe-p read only the dimension: no back
+    substitution and no reshaped basis matrix."""
+    import jetinv.exact
+    import jetinv.orbits
+
+    def refused(*args, **kwargs):
+        raise AssertionError("kernel basis built")
+
+    monkeypatch.setattr(jetinv.exact, "_back_substitute", refused)
+    monkeypatch.setattr(jetinv.orbits, "_reshape", refused)
+    for argv in (["orbit", "stabilizer", "--k", "5"], ["orbit", "codim-report", "--k", "5"],
+                 ["orbit", "probe-p", "--p", "2", "--k", "3"]):
+        code, out = run_cli(argv + ["--json"], capsys)
+        assert code == 0 and json.loads(out), argv
 
 
 @pytest.mark.parametrize("json_flag", [["--json"], []])

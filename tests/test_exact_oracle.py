@@ -1,7 +1,7 @@
 """The exact core against an independent implementation: sympy's rank,
 determinant and nullspace on zero-heavy rational matrices, sympy's rank and
-nullspace vectors on block-diagonal systems, and sympy's determinant on
-polynomial matrices."""
+nullspace vectors on block-diagonal systems, sympy's rank on systems given
+by sparse rows, and sympy's determinant on polynomial matrices."""
 
 from fractions import Fraction
 
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetinv.exact import Matrix, MinorPlan, MinorTable, PolyRing, SparsePolynomial, kernel_basis, rank
+from jetinv.exact import (Matrix, MinorPlan, MinorTable, PolyRing, SparsePolynomial, kernel_basis, rank,
+                          sparse_rank)
 
 sympy = pytest.importorskip("sympy")
 
@@ -91,6 +92,50 @@ def test_kernel_basis_is_sympys_nullspace(system):
     oracle = _oracle([[Fraction(x) for x in row] for row in rows]) if rows else sympy.zeros(0, ncols)
     expected = [[Fraction(int(x.p), int(x.q)) for x in v] for v in oracle.nullspace()]
     assert kernel_basis(rows, ncols) == expected
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Rows as (column, value) pairs, one block or many, their columns
+    permuted: columns that no row touches, zero rows (no pairs, or pairs
+    holding 0), rows repeated up to scale, and sometimes a dense row across
+    every block, as a trace row crosses the grades of a stabilizer system.
+    The pairs of a row come in any order."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    touched = sum(widths)
+    ncols = touched + draw(st.integers(0, 2))
+    cols = draw(st.permutations(range(ncols)))
+    dense, start = [], 0
+    for width in widths:
+        for _ in range(draw(st.integers(0, 3))):
+            row = [0] * ncols
+            values = draw(st.lists(_mixed, min_size=width, max_size=width))
+            for j, x in zip(cols[start:start + width], values):
+                row[j] = x
+            dense.append(row)
+        start += width
+    for _ in range(draw(st.integers(0, 2)) if dense else 0):
+        scale = draw(_nonzero)
+        dense.append([scale * x for x in draw(st.sampled_from(dense))])
+    if draw(st.booleans()):
+        row = [0] * ncols
+        for j, x in zip(cols, draw(st.lists(_nonzero, min_size=touched, max_size=touched))):
+            row[j] = x
+        dense.append(row)
+    rows = [draw(st.permutations([(j, x) for j, x in enumerate(row) if x])) for row in dense]
+    for _ in range(draw(st.integers(0, 2))):
+        dense.append([0] * ncols)
+        rows.append([(j, 0) for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2, unique=True))])
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], [dense[i] for i in order], ncols
+
+
+@_property
+@given(_sparse_systems())
+def test_sparse_rank_is_the_dense_rank_and_sympys(system):
+    rows, dense, ncols = system
+    expected = _oracle([[Fraction(x) for x in row] for row in dense]).rank() if dense else 0
+    assert sparse_rank(rows, ncols) == rank(dense) == expected
 
 
 @_property

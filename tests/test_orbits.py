@@ -451,6 +451,7 @@ DISTINGUISHED_PINS = {
     (1, 8): "b57be55539ebdf75d7bc66fde50edf1ac1a3e8f91ce8665ad6c16f517e0b1cc8",
     (2, 3): "22143d46976b04c6b5c0d87ec698e119a47c958ee42d1fcaa54c41f1a670cd12",
     (3, 2): "97b460ae11f6cdb25067629ca673c3c9259c2a65d0b1640c2f37bea1a4740050",
+    (3, 3): "0db0826ef0f642ec5b750fbf7327ba7853b66b99144949f997827946a1276c32",
     (2, 4): "ef322e89497d7f9d3161e5b9e0352395e76a988c04274bb8ecacbb254096b718",
 }
 LAMBDA_CUT_PINS = {
@@ -465,10 +466,45 @@ LAMBDA_CUT_PINS = {
 }
 
 
+# The base system and every candidate system of codim_report(k), in report
+# order: their dimensions and the SHA-256 of their basis digests, as computed
+# by the dense kernel basis of the full system.
+CODIM_REPORT_PINS = {
+    2: ([1, 3], "e1e3d4cd3a723c7efc310c26c81d29dfee1c3e834ab80e81d068b406f5930b3b"),
+    3: ([2, 3, 4, 4], "3ba590d5ab5b9d4501664dcbd183aa108ad09fd55cd521ab765954214a6fb101"),
+    4: ([3, 6, 6, 5, 6, 5], "4c4fcbff039c21ea6dd97055bdc5716779b34eb86a2f24e1091d64bf01b01fdb"),
+    5: ([4, 6, 6, 8, 6, 8, 7, 6], "3a2bcda725235dc118965b800019c2597265b0c2887bfd2ff908c53b8551ceb0"),
+    6: ([5, 9, 9, 9, 9, 7, 10, 9, 8, 7],
+        "68359cadef4e76c8ecd8b8d6a86a6e18781d58e1f20de8fbf7d2eea0074176d2"),
+    7: ([6, 9, 11, 9, 11, 10, 8, 12, 11, 10, 9, 8],
+        "134c76e09aa32e354cc2e62398f54db2fc79c4a3077867993cceae7e5b2d32a8"),
+}
+
+
 @pytest.mark.parametrize("p,k", sorted(DISTINGUISHED_PINS))
 def test_distinguished_stabilizer_bases_are_pinned(p, k):
     for M in (1, 2) if p == 1 else (1,):
-        assert _basis_digest(distinguished_stabilizer(p, k, M)) == DISTINGUISHED_PINS[p, k]
+        res = distinguished_stabilizer(p, k, M)
+        assert _basis_digest(res) == DISTINGUISHED_PINS[p, k]
+        assert res.dimension == len(res.basis)
+
+
+@pytest.mark.parametrize("k", sorted(CODIM_REPORT_PINS))
+def test_codim_report_stabilizer_bases_are_pinned(k):
+    """The basis, computed on first read from the sparse system the result
+    keeps, is the one the dense system gave, and its length is the rank-based
+    dimension that codim_report reports."""
+    columns = _flat_jet_columns(1, k)
+    results = [_span_stabilizer(k, columns, "sl", "affine", (Fraction(twist_exponent(1, k, 1)), 1))]
+    for kind, sigma in [("lambda", s) for s in range(2, k + 1)] + [("mu", s) for s in range(2, k)]:
+        parts = _closed_form_parts(sigma, k, "regular" if kind == "lambda" else "degenerate")
+        results.append(_span_stabilizer(k, _cut(columns, parts), "sl", "projective"))
+    dims = [res.dimension for res in results]
+    digest = hashlib.sha256(" ".join(map(_basis_digest, results)).encode()).hexdigest()
+    assert (dims, digest) == CODIM_REPORT_PINS[k]
+    assert dims == [len(res.basis) for res in results]
+    report = codim_report(k)
+    assert dims == [report["base_stabilizer_dim"]] + [c["proj_stab_dim"] for c in report["candidates"]]
 
 
 @pytest.mark.parametrize("k", sorted(LAMBDA_CUT_PINS))
