@@ -5,7 +5,7 @@ Plücker-minor invariants, and one-parameter-subgroup orbit limits.
 
 from .exact import Matrix, PolyRing, Rational, ResourceLimitError, SparsePolynomial, rat_str
 from .jets import JetMap, compose, group_matrix, identity_jet, invert
-from .embedding import PhiMatrix, WedgeVector, p_point, phi, wedge_columns
+from .embedding import PhiMatrix, WedgeVector, apply_group_to_wedge, p_point, phi, wedge_columns
 from .invariants import (
     InvariantPoly,
     generator_set,
@@ -17,6 +17,7 @@ from .orbits import (
     EpsWeight,
     OneParamSubgroup,
     codim_report,
+    extra_stabilizer,
     hilbert_mumford_torus,
     infinitesimal_stabilizer,
     lambda_sigma,
@@ -40,6 +41,7 @@ __all__ = [
     "invert",
     "PhiMatrix",
     "WedgeVector",
+    "apply_group_to_wedge",
     "p_point",
     "phi",
     "wedge_columns",
@@ -51,6 +53,7 @@ __all__ = [
     "EpsWeight",
     "OneParamSubgroup",
     "codim_report",
+    "extra_stabilizer",
     "hilbert_mumford_torus",
     "infinitesimal_stabilizer",
     "lambda_sigma",

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
-from .exact import Matrix, Packing, add_into, add_product, divided, integral, rat, rat_str, row_space_basis
+from .exact import Matrix, Packing, add_into, add_product, divided, integral, rat, rat_str
 from .jets import JetMap, flat_jet, powers
 from .symbasis import Exponent, SymBasis, sym_basis
 
@@ -75,9 +75,6 @@ class PhiMatrix:
         return Matrix(
             [[self.columns[c].get(r, Fraction(0)) for c in cols] for r in row_positions]
         )
-
-    def columns_of_degree_at_most(self, d: int) -> list[int]:
-        return [i for i, s in enumerate(self.col_index) if sum(s) <= d]
 
 
 def phi_integral(gamma: JetMap) -> tuple[list[dict[int, object]], int]:
@@ -240,31 +237,6 @@ def p_point(p: int, k: int) -> WedgeVector:
     special-linear stabilizer is the unipotent reparametrization group.
     """
     return wedge_columns(phi(flat_jet(p, k)))
-
-
-def in_affine_chart(w: WedgeVector) -> bool:
-    """True iff some term uses only degree-1 factors (projection to the top
-    cell of the wedge of the linear block is nonzero)."""
-    basis = w.basis()
-    for t in w.terms:
-        if all(basis.degree_of(pos) == 1 for pos in t):
-            return True
-    return False
-
-
-def flag_spans(m: PhiMatrix) -> list[list[list[Fraction]]]:
-    """For each degree d <= k, a basis of the span of columns of degree <= d.
-
-    Each basis is a list of dense coordinate vectors over the Sym basis.
-    Rational matrices only.
-    """
-    nrows = len(m.basis)
-    out = []
-    for d in range(1, m.k + 1):
-        vectors = [[m.columns[c].get(rpos, Fraction(0)) for rpos in range(nrows)]
-                   for c in m.columns_of_degree_at_most(d)]
-        out.append(row_space_basis(vectors))
-    return out
 
 
 # -- induced group actions -------------------------------------------------

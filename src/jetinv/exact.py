@@ -25,18 +25,18 @@ sum, ``add_into``, adds a multiple of one sparse map into another:
 polynomial sums and differences, truncated composition, the embedding's
 columns, the group action on wedges and the stabilizer residuals.
 
-Every linear solve over the rationals (rank, kernel, determinant, inverse,
-row-space basis) goes through one Bareiss fraction-free elimination, so
-intermediate entries stay integral, and one back substitution on its echelon
-rows.  Rank and kernel share ``_block_echelons``, one elimination per
-connected block of columns: the rank is the sum of the block pivots.
-``_blocks`` splits by row supports, of dense rows or of the (column, value)
-pairs that ``sparse_rank`` writes dense block by block.  The determinant,
-the inverse and the row-space basis are defined on the echelon of the whole
-matrix (its sign and scale, the augmented identity, its rows), so they
-eliminate it whole.  ``integral``, the lcm-of-denominators scaling,
-is the one conversion into integers: the elimination applies it to each row
-as given (ints, Fractions or both), and so do wedges and orbit weights.
+Every linear solve over the rationals (rank, kernel, determinant, inverse)
+goes through one Bareiss fraction-free elimination, so intermediate entries
+stay integral, and one back substitution on its echelon rows.  Rank and
+kernel share ``_block_echelons``, one elimination per connected block of
+columns: the rank is the sum of the block pivots.  ``_blocks`` splits by row
+supports, of dense rows or of the (column, value) pairs that ``sparse_rank``
+writes dense block by block.  The determinant and the inverse are defined on
+the echelon of the whole matrix (its sign and scale, the augmented
+identity), so they eliminate it whole.  ``integral``, the
+lcm-of-denominators scaling, is the one conversion into integers: the
+elimination applies it to each row as given (ints, Fractions or both), and
+so do wedges and orbit weights.
 Minor tables, the jet embedding and the test-curve systems scale through
 ``integral_entries``, which covers polynomial coefficients too, and take the
 scale back out of each finished entry with ``divided``.  ``primitive`` is
@@ -687,12 +687,6 @@ def sparse_rank(rows: Sequence[Sequence[tuple[int, Scalar]]], ncols: int) -> int
                 row[at[j]] = x
         total += len(_bareiss(block)[1])
     return total
-
-
-def row_space_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
-    """Basis of the row space: the nonzero rows of the fraction-free echelon."""
-    ech, pivots, _, _ = _bareiss(rows)
-    return [[Fraction(x) for x in row] for row in ech[: len(pivots)]]
 
 
 def _det_bareiss(rows: Sequence[Sequence[Scalar]]) -> Fraction:

@@ -22,7 +22,9 @@ proportionality class, so deduplication would have dropped it anyway.
 Invariance checks default to exact evaluation at random rational points: a
 polynomial identity that fails does so outside a measure-zero set, so any
 failing generator is refuted with probability 1 per trial, and the identity
-direction is additionally provable symbolically at small k.  Evaluation goes
+direction is additionally provable symbolically at small k (the symbolic
+proof and the matrix-level certificate are reference checks in
+tests/oracles.py).  Evaluation goes
 through the minor's provenance: one ``MinorPlan`` per generator list, on the
 supports that ``phi_integral`` keeps for every jet, serves every trial
 matrix.  Each matrix is tabled in integers, as ``embedding.phi_integral`` of
@@ -57,7 +59,6 @@ from .exact import (
     MinorPlan,
     MinorTable,
     Packing,
-    PolyRing,
     ResourceLimitError,
     SparsePolynomial,
     divided,
@@ -65,15 +66,13 @@ from .exact import (
 from .jets import (
     JetMap,
     compose,
-    group_matrix,
-    jet_var_name,
     powers,
     random_jet,
     random_reparam,
     random_rational,
     symbolic_jet,
 )
-from .embedding import phi, phi_integral
+from .embedding import phi_integral
 from .symbasis import Exponent, Monomial, sym_basis, sym_dim
 
 
@@ -139,15 +138,6 @@ def _symbolic_table(n: int, k: int, p: int) -> MinorTable:
     a generator's polynomial, with int coefficients."""
     columns, _ = phi_integral(symbolic_jet(p, n, k)[0])
     return MinorTable(columns)
-
-
-def _exact_minor(gamma: JetMap, rows, cols) -> SparsePolynomial | Fraction:
-    """The minor of phi(gamma) on row and column positions: that of
-    ``phi_integral(gamma)``, i.e. of phi(D * gamma), over D^(rows' degree)."""
-    columns, d = phi_integral(gamma)
-    table = MinorTable(columns)
-    minor, = table.minors(MinorPlan([(rows, cols)], table.supports))
-    return divided(minor, d ** sum(map(sym_basis(gamma.q, gamma.k).degree_of, rows)))
 
 
 def _is_new(terms: Mapping[object, int], seen: dict[frozenset, list]) -> bool:
@@ -334,23 +324,6 @@ def _nonzero_rational(rng: random.Random) -> Fraction:
             return x
 
 
-def verify_invariance_symbolic(q: InvariantPoly) -> bool:
-    """Symbolic proof of invariance: the minor of the embedded matrix at
-    gamma composed with a fully symbolic unipotent reparametrization equals
-    the minor at gamma, as polynomials.  Practical for k <= 3."""
-    if q.p != 1:
-        raise NotImplementedError("symbolic proof implemented for curves only")
-    names = {s: [jet_var_name("u", s, j) for j in range(1, q.n + 1)]
-             for s in sym_basis(1, q.k).exponents}
-    ring = PolyRing([x for row in names.values() for x in row]
-                    + [f"a{i}" for i in range(2, q.k + 1)])
-    gamma = JetMap(1, q.n, q.k, {s: tuple(map(ring.var, row)) for s, row in names.items()})
-    psi = JetMap(1, 1, q.k, {(i,): (ring.var(f"a{i}") if i > 1 else ring.one(),)
-                             for i in range(1, q.k + 1)})
-    where = q.positions()
-    return _exact_minor(gamma, *where) == _exact_minor(compose(gamma, psi), *where)
-
-
 def _trial_plan(gens: list[InvariantPoly]) -> MinorPlan:
     """The generators' plan on the supports ``phi_integral`` keeps for every
     jet: row m can be nonzero in column s only if |m| <= |s|."""
@@ -418,39 +391,6 @@ def verify_generator_suite(
         "witness": witness,
         "generators": len(gens),
     }
-
-
-def bulk_invariance_check(
-    n: int, k: int, trials: int = 100, seed: int = 0
-) -> dict:
-    """Matrix-level invariance certificate covering every flag minor at once.
-
-    For each trial it verifies, exactly, that the first s columns of the
-    embedded matrix after a unipotent precomposition equal the original
-    columns times the degree-(<= s) block of the group matrix, and that the
-    block determinant is 1.  By the Cauchy-Binet multiplicativity of minors
-    this implies every s x s minor of the first s columns is unchanged, so a
-    pass certifies the whole generator set for these trials.
-    """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(trials):
-        gamma = random_jet(rng, 1, n, k, bound=TRIAL_BOUND)
-        psi = random_reparam(rng, 1, k, bound=TRIAL_BOUND, unipotent=True)
-        m = group_matrix(psi)
-        a = phi(gamma).dense()
-        b = phi(compose(gamma, psi)).dense()
-        if not (b == a @ m):
-            failures += 1
-            continue
-        for s in range(1, k + 1):
-            block = Matrix([[m.data[i][j] for j in range(s)] for i in range(s)])
-            if block.det() != 1:
-                failures += 1
-                break
-    return {"ok": failures == 0, "trials": trials, "failures": failures}
 
 
 # -- test-curve systems ----------------------------------------------------

@@ -154,11 +154,6 @@ class OneParamSubgroup:
         return len(self.weights)
 
 
-def lambda_tilde(k: int) -> OneParamSubgroup:
-    """(1, 2, ..., k): the subgroup fixing the distinguished point."""
-    return OneParamSubgroup(tuple(EpsWeight.of(i) for i in range(1, k + 1)))
-
-
 def lambda_sigma(sigma: int, k: int, eps: Fraction | None = None) -> OneParamSubgroup:
     """Regular distinguished subgroup: weight i - floor(i/sigma)*eps."""
     if not 2 <= sigma <= k:
@@ -555,16 +550,6 @@ def n_sigma_exponents(sigma: int, k: int) -> list[EpsWeight]:
     return out
 
 
-def theta_choice(sigma: int, k: int, i: int) -> int:
-    """A maximizer j of lambda_{j+i-1} - lambda_j (the smallest one)."""
-    lam = lambda_sigma(sigma, k)
-    n_i = n_sigma_exponents(sigma, k)[i - 1]
-    for j in range(1, k - i + 2):
-        if lam.weights[j + i - 2] - lam.weights[j - 1] == n_i:
-            return j
-    raise AssertionError("unreachable: maximum not attained")
-
-
 def limit_stabilizer_matrix(sigma: int, k: int) -> LimitStabilizerMatrix:
     """Conjugate the stabilizer family by the distinguished subgroup,
     substitute b_i = t^(-n_i) a_i, verify polynomiality in t, take t -> 0.
@@ -605,15 +590,15 @@ def limit_stabilizer_matrix(sigma: int, k: int) -> LimitStabilizerMatrix:
 def extra_stabilizer_case(sigma: int, k: int) -> int:
     """1: sigma = k; 2: sigma < k, k not = -1 mod sigma; 3: the remainder
     case, which needs k >= 4."""
+    if not 2 <= sigma <= k:
+        raise ValueError("need 2 <= sigma <= k")
     if sigma == k:
         return 1
-    if sigma < k and k % sigma != sigma - 1:
+    if k % sigma != sigma - 1:
         return 2
-    if sigma < k and k % sigma == sigma - 1:
-        if k < 4:
-            raise ValueError("the residual case requires k >= 4")
-        return 3
-    raise ValueError("parameters outside all three cases")
+    if k < 4:
+        raise ValueError("the residual case requires k >= 4")
+    return 3
 
 
 def extra_stabilizer(sigma: int, k: int, zeta: Fraction = Fraction(1)) -> Matrix:
@@ -632,34 +617,6 @@ def extra_stabilizer(sigma: int, k: int, zeta: Fraction = Fraction(1)) -> Matrix
         m.data[sigma - 1][k - 2] = rat(zeta)
         m.data[sigma][k - 1] = rat(zeta)
     return m
-
-
-def lie_direction_of_extra(sigma: int, k: int) -> Matrix:
-    t1 = extra_stabilizer(sigma, k, Fraction(1))
-    ident = Matrix.identity(k)
-    return Matrix(
-        [[t1.data[i][j] - ident.data[i][j] for j in range(k)] for i in range(k)]
-    )
-
-
-def extra_direction_is_new(sigma: int, k: int) -> bool:
-    """Rank test: the extra direction is outside the span of the limit
-    stabilizer's first-order directions plus the two torus directions, so the
-    combined stabilizer directions span dimension at least k + 1."""
-    lsm = limit_stabilizer_matrix(sigma, k)
-    dirs = lsm.first_order_directions()
-    torus1 = Matrix([[Fraction(i + 1) if i == j else Fraction(0) for j in range(k)] for i in range(k)])
-    torus2 = Matrix(
-        [[Fraction(defect(sigma, i + 1)) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
-    )
-    base = [_flatten(m) for m in dirs] + [_flatten(torus1), _flatten(torus2)]
-    extra = _flatten(lie_direction_of_extra(sigma, k))
-    total = rank(base + [extra])
-    return total == rank(base) + 1 and total >= k + 1
-
-
-def _flatten(m: Matrix) -> list[Fraction]:
-    return [x for row in m.data for x in row]
 
 
 # -- Hilbert-Mumford torus criterion -----------------------------------------

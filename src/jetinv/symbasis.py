@@ -30,13 +30,6 @@ def entries_to_exponent(m: Monomial, p: int) -> Exponent:
     return tuple(e)
 
 
-def exponent_to_entries(e: Exponent) -> Monomial:
-    out: list[int] = []
-    for letter, mult in enumerate(e, start=1):
-        out.extend([letter] * mult)
-    return tuple(out)
-
-
 def orderings_count(m: Monomial) -> int:
     """Number of distinct orderings of the multiset (the multinomial factor)."""
     counts: dict[int, int] = {}
@@ -86,9 +79,6 @@ class SymBasis:
 
     def monomial_at(self, pos: int) -> Monomial:
         return self.monomials[pos]
-
-    def degree_of(self, pos: int) -> int:
-        return len(self.monomials[pos])
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,11 @@ ranks, orbit limits by EpsWeight sums, the induced action on
 Sym^{<=k} C^n as a dense matrix, the jet embedding and the powers of a
 jet summed term by term over ordered decompositions, the product of sparse
 maps on exponent tuples, the staircase minor candidates from every row
-combination, and the invariance trials compared as rational determinants.
+combination, the invariance trials compared as rational determinants, the
+symbolic invariance proof of a curve generator (its minor at a symbolic jet
+and at that jet composed with a symbolic unipotent reparametrization, each
+expanded as one exact minor of the embedding), and the matrix-level
+invariance certificate that covers every flag minor at once.
 They use public jetinv names only, so a change to a private helper of the
 library cannot change an oracle with it.
 """
@@ -18,10 +22,11 @@ import math
 import random
 from fractions import Fraction
 
-from jetinv.embedding import p_point, phi
-from jetinv.exact import Matrix, kernel_basis, rank
+from jetinv.embedding import p_point, phi, phi_integral
+from jetinv.exact import Matrix, MinorPlan, MinorTable, PolyRing, divided, kernel_basis, rank
 from jetinv.invariants import TRIAL_BOUND, scale_jet
-from jetinv.jets import compose, random_jet, random_rational, random_reparam
+from jetinv.jets import (JetMap, compose, group_matrix, jet_var_name, random_jet, random_rational,
+                         random_reparam)
 from jetinv.orbits import EpsWeight, TwistedPoint, twist_exponent
 from jetinv.symbasis import sym_basis
 
@@ -322,7 +327,7 @@ def staircase_candidates(n, k, p):
     for family, wd in families:
         col_degrees = sorted(map(sum, family))
         for chosen in itertools.combinations(range(len(rows)), len(family)):
-            if all(d <= c for d, c in zip(sorted(map(rows.degree_of, chosen)), col_degrees)):
+            if all(d <= c for d, c in zip(sorted(len(rows.monomials[r]) for r in chosen), col_degrees)):
                 out.append((chosen, len(family), wd))
     return out
 
@@ -361,3 +366,64 @@ def verify_suite_in_rationals(gens, trials, seed):
             witness = {"trial": t, "generator": {"rows": g.rows, "cols": g.cols}, "kind": kind}
             return {**report, "ok": False, "witness": witness}
     return report
+
+
+# -- invariance by symbolic proof and by matrix certificate ---------------------
+
+
+def exact_minor(gamma, rows, cols):
+    """The minor of phi(gamma) on row and column positions: that of
+    ``phi_integral(gamma)``, i.e. of phi(D * gamma), over D^(rows' degree)."""
+    columns, d = phi_integral(gamma)
+    table = MinorTable(columns)
+    minor, = table.minors(MinorPlan([(rows, cols)], table.supports))
+    monomials = sym_basis(gamma.q, gamma.k).monomials
+    return divided(minor, d ** sum(len(monomials[r]) for r in rows))
+
+
+def verify_invariance_symbolic(q):
+    """Symbolic proof of invariance: the minor of the embedded matrix at
+    gamma composed with a fully symbolic unipotent reparametrization equals
+    the minor at gamma, as polynomials.  Practical for k <= 3."""
+    if q.p != 1:
+        raise NotImplementedError("symbolic proof implemented for curves only")
+    names = {s: [jet_var_name("u", s, j) for j in range(1, q.n + 1)]
+             for s in sym_basis(1, q.k).exponents}
+    ring = PolyRing([x for row in names.values() for x in row]
+                    + [f"a{i}" for i in range(2, q.k + 1)])
+    gamma = JetMap(1, q.n, q.k, {s: tuple(map(ring.var, row)) for s, row in names.items()})
+    psi = JetMap(1, 1, q.k, {(i,): (ring.var(f"a{i}") if i > 1 else ring.one(),)
+                             for i in range(1, q.k + 1)})
+    where = q.positions()
+    return exact_minor(gamma, *where) == exact_minor(compose(gamma, psi), *where)
+
+
+def bulk_invariance_check(n, k, trials=100, seed=0):
+    """Matrix-level invariance certificate covering every flag minor at once.
+
+    For each trial it verifies, exactly, that the first s columns of the
+    embedded matrix after a unipotent precomposition equal the original
+    columns times the degree-(<= s) block of the group matrix, and that the
+    block determinant is 1.  By the Cauchy-Binet multiplicativity of minors
+    this implies every s x s minor of the first s columns is unchanged, so a
+    pass certifies the whole generator set for these trials.
+    """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(trials):
+        gamma = random_jet(rng, 1, n, k, bound=TRIAL_BOUND)
+        psi = random_reparam(rng, 1, k, bound=TRIAL_BOUND, unipotent=True)
+        m = group_matrix(psi)
+        a = phi(gamma).dense()
+        b = phi(compose(gamma, psi)).dense()
+        if not (b == a @ m):
+            failures += 1
+            continue
+        for s in range(1, k + 1):
+            block = Matrix([[m.data[i][j] for j in range(s)] for i in range(s)])
+            if block.det() != 1:
+                failures += 1
+                break
+    return {"ok": failures == 0, "trials": trials, "failures": failures}

@@ -24,7 +24,6 @@ from jetinv.jets import (
 from jetinv.embedding import apply_group_to_wedge, p_point, phi
 from jetinv.invariants import test_curve_system as curve_system
 from jetinv.invariants import (
-    bulk_invariance_check,
     generator_set,
     solution_space_equals_perp,
     verify_generator_suite,
@@ -32,7 +31,6 @@ from jetinv.invariants import (
 from jetinv.orbits import (
     TwistedPoint,
     codim_report,
-    extra_direction_is_new,
     extra_stabilizer,
     hilbert_mumford_torus,
     infinitesimal_stabilizer,
@@ -43,9 +41,9 @@ from jetinv.orbits import (
     probe_stabilizer_conjecture,
     z_closed_form,
 )
-from jetinv.symbasis import orderings_count, sym_basis, sym_dim
-from oracles import (distinguished_twisted_point, hilbert_mumford_bruteforce, sparse_product,
-                     stabilizer_full_tensor_e1, vector_to_sym)
+from jetinv.symbasis import sym_basis, sym_dim
+from oracles import (bulk_invariance_check, distinguished_twisted_point, hilbert_mumford_bruteforce,
+                     sparse_product, stabilizer_full_tensor_e1, vector_to_sym)
 
 
 class _Budget:
@@ -263,7 +261,7 @@ def test_criterion_06_test_curve_codimension():
         sysm = curve_system(gamma, 1)
         ring = gamma.coeffs[(1, 0)][0].ring
         gv = lambda s, j: ring.var(f"g[{s[0]},{s[1]}]_{j}")
-        from jetinv.symbasis import exponent_to_entries
+        quadrics = sym_basis(3, 2)
 
         def quad_row(linear, pairs):
             row = {}
@@ -273,7 +271,7 @@ def test_criterion_06_test_curve_codimension():
             for coeff, vv, ww in pairs:
                 prod = sparse_product(vector_to_sym(vv, 3), vector_to_sym(ww, 3))
                 for s, c in prod.items():
-                    add = coeff * c * Fraction(1, orderings_count(exponent_to_entries(s)))
+                    add = coeff * c * Fraction(1, quadrics.orderings[quadrics.exponent_position[s]])
                     row[(s, 0)] = row.get((s, 0), ring.zero()) + add
             return row
 
@@ -337,8 +335,12 @@ def test_criterion_09_codimension_two_check():
             assert c["orbit_codim"] >= 2, c
             assert c["bound_ok"], c
         assert rep["all_bounds_ok"]
-        # the extra transformations fix their limit points and add a new
-        # direction beyond the k-dimensional limit stabilizer
+        # the extra transformations fix their limit points; the first-order
+        # directions of the limit stabilizer, diag(i), diag(floor(i/sigma)) and
+        # the extra direction all lie in the projective gl stabilizer of the
+        # limit, and the extra one raises the rank of the others by one, to at
+        # least k + 1
+        flat = lambda m: [x for row in m.data for x in row]
         for sigma, k in [(2, 4), (3, 4), (4, 4), (2, 5), (3, 5)]:
             z = z_closed_form(sigma, k, "regular")
             # zeta enters the transformed wedge with degree <= 2, so equality
@@ -346,7 +348,15 @@ def test_criterion_09_codimension_two_check():
             for zeta in (Fraction(3, 2), Fraction(-1), Fraction(7)):
                 t = extra_stabilizer(sigma, k, zeta)
                 assert apply_group_to_wedge(t, z) == z, (sigma, k, zeta)
-            assert extra_direction_is_new(sigma, k), (sigma, k)
+            stab = infinitesimal_stabilizer(z, "gl", "projective")
+            dirs = [flat(d) for d in limit_stabilizer_matrix(sigma, k).first_order_directions()]
+            dirs += [[Fraction(f(i)) if i == j else 0 for i in range(1, k + 1) for j in range(1, k + 1)]
+                     for f in (lambda i: i, lambda i: i // sigma)]
+            extra = [x - (i == j) for i, row in enumerate(extra_stabilizer(sigma, k).data)
+                     for j, x in enumerate(row)]
+            total = rank(dirs + [extra])
+            assert rank([flat(b) for b in stab.basis] + dirs + [extra]) == stab.dimension, (sigma, k)
+            assert total == rank(dirs) + 1 and total >= k + 1, (sigma, k)
 
 
 def test_criterion_10_limit_stabilizer():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jetinv.exact import Matrix
+from jetinv.exact import Matrix, rank
 from jetinv.jets import (
     JetMap,
     compose,
@@ -19,8 +19,6 @@ from jetinv.jets import (
 from jetinv.embedding import (
     WedgeVector,
     apply_group_to_wedge,
-    flag_spans,
-    in_affine_chart,
     p_point,
     phi,
     wedge_columns,
@@ -188,25 +186,34 @@ def test_degenerate_jet_wedge():
     b = w.basis()
     terms = {tuple(b.monomial_at(x) for x in t): c for t, c in w.terms.items()}
     assert terms == {((1,), (1, 1), (1, 1, 1)): Fraction(1)}
-    assert not in_affine_chart(w)
+    assert not _in_affine_chart(w)
+
+
+def _in_affine_chart(w):
+    """Some term uses only degree-1 factors: the projection to the top cell
+    of the wedge of the linear block is nonzero."""
+    return any(all(len(w.basis().monomial_at(pos)) == 1 for pos in t) for t in w.terms)
 
 
 def test_affine_chart():
-    assert in_affine_chart(p_point(1, 2))
-    assert in_affine_chart(p_point(2, 2))
+    assert _in_affine_chart(p_point(1, 2))
+    assert _in_affine_chart(p_point(2, 2))
     w = WedgeVector(2, 2, 1, {})
-    assert not in_affine_chart(w)
+    assert not _in_affine_chart(w)
+
+
+def _flag(pm, d):
+    """The column vectors of a curve's embedding of degree <= d, its first d."""
+    return [[col.get(r, 0) for r in range(len(pm.basis))] for col in pm.columns[:d]]
 
 
 def test_flag_spans_dims():
     rng = random.Random(3)
-    pm = phi(flat_jet(1, 4))
-    assert [len(b) for b in flag_spans(pm)] == [1, 2, 3, 4]
     gamma = JetMap(1, 2, 2, {(1,): (Fraction(1), Fraction(0))})
-    spans = flag_spans(phi(gamma))
-    assert [len(b) for b in spans] == [1, 2]
     g3 = random_jet(rng, 1, 3, 3, bound=7, regular=True)
-    assert [len(b) for b in flag_spans(phi(g3))] == [1, 2, 3]
+    for jet, dims in [(flat_jet(1, 4), [1, 2, 3, 4]), (gamma, [1, 2]), (g3, [1, 2, 3])]:
+        pm = phi(jet)
+        assert [rank(_flag(pm, d)) for d in range(1, pm.k + 1)] == dims
 
 
 def test_flag_invariance_under_reparam():
@@ -214,10 +221,9 @@ def test_flag_invariance_under_reparam():
     for _ in range(10):
         gamma = random_jet(rng, 1, 3, 3, bound=6, regular=True)
         psi = random_reparam(rng, 1, 3, bound=6)
-        s1 = flag_spans(phi(gamma))
-        s2 = flag_spans(phi(compose(gamma, psi)))
-        for a, b in zip(s1, s2):
-            assert same_span(a, b)
+        pm1, pm2 = phi(gamma), phi(compose(gamma, psi))
+        for d in range(1, 4):
+            assert same_span(_flag(pm1, d), _flag(pm2, d))
 
 
 @pytest.mark.parametrize("p,k,n", [(1, 2, 2), (1, 3, 3), (1, 4, 4), (2, 2, 5)])

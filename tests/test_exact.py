@@ -21,10 +21,9 @@ from jetinv.exact import (
     kernel_basis,
     rank,
     rat_str,
-    row_space_basis,
     term_list,
 )
-from oracles import inverse, same_span, solve_unique, sparse_product
+from oracles import inverse, solve_unique, sparse_product
 
 
 def test_rational_serialization():
@@ -308,24 +307,15 @@ def _as_int_where_whole(row):
 @given(_systems())
 def test_elimination_ignores_the_entry_types(system):
     """int-only, Fraction-only and mixed rows of the same values give
-    identical ranks, kernels, row-space bases and unique solutions."""
+    identical ranks, kernels and unique solutions."""
     a, b = system
     variants = [(a, b), ([_as_int_where_whole(row) for row in a], _as_int_where_whole(b))]
     if all(x.denominator == 1 for row in a + [b] for x in row):
         variants.append(([[int(x) for x in row] for row in a], [int(x) for x in b]))
-    results = [(rank(m), kernel_basis(m), row_space_basis(m), solve_unique(m, rhs),
+    results = [(rank(m), kernel_basis(m), solve_unique(m, rhs),
                 Matrix(m).rank(), Matrix(m).kernel_basis())
                for m, rhs in variants]
     assert all(r == results[0] for r in results)
-
-
-@_property
-@given(_matrices())
-def test_row_space_basis_spans_the_rows(a):
-    basis = row_space_basis(a)
-    assert len(basis) == rank(a)
-    assert all(len(row) == len(a[0]) for row in basis)
-    assert same_span(basis, a)
 
 
 @_property

@@ -23,22 +23,20 @@ from jetinv.invariants import (
     TRIAL_BOUND,
     ResourceLimitError,
     _candidates,
-    _exact_minor,
     _generator_families,
     _is_new,
     _symbolic_table,
     _trial_plan,
-    bulk_invariance_check,
     count_candidate_minors,
     generator_set,
     scale_jet,
     solution_space_equals_perp,
     verify_generator_suite,
-    verify_invariance_symbolic,
 )
 from jetinv.symbasis import orderings_count, sym_basis, sym_dim
 import oracles
-from oracles import sparse_product, vector_to_sym, verify_suite_in_rationals
+from oracles import (bulk_invariance_check, exact_minor, sparse_product, vector_to_sym,
+                     verify_invariance_symbolic, verify_suite_in_rationals)
 
 
 def test_generator_set_2_2_contents():
@@ -337,13 +335,14 @@ def test_a_flag_minor_is_the_product_of_its_blocks(shape, i):
     n, k = shape
     rows, s, _ = _BLOCK_CANDIDATES[shape][i % len(_BLOCK_CANDIDATES[shape])]
     basis, gamma = sym_basis(n, k), symbolic_jet(1, n, k)[0]
-    rows = sorted(rows, key=basis.degree_of)
-    starts = [j for j in range(s) if basis.degree_of(rows[j]) == j + 1] + [s]
-    blocks = [_exact_minor(gamma, rows[a:b], list(range(a, b))) for a, b in zip(starts, starts[1:])]
+    degree = lambda r: len(basis.monomials[r])
+    rows = sorted(rows, key=degree)
+    starts = [j for j in range(s) if degree(rows[j]) == j + 1] + [s]
+    blocks = [exact_minor(gamma, rows[a:b], list(range(a, b))) for a, b in zip(starts, starts[1:])]
     product = blocks[0]
     for block in blocks[1:]:
         product = product * block
-    assert _exact_minor(gamma, rows, list(range(s))) == product
+    assert exact_minor(gamma, rows, list(range(s))) == product
     for a, b, block in zip(starts, starts[1:], blocks):
         if b - a == 1:
             (exponent, coeff), = block.terms.items()
@@ -569,13 +568,12 @@ def test_example_8_3_symbolic_rows():
         row = {}
         for j in range(1, n + 1):
             row[((0,) * (j - 1) + (1,) + (0,) * (n - j), 0)] = linear_vec[j - 1]
-        from jetinv.symbasis import exponent_to_entries, orderings_count
-
+        quadrics = sym_basis(n, 2)
         for coeff, v, w in quad_pairs:
             prod = sparse_product(vector_to_sym(v, n), vector_to_sym(w, n))
             for s, c in prod.items():
                 key = (s, 0)
-                add = coeff * c * Fraction(1, orderings_count(exponent_to_entries(s)))
+                add = coeff * c * Fraction(1, quadrics.orderings[quadrics.exponent_position[s]])
                 row[key] = row.get(key, ring.zero()) + add
         return row
 
@@ -637,7 +635,7 @@ def test_packed_json_equals_the_json_of_the_expanded_minor(n, k, p):
     gamma = symbolic_jet(p, n, k)[0]
     for g in generator_set(n, k, p):
         packed = g.to_json()
-        for poly in (g.poly, _exact_minor(gamma, *g.positions())):
+        for poly in (g.poly, exact_minor(gamma, *g.positions())):
             assert packed == {**packed, "poly": poly.term_list(), "vars": poly.ring.names}
 
 

@@ -324,13 +324,11 @@ def test_composition_matches_partition_expansion():
     )
     composed = compose(psi, gamma)
 
-    from jetinv.symbasis import exponent_to_entries
-
     def psi_hom(sym_elt):
         total = ring.zero()
         for s, coeff in sym_elt.items():
             total = total + ring.var(jet_var_name("P", s, 1)) * coeff * Fraction(
-                1, orderings_count(exponent_to_entries(s))
+                1, psi_basis.orderings[psi_basis.exponent_position[s]]
             )
         return total
 

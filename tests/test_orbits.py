@@ -19,21 +19,18 @@ from jetinv.orbits import (
     closed_form_matches_limit,
     codim_report,
     distinguished_stabilizer,
-    extra_direction_is_new,
     extra_stabilizer,
     extra_stabilizer_case,
     head,
     hilbert_mumford_torus,
     infinitesimal_stabilizer,
     lambda_sigma,
-    lambda_tilde,
     limit_of_distinguished,
     limit_point,
     limit_stabilizer_matrix,
     mu_sigma,
     n_sigma_exponents,
     probe_stabilizer_conjecture,
-    theta_choice,
     twist_exponent,
     z_closed_form,
     _closed_form_parts,
@@ -71,7 +68,7 @@ def test_distinguished_subgroups():
     assert [(w.a, w.b) for w in m3.weights] == [(1, 0), (2, 0), (3, 1), (4, 0)]
     assert head(l2) == (2, "regular")
     assert head(m3) == (3, "degenerate")
-    assert head(lambda_tilde(5)) is None
+    assert head(OneParamSubgroup(tuple(map(EpsWeight.of, range(1, 6))))) is None
     with pytest.raises(ValueError):
         lambda_sigma(1, 4)
     with pytest.raises(ValueError):
@@ -81,7 +78,7 @@ def test_distinguished_subgroups():
 def test_weight_of():
     lam = OneParamSubgroup((EpsWeight.of(1), EpsWeight.of(2), EpsWeight.of(3)))
     assert weight_of(lam, (1, 2)) == EpsWeight.of(3)
-    lt = lambda_tilde(6)
+    lt = OneParamSubgroup(tuple(map(EpsWeight.of, range(1, 7))))
     for tau in [(1, 1, 2), (3, 3), (6,)]:
         assert weight_of(lt, tau) == EpsWeight.of(sum(tau))
     l2 = lambda_sigma(2, 4)
@@ -90,7 +87,7 @@ def test_weight_of():
 
 def test_limit_point_fixtures():
     p4 = p_point(1, 4)
-    lt = lambda_tilde(4)
+    lt = OneParamSubgroup(tuple(map(EpsWeight.of, range(1, 5))))
     assert limit_point(p4, lt) == p4
     zl = limit_point(p4, lambda_sigma(2, 4))
     b = zl.basis()
@@ -654,8 +651,10 @@ def test_eq40_entry_monomial():
     for k in (3, 4, 5):
         for sigma in range(2, k + 1):
             lsm = limit_stabilizer_matrix(sigma, k)
+            lam, ns = lambda_sigma(sigma, k).weights, n_sigma_exponents(sigma, k)
             for i in range(2, k + 1):
-                th = theta_choice(sigma, k, i)
+                # theta: the least maximizer j of lambda_{j+i-1} - lambda_j
+                th = next(j for j in range(1, k - i + 2) if lam[j + i - 2] - lam[j - 1] == ns[i - 1])
                 entry = lsm.entries[th - 1][th + i - 2]
                 exp = [0] * k
                 exp[0] = th - 1
@@ -684,6 +683,40 @@ def test_extra_case_classification():
         extra_stabilizer_case(2, 3)  # residual case below k = 4
 
 
+@pytest.mark.parametrize("sigma,k", [(1, 4), (-1, 4), (0, 4), (5, 4)])
+def test_extra_stabilizer_refuses_sigma_outside_2_to_k(sigma, k):
+    with pytest.raises(ValueError, match="need 2 <= sigma <= k"):
+        extra_stabilizer_case(sigma, k)
+    with pytest.raises(ValueError, match="need 2 <= sigma <= k"):
+        extra_stabilizer(sigma, k)
+
+
+def _flat(m):
+    return [x for row in m.data for x in row]
+
+
+def _explicit_directions(sigma, k):
+    """The first-order directions of limit_stabilizer_matrix, diag(1..k) and
+    diag(floor(i/sigma)), flattened, and last the extra direction
+    extra_stabilizer(sigma, k, 1) - I."""
+    dirs = [_flat(d) for d in limit_stabilizer_matrix(sigma, k).first_order_directions()]
+    dirs += [[Fraction(f(i)) if i == j else 0 for i in range(1, k + 1) for j in range(1, k + 1)]
+             for f in (lambda i: i, lambda i: i // sigma)]
+    extra = extra_stabilizer(sigma, k).data
+    return dirs + [[x - (i == j) for i, row in enumerate(extra) for j, x in enumerate(row)]]
+
+
+def _assert_explicit_directions_stabilize(stab, sigma, k):
+    """Every explicit direction lies in the stabilizer of the lambda_sigma
+    limit, and the extra one is new: it raises the rank of the others by one,
+    to at least k + 1.  Returns the rank of all of them."""
+    dirs = _explicit_directions(sigma, k)
+    total = rank(dirs)
+    assert rank([_flat(b) for b in stab.basis] + dirs) == stab.dimension, (sigma, k)
+    assert total == rank(dirs[:-1]) + 1 and total >= k + 1, (sigma, k)
+    return total
+
+
 @pytest.mark.parametrize(
     "sigma,k",
     [(2, 2), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5), (3, 5), (4, 5), (5, 5), (2, 6)],
@@ -692,7 +725,20 @@ def test_extra_transformation_fixes_limit(sigma, k):
     z = z_closed_form(sigma, k, "regular")
     t = extra_stabilizer(sigma, k, Fraction(7, 3))
     assert apply_group_to_wedge(t, z) == z
-    assert extra_direction_is_new(sigma, k)
+    _assert_explicit_directions_stabilize(infinitesimal_stabilizer(z, "gl", "projective"), sigma, k)
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_explicit_directions_span_k_plus_2_of_the_lambda_stabilizer(k):
+    """On the cut-column systems that codim_report builds, for every sigma the
+    k + 3 explicit directions lie in the projective gl stabilizer of the
+    lambda_sigma limit and span k + 2 dimensions; at sigma = k they span it."""
+    columns = _flat_jet_columns(1, k)
+    for sigma in range(2, k + 1):
+        parts = _closed_form_parts(sigma, k, "regular")
+        stab = _span_stabilizer(k, _cut(columns, parts), "gl", "projective")
+        assert _assert_explicit_directions_stabilize(stab, sigma, k) == k + 2, (sigma, k)
+    assert stab.dimension == k + 2
 
 
 def test_case2_example_3_4():

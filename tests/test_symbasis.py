@@ -5,7 +5,6 @@ from jetinv.symbasis import (
     defect_of_partition,
     entries_to_exponent,
     enumerate_sym_basis,
-    exponent_to_entries,
     orderings_count,
     partitions_of,
     sym_basis,
@@ -39,7 +38,10 @@ def test_exponent_roundtrip():
     m = (1, 1, 3)
     e = entries_to_exponent(m, 3)
     assert e == (2, 0, 1)
-    assert exponent_to_entries(e) == m
+    b = sym_basis(3, 3)
+    assert b.monomials[b.exponent_position[e]] == m
+    for pos, m in enumerate(b.monomials):
+        assert b.exponent_position[entries_to_exponent(m, 3)] == pos
 
 
 def test_partition_counts():
