@@ -3,9 +3,9 @@ truncated jet composition, group matrices, symmetric-power embeddings,
 Plücker-minor invariants, and one-parameter-subgroup orbit limits.
 """
 
-from .exact import Matrix, PolyRing, Rational, ResourceLimitError, SparsePolynomial, rat_str
+from .exact import Matrix, PolyRing, ResourceLimitError, SparsePolynomial
 from .jets import JetMap, compose, group_matrix, identity_jet, invert
-from .embedding import PhiMatrix, WedgeVector, apply_group_to_wedge, p_point, phi, wedge_columns
+from .embedding import PhiMatrix, WedgeVector, apply_group_to_wedge, p_point, phi
 from .invariants import (
     InvariantPoly,
     generator_set,
@@ -30,10 +30,8 @@ from .orbits import (
 __all__ = [
     "Matrix",
     "PolyRing",
-    "Rational",
     "ResourceLimitError",
     "SparsePolynomial",
-    "rat_str",
     "JetMap",
     "compose",
     "group_matrix",
@@ -44,7 +42,6 @@ __all__ = [
     "apply_group_to_wedge",
     "p_point",
     "phi",
-    "wedge_columns",
     "InvariantPoly",
     "generator_set",
     "solution_space_equals_perp",

@@ -446,7 +446,7 @@ def cmd_test_curve(args) -> int:
         return EXIT_OK
     expected = N * sym_dim(p, k)
     perp = solution_space_equals_perp(scaled, N, sysm)
-    rank = sysm.rank()
+    rank = sysm.matrix.rank()
     payload = {
         "p": p,
         "k": k,
@@ -479,13 +479,12 @@ def _parse_eps(text: str | None) -> Fraction | None:
 def cmd_orbit(args) -> int:
     if args.orbit_cmd == "limit":
         eps = _parse_eps(args.eps)
-        w = limit_of_distinguished(args.sigma, args.k, _kind(args.kind), eps=eps,
-                                   force=args.force)
+        w = limit_of_distinguished(args.sigma, args.k, args.kind, eps=eps, force=args.force)
         _emit(w.to_json(), args)
         return EXIT_OK
     if args.orbit_cmd == "closed-form":
-        z = z_closed_form(args.sigma, args.k, _kind(args.kind), force=args.force)
-        match = closed_form_matches_limit(args.sigma, args.k, _kind(args.kind))
+        z = z_closed_form(args.sigma, args.k, args.kind, force=args.force)
+        match = closed_form_matches_limit(args.sigma, args.k, args.kind)
         _emit({**z.to_json(), "matches_limit": match}, args)
         return EXIT_OK if match else EXIT_VIOLATION
     if args.orbit_cmd == "stabilizer":
@@ -507,10 +506,6 @@ def cmd_orbit(args) -> int:
     rep = probe_stabilizer_conjecture(args.p, args.k, args.M, force=args.force)
     _emit(rep, args)
     return EXIT_OK
-
-
-def _kind(kind: str) -> str:
-    return {"lambda": "regular", "mu": "degenerate"}[kind]
 
 
 # -- golden fixtures ---------------------------------------------------------
@@ -554,7 +549,7 @@ def _csv(t: tuple[int, ...]) -> str:
 def _phi_json(pm, col_key=_csv, row_key=_csv) -> dict:
     """Embedded columns as {column multi-index: {row monomial: entry}}."""
     return {
-        col_key(s): {row_key(pm.basis.monomial_at(r)): str(col[r]) for r in sorted(col)}
+        col_key(s): {row_key(pm.basis.monomials[r]): str(col[r]) for r in sorted(col)}
         for s, col in zip(pm.col_index, pm.columns)
     }
 

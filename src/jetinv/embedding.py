@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
-from .exact import Matrix, Packing, add_into, add_product, divided, integral, rat, rat_str
+from .exact import Matrix, Packing, add_into, add_product, divided, integral
 from .jets import JetMap, flat_jet, powers
 from .symbasis import Exponent, SymBasis, sym_basis
 
@@ -62,14 +62,6 @@ class PhiMatrix:
     col_index: list[Exponent]
     columns: list[dict[int, object]]
     basis: SymBasis = field(repr=False)
-
-    def dense(self) -> Matrix:
-        rows = len(self.basis)
-        data = [
-            [self.columns[c].get(r, Fraction(0)) for c in range(len(self.columns))]
-            for r in range(rows)
-        ]
-        return Matrix(data)
 
     def submatrix(self, row_positions: list[int], cols: list[int]) -> Matrix:
         return Matrix(
@@ -144,40 +136,17 @@ class WedgeVector:
             return WedgeVector(self.n, self.k, self.r, {})
         return WedgeVector(self.n, self.k, self.r, {t: v * c for t, v in self.terms.items()})
 
-    def proportional_to(self, other: "WedgeVector") -> Fraction | None:
-        """The scalar c with self = c * other, if one exists (None otherwise)."""
-        if self.is_zero():
-            return Fraction(0)
-        if other.is_zero() or set(self.terms) != set(other.terms):
-            return None
-        t0 = next(iter(self.terms))
-        c = self.terms[t0] / other.terms[t0]
-        for t, v in self.terms.items():
-            if v != c * other.terms[t]:
-                return None
-        return c
-
     def to_json(self) -> dict:
         """Factors are the basis's own monomial tuples; one string per
         coefficient object, which wedge_of_sparse_vectors shares per value."""
         monomials = self.basis().monomials
         distinct = {id(c): c for c in self.terms.values()}
-        coeff_str = {i: rat_str(c) for i, c in distinct.items()}
+        coeff_str = {i: str(c) for i, c in distinct.items()}
         terms = [
             {"factors": [monomials[pos] for pos in t], "coeff": coeff_str[id(self.terms[t])]}
             for t in sorted(self.terms)
         ]
         return {"n": self.n, "k": self.k, "r": self.r, "terms": terms}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "WedgeVector":
-        n, k, r = int(obj["n"]), int(obj["k"]), int(obj["r"])
-        basis = sym_basis(n, k)
-        terms = {}
-        for item in obj["terms"]:
-            pos = tuple(basis.index_of(tuple(f)) for f in item["factors"])
-            terms[pos] = rat(Fraction(item["coeff"]))
-        return cls(n, k, r, terms)
 
 
 def _wedge_insert(factors: tuple[int, ...], pos: int) -> tuple[tuple[int, ...], int] | None:
@@ -225,18 +194,14 @@ def wedge_of_sparse_vectors(
     return WedgeVector(n, k, len(vectors), terms)
 
 
-def wedge_columns(m: PhiMatrix) -> WedgeVector:
-    """Exterior product of all the columns."""
-    return wedge_of_sparse_vectors(m.n, m.k, m.columns)
-
-
 def p_point(p: int, k: int) -> WedgeVector:
     """The distinguished wedge point: full column wedge at the flat jet.
 
     Ambient dimension is n = sym^{<=k}(p); for p = 1 this is the point whose
     special-linear stabilizer is the unipotent reparametrization group.
     """
-    return wedge_columns(phi(flat_jet(p, k)))
+    m = phi(flat_jet(p, k))
+    return wedge_of_sparse_vectors(m.n, m.k, m.columns)
 
 
 # -- induced group actions -------------------------------------------------

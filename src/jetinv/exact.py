@@ -1,8 +1,8 @@
 """Exact rational scalars, sparse multivariate polynomials, and fraction-free
 linear algebra.
 
-Scalars are ``fractions.Fraction`` (aliased ``Rational``): always in lowest
-terms, positive denominator, no rounding ever.  A polynomial is a sparse map
+Scalars are ``fractions.Fraction``: always in lowest terms, positive
+denominator, no rounding ever.  A polynomial is a sparse map
 from exponent tuples (one entry per variable of its ring) to nonzero rational
 coefficients; two polynomials are equal iff they share a variable set and
 their term maps agree.
@@ -64,8 +64,6 @@ from itertools import accumulate, chain, compress, filterfalse
 from operator import add, lshift, mul, neg, or_
 from typing import Iterator, Mapping, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -75,11 +73,6 @@ class ResourceLimitError(RuntimeError):
 
 def rat(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def rat_str(x: Fraction) -> str:
-    """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    return str(rat(x))  # Fraction's own str
 
 
 class PolyRing:
@@ -168,9 +161,6 @@ class SparsePolynomial:
             return self.ring.const(other)
         return NotImplemented  # type: ignore[return-value]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -257,26 +247,6 @@ class SparsePolynomial:
         _, lc = self.leading_term()
         return divided(self, lc)
 
-    def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a full rational assignment of the ring variables."""
-        vals = []
-        for name in self.ring.names:
-            if name not in assignment:
-                raise KeyError(f"missing variable {name!r}")
-            vals.append(rat(assignment[name]))
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(vals, exp):
-                if e:
-                    v *= x**e
-            total += v
-        return total
-
-    def term_list(self) -> list[tuple[tuple[int, ...], str]]:
-        """Canonical JSON-ready term list, graded-lex descending."""
-        return term_list(self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -308,9 +278,10 @@ Coef = Union[Fraction, SparsePolynomial]
 
 
 def term_list(terms: Mapping[tuple[int, ...], Scalar]) -> list[tuple[tuple[int, ...], str]]:
-    """(exponent, rat_str of coefficient), by total degree, then lex, both
+    """(exponent, str of coefficient), by total degree, then lex, both
     descending: two C-level sorts, the second stable, with no Python key
-    function.  The str of an int or a Fraction is its ``rat_str``."""
+    function.  An int or a Fraction prints as "p/q", or "p" when the
+    denominator is 1."""
     exps = sorted(terms, reverse=True)
     exps.sort(key=sum, reverse=True)
     return list(zip(exps, map(str, map(terms.__getitem__, exps))))
@@ -403,7 +374,7 @@ def add_product(acc: dict[int, Coef], a: Mapping[int, Coef], b: Mapping[int, Coe
 
 
 class Matrix:
-    """Dense matrix over Rational or SparsePolynomial entries.
+    """Dense matrix over Fraction or SparsePolynomial entries.
 
     rank/kernel_basis/inverse_rows require rational entries; determinant and
     products work over either coefficient ring.
@@ -454,9 +425,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def _has_polynomial(self) -> bool:
         """Whether some entry is a polynomial: a scan of the distinct entry
         types, with no Python loop over the cells."""
@@ -474,7 +442,7 @@ class Matrix:
         return kernel_basis(self._rational_rows(), self.cols)
 
     def det(self) -> Coef:
-        if not self.is_square():
+        if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         if self._has_polynomial():
             return _det_laplace(self.data)

@@ -295,12 +295,12 @@ def generator_set(n: int, k: int, p: int = 1, force: bool = False) -> list[Invar
     where = _candidates(n, k, p)
     if not where:
         return []
-    basis, domain = sym_basis(n, k), sym_basis(p, k).exponents
+    monomials, domain = sym_basis(n, k).monomials, sym_basis(p, k).exponents
     table, seen, gens = _symbolic_table(n, k, p), {}, []
     for q, terms in table.packed(MinorPlan([(rows, range(s)) for rows, s, _ in where], table.supports)):
         if terms and _is_new(terms, seen):
             rows, s, wd = where[q]
-            gens.append(InvariantPoly(n=n, k=k, p=p, rows=tuple(map(basis.monomial_at, rows)),
+            gens.append(InvariantPoly(n=n, k=k, p=p, rows=tuple(map(monomials.__getitem__, rows)),
                                       cols=tuple(domain[:s]), weighted_degree=wd))
             gens[-1]._packed = table, terms
     return gens
@@ -412,10 +412,6 @@ class TestCurveSystem:
     row_index: list[tuple[Exponent, int]]
     col_index: list[tuple[Exponent, int]]
     matrix: Matrix
-
-    def rank(self) -> int:
-        return self.matrix.rank()
-
 
 
 def test_curve_system(gamma: JetMap, N: int = 1) -> TestCurveSystem:

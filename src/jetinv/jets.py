@@ -26,8 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (Matrix, Packing, PolyRing, SparsePolynomial, add_into, add_product, integral_entries,
-                    rat, rat_str)
+from .exact import Matrix, Packing, PolyRing, SparsePolynomial, add_into, add_product, integral_entries
 from .symbasis import Exponent, Monomial, entries_to_exponent, sym_basis, vector_compositions
 
 CoefVec = tuple
@@ -89,16 +88,8 @@ class JetMap:
         coeffs = {}
         for s in sorted(self.coeffs):
             vec = self.coeffs[s]
-            coeffs["[" + ",".join(map(str, s)) + "]"] = [rat_str(rat(c)) for c in vec]
+            coeffs["[" + ",".join(map(str, s)) + "]"] = [str(c) for c in vec]
         return {"p": self.p, "q": self.q, "k": self.k, "coeffs": coeffs}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "JetMap":
-        coeffs = {}
-        for key, vec in obj["coeffs"].items():
-            s = tuple(int(x) for x in key.strip("[]").split(","))
-            coeffs[s] = tuple(map(Fraction, vec))
-        return cls(int(obj["p"]), int(obj["q"]), int(obj["k"]), coeffs)
 
 
 def identity_jet(p: int, k: int) -> JetMap:
@@ -265,7 +256,7 @@ def invert(psi: JetMap) -> JetMap:
 
     The group matrix is multiplicative, M(psi o chi) = M(psi) M(chi), so the
     inverse jet has matrix M(psi)^-1, and its row e_i holds coordinate i of
-    that jet.  Only those p rows are solved for.  Rational coefficients
+    that jet.  Only those p rows are solved for.  Numeric coefficients
     only: the inverse of a symbolic jet has rational-function coefficients,
     and Matrix.inverse_rows raises TypeError.
     """

@@ -78,7 +78,6 @@ from .exact import (
     primitive,
     rank,
     rat,
-    rat_str,
     sparse_rank,
 )
 from .embedding import WedgeVector, wedge_of_sparse_vectors
@@ -133,11 +132,11 @@ class EpsWeight:
 
     def __str__(self) -> str:
         if self.b == 0:
-            return rat_str(self.a)
+            return str(self.a)
         if self.a == 0:
-            return f"{rat_str(self.b)}e"
+            return f"{self.b}e"
         sign = "+" if self.b > 0 else "-"
-        return f"{rat_str(self.a)}{sign}{rat_str(abs(self.b))}e"
+        return f"{self.a}{sign}{abs(self.b)}e"
 
 
 ZERO_W = EpsWeight(Fraction(0))
@@ -178,18 +177,6 @@ def mu_sigma(sigma: int, k: int, eps: Fraction | None = None) -> OneParamSubgrou
         else:
             ws.append(EpsWeight.of(Fraction(sigma) + Fraction(eps)))
     return OneParamSubgroup(tuple(ws))
-
-
-def head(lam: OneParamSubgroup) -> tuple[int, str] | None:
-    """(sigma, "regular"|"degenerate") at the first departure from multiples
-    of the first weight; None for the fixed-point direction itself."""
-    l1 = lam.weights[0]
-    for i in range(2, lam.k + 1):
-        li = lam.weights[i - 1]
-        expected = l1 * i
-        if li != expected:
-            return (i, "regular" if li < expected else "degenerate")
-    return None
 
 
 def _position_weights(
@@ -252,8 +239,8 @@ def _cut(columns: list[dict[Monomial, int]],
 
 def _cut_columns(k: int, parts_by_degree: Iterable[list[Monomial]]) -> list[dict[int, int]]:
     """The cut flat-jet columns (p = 1), keyed by positions for the wedge."""
-    index_of = sym_basis(k, k).index_of
-    return [{index_of(m): c for m, c in col.items()}
+    position = sym_basis(k, k).position
+    return [{position[m]: c for m, c in col.items()}
             for col in _cut(_flat_jet_columns(1, k), parts_by_degree)]
 
 
@@ -291,17 +278,17 @@ def _wedge_of_parts(k: int, parts_by_degree: Iterable[list[Monomial]], force: bo
 
 
 def _subgroup(sigma: int, k: int, kind: str, eps: Fraction | None = None) -> OneParamSubgroup:
-    """lambda_sigma for the regular kind, mu_sigma for the degenerate one."""
-    if kind not in ("regular", "degenerate"):
-        raise ValueError("kind must be regular or degenerate")
-    return lambda_sigma(sigma, k, eps) if kind == "regular" else mu_sigma(sigma, k, eps)
+    """lambda_sigma for kind "lambda", mu_sigma for kind "mu"."""
+    if kind not in ("lambda", "mu"):
+        raise ValueError(f"kind must be lambda or mu, got {kind!r}")
+    return lambda_sigma(sigma, k, eps) if kind == "lambda" else mu_sigma(sigma, k, eps)
 
 
 def z_closed_form(sigma: int, k: int, kind: str, force: bool = False) -> WedgeVector:
     """Per-degree closed form of the limit point, by partition filtering.
 
-    regular: keep degree-i partitions of maximal defect (= defect of i);
-    degenerate: keep partitions avoiding sigma as a part.  Coefficients are
+    lambda: keep degree-i partitions of maximal defect (= defect of i);
+    mu: keep partitions avoiding sigma as a part.  Coefficients are
     inherited from the distinguished point, so the result must equal the
     limit exactly (a verified theorem, not a definition).
     """
@@ -312,7 +299,7 @@ def z_closed_form(sigma: int, k: int, kind: str, force: bool = False) -> WedgeVe
 def _closed_form_parts(sigma: int, k: int, kind: str) -> Iterator[list[Monomial]]:
     """Per degree i = 1..k, the partitions of i that z_closed_form keeps."""
     for i in range(1, k + 1):
-        if kind == "regular":
+        if kind == "lambda":
             yield [m for m in partitions_of(i) if defect_of_partition(sigma, m) == defect(sigma, i)]
         else:
             yield [m for m in partitions_of(i) if sigma not in m]
@@ -475,8 +462,8 @@ def infinitesimal_stabilizer(target: WedgeVector | TwistedPoint, algebra: str = 
             raise ValueError("twisted points use the affine mode")
         twist = (Fraction(target.b, target.a), target.twist_dim)
         target = target.wedge
-    monomial_at = target.basis().monomial_at
-    vectors = [{monomial_at(pos): c for pos, c in v.items()} for v in _decompose(target)]
+    monomials = target.basis().monomials
+    vectors = [{monomials[pos]: c for pos, c in v.items()} for v in _decompose(target)]
     return _span_stabilizer(target.n, vectors, algebra, mode, twist)
 
 
@@ -505,37 +492,6 @@ class LimitStabilizerMatrix:
     ring: PolyRing
     entries: list[list[SparsePolynomial]]
     n_exponents: list[EpsWeight]
-
-    def evaluate(self, beta: list[Fraction]) -> Matrix:
-        assignment = {f"b{i}": beta[i - 1] for i in range(1, self.k + 1)}
-        return Matrix(
-            [[e.evaluate(assignment) for e in row] for row in self.entries]
-        )
-
-    def first_order_directions(self) -> list[Matrix]:
-        """d/ds at s = 0 of the curve beta = (1, 0, .., 0) + s e_i, per i."""
-        out = []
-        point = [Fraction(1)] + [Fraction(0)] * (self.k - 1)
-        for i in range(1, self.k + 1):
-            data = []
-            for row in self.entries:
-                data.append([_partial_at(e, i - 1, point) for e in row])
-            out.append(Matrix(data))
-        return out
-
-
-def _partial_at(poly: SparsePolynomial, var: int, point: list[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for exp, c in poly.terms.items():
-        if exp[var] == 0:
-            continue
-        v = c * exp[var]
-        for j, e in enumerate(exp):
-            ee = e - 1 if j == var else e
-            if ee:
-                v *= point[j] ** ee
-        total += v
-    return total
 
 
 def n_sigma_exponents(sigma: int, k: int) -> list[EpsWeight]:
@@ -743,6 +699,8 @@ def distinguished_stabilizer(p: int, k: int, M: int = 1, force: bool = False) ->
     """sl stabilizer of the twisted distinguished point, TwistedPoint(p_point(p,
     k), 1, twist_exponent(p, k, M), p), solved on the span of the flat-jet
     columns without expanding p_point."""
+    if p < 1 or k < 1:
+        raise ValueError("need p >= 1 and k >= 1")
     twist = (Fraction(twist_exponent(p, k, M)), p)
     _check_span_cost(_span_cost(p, k), force)
     return _span_stabilizer(sym_dim(p, k), _flat_jet_columns(p, k), "sl", "affine", twist)
@@ -792,7 +750,7 @@ def codim_report(k: int, M: int = 1, force: bool = False) -> dict:
     base = _span_stabilizer(k, columns, "sl", "affine", (Fraction(K), 1))
     candidates = []
     for kind, sigma in specs:
-        parts = _closed_form_parts(sigma, k, "regular" if kind == "lambda" else "degenerate")
+        parts = _closed_form_parts(sigma, k, kind)
         stab = _span_stabilizer(k, _cut(columns, parts), "sl", "projective")
         codim = stab.dimension - (k - 1)
         candidates.append(
@@ -821,10 +779,8 @@ def probe_stabilizer_conjecture(p: int, k: int, M: int = 1, force: bool = False)
     twisted point for surfaces and report it against the predicted value
     p * sym^{<=k}(p) - 1.  Exploratory: a mismatch is reported, not raised.
     """
-    if p < 1 or k < 1:
-        raise ValueError("need p >= 1 and k >= 1")
-    n = sym_dim(p, k)
     res = distinguished_stabilizer(p, k, M, force=force)
+    n = sym_dim(p, k)
     predicted = p * n - 1
     return {
         "p": p,

@@ -74,12 +74,6 @@ class SymBasis:
     def orderings(self) -> list[int]:
         return [orderings_count(m) for m in self.monomials]
 
-    def index_of(self, m: Monomial) -> int:
-        return self.position[m]
-
-    def monomial_at(self, pos: int) -> Monomial:
-        return self.monomials[pos]
-
 
 @lru_cache(maxsize=None)
 def _sym_basis_cached(n: int, k: int) -> SymBasis:

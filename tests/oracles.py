@@ -11,7 +11,12 @@ combination, the invariance trials compared as rational determinants, the
 symbolic invariance proof of a curve generator (its minor at a symbolic jet
 and at that jet composed with a symbolic unipotent reparametrization, each
 expanded as one exact minor of the embedding), and the matrix-level
-invariance certificate that covers every flag minor at once.
+invariance certificate that covers every flag minor at once.  Last come the
+helpers that only tests read: ``dense(pm)``, the embedded matrix written out
+in full; ``proportional_to(w, v)``, the scalar relating two wedges;
+``evaluate(poly, assignment)``, a polynomial at a rational point; and
+``first_order_directions(lsm)``, the derivatives of a limit stabilizer
+matrix at the identity.
 They use public jetinv names only, so a change to a private helper of the
 library cannot change an oracle with it.
 """
@@ -45,12 +50,12 @@ def lie_action_on_wedge(a, b, w):
     out = {}
     for factors, c in w.terms.items():
         for slot, pos in enumerate(factors):
-            m = list(basis.monomial_at(pos))
+            m = list(basis.monomials[pos])
             mult = m.count(b)
             if not mult:
                 continue
             m.remove(b)
-            new_pos = basis.index_of(tuple(sorted(m + [a])))
+            new_pos = basis.position[tuple(sorted(m + [a]))]
             rest = factors[:slot] + factors[slot + 1:]
             lo = bisect.bisect_left(rest, new_pos)
             if lo < len(rest) and rest[lo] == new_pos:
@@ -207,7 +212,7 @@ def sym_matrix_of(g, n, k):
             term = Fraction(1)
             for a, b in zip(letters, mono):
                 term *= g.data[a - 1][b - 1]
-            data[basis.index_of(tuple(sorted(letters)))][col] += term
+            data[basis.position[tuple(sorted(letters))]][col] += term
     return Matrix(data)
 
 
@@ -230,7 +235,7 @@ def limit_by_eps_weights(w, lam):
     for factors in w.terms:
         total = EpsWeight.of(0)
         for pos in factors:
-            total = total + weight_of(lam, basis.monomial_at(pos))
+            total = total + weight_of(lam, basis.monomials[pos])
         totals[factors] = total
     best = min(totals.values())
     return {f: c for f, c in w.terms.items() if totals[f] == best}
@@ -290,7 +295,7 @@ def phi_by_decompositions(gamma):
                 term = Fraction(1)
                 for piece, a in zip(pieces, letters):
                     term = term * gamma.coefficient(piece)[a - 1]
-                i = rows.index_of(tuple(sorted(letters)))
+                i = rows.position[tuple(sorted(letters))]
                 data[i][j] = data[i][j] + term
     return data
 
@@ -416,8 +421,8 @@ def bulk_invariance_check(n, k, trials=100, seed=0):
         gamma = random_jet(rng, 1, n, k, bound=TRIAL_BOUND)
         psi = random_reparam(rng, 1, k, bound=TRIAL_BOUND, unipotent=True)
         m = group_matrix(psi)
-        a = phi(gamma).dense()
-        b = phi(compose(gamma, psi)).dense()
+        a = dense(phi(gamma))
+        b = dense(phi(compose(gamma, psi)))
         if not (b == a @ m):
             failures += 1
             continue
@@ -427,3 +432,65 @@ def bulk_invariance_check(n, k, trials=100, seed=0):
                 failures += 1
                 break
     return {"ok": failures == 0, "trials": trials, "failures": failures}
+
+
+# -- helpers that only tests read -----------------------------------------------
+
+
+def dense(pm):
+    """A PhiMatrix as a Matrix over the whole Sym basis of C^n, zeros filled in."""
+    return Matrix([[col.get(r, Fraction(0)) for col in pm.columns] for r in range(len(pm.basis))])
+
+
+def proportional_to(w, v):
+    """The scalar c with w = c * v, if one exists (None otherwise)."""
+    if w.is_zero():
+        return Fraction(0)
+    if v.is_zero() or set(w.terms) != set(v.terms):
+        return None
+    t0 = next(iter(w.terms))
+    c = w.terms[t0] / v.terms[t0]
+    for t, x in w.terms.items():
+        if x != c * v.terms[t]:
+            return None
+    return c
+
+
+def evaluate(poly, assignment):
+    """Exact value of a SparsePolynomial at a full rational assignment of its
+    ring's variables, by name; a missing variable raises KeyError."""
+    vals = []
+    for name in poly.ring.names:
+        if name not in assignment:
+            raise KeyError(f"missing variable {name!r}")
+        vals.append(Fraction(assignment[name]))
+    total = Fraction(0)
+    for exp, c in poly.terms.items():
+        v = c
+        for x, e in zip(vals, exp):
+            if e:
+                v *= x**e
+        total += v
+    return total
+
+
+def first_order_directions(lsm):
+    """For each i, d/ds at s = 0 of a LimitStabilizerMatrix on the curve
+    beta = (1, 0, .., 0) + s e_i: each entry's partial derivative in b_i at
+    that point."""
+    point = [Fraction(1)] + [Fraction(0)] * (lsm.k - 1)
+
+    def partial_at(poly, var):
+        total = Fraction(0)
+        for exp, c in poly.terms.items():
+            if exp[var] == 0:
+                continue
+            v = c * exp[var]
+            for j, e in enumerate(exp):
+                ee = e - 1 if j == var else e
+                if ee:
+                    v *= point[j] ** ee
+            total += v
+        return total
+
+    return [Matrix([[partial_at(e, i) for e in row] for row in lsm.entries]) for i in range(lsm.k)]

@@ -332,6 +332,15 @@ def test_orbit_bad_sigma(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_orbit_stabilizer_refuses_k_below_1(capsys, k):
+    """Bad input, with a message that names k and no n the user never passed."""
+    code = main(["orbit", "stabilizer", "--k", k])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "need p >= 1 and k >= 1\n"
+
+
 def test_test_curve_cli(capsys):
     code, out = run_cli(
         ["test-curve", "--k", "3", "--n", "3", "--N", "1", "--seed", "5", "--json"], capsys

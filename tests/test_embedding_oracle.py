@@ -20,7 +20,7 @@ from jetinv.exact import SparsePolynomial
 from jetinv.invariants import test_curve_system as curve_system
 from jetinv.jets import JetMap, symbolic_jet
 from jetinv.symbasis import sym_basis
-from oracles import phi_by_decompositions, power_coefficient
+from oracles import dense, phi_by_decompositions, power_coefficient
 
 
 def _primes_above(start, count):
@@ -96,7 +96,7 @@ def _check_phi(gamma, symbolic):
     int-coefficient polynomials, D is the lcm of every denominator in the
     jet, and phi's row m is the core's row m over D^|m|."""
     pm = phi(gamma)
-    assert pm.dense().data == phi_by_decompositions(gamma)
+    assert dense(pm).data == phi_by_decompositions(gamma)
     entries = [x for col in pm.columns for x in col.values()]
     assert all(entries)
     _assert_typed(entries, symbolic, Fraction)

@@ -20,16 +20,15 @@ from jetinv.exact import (
     integral,
     kernel_basis,
     rank,
-    rat_str,
     term_list,
 )
-from oracles import inverse, solve_unique, sparse_product
+from oracles import evaluate, inverse, solve_unique, sparse_product
 
 
 def test_rational_serialization():
-    assert rat_str(Fraction(3, 4)) == "3/4"
-    assert rat_str(Fraction(-5)) == "-5"
-    assert rat_str(Fraction(0)) == "0"
+    assert Matrix([[Fraction(3, 4), Fraction(-5), Fraction(0)]]).to_strings() == [["3/4", "-5", "0"]]
+    assert term_list({(2,): Fraction(3, 4), (1,): Fraction(-5), (0,): 7}) == [
+        ((2,), "3/4"), ((1,), "-5"), ((0,), "7")]
 
 
 class TestPolynomials:
@@ -52,7 +51,7 @@ class TestPolynomials:
 
     def test_no_zero_terms_stored(self):
         p = self.x - self.x
-        assert p.is_zero() and p.terms == {}
+        assert not p and p.terms == {}
 
     def test_variable_set_mismatch(self):
         other = PolyRing(["a"])
@@ -61,12 +60,12 @@ class TestPolynomials:
 
     def test_evaluate(self):
         p = self.x**2 - 1
-        assert p.evaluate({"x": 3, "y": 0, "z": 0}) == 8
-        assert self.ring.const(5).evaluate({"x": 1, "y": 2, "z": 3}) == 5
+        assert evaluate(p, {"x": 3, "y": 0, "z": 0}) == 8
+        assert evaluate(self.ring.const(5), {"x": 1, "y": 2, "z": 3}) == 5
         q = self.x * self.y
-        assert q.evaluate({"x": Fraction(1, 2), "y": Fraction(2, 3), "z": 9}) == Fraction(1, 3)
+        assert evaluate(q, {"x": Fraction(1, 2), "y": Fraction(2, 3), "z": 9}) == Fraction(1, 3)
         with pytest.raises(KeyError):
-            p.evaluate({"x": 1})
+            evaluate(p, {"x": 1})
 
     def test_ring_axioms_random(self):
         rng = random.Random(7)
@@ -482,7 +481,7 @@ _points = st.tuples(*[st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 @given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(1, 9), max_size=12))
 def test_term_list_is_graded_lex_descending(terms):
     poly = SparsePolynomial(PolyRing(["x", "y", "z"]), terms)
-    assert [e for e, _ in poly.term_list()] == sorted(terms, key=_grlex_key, reverse=True)
+    assert [e for e, _ in term_list(poly.terms)] == sorted(terms, key=_grlex_key, reverse=True)
 
 
 @_property
@@ -495,8 +494,8 @@ def test_packed_term_list_is_the_term_list(terms, scale):
     packing = Packing(3, 2)
     for coefs in (terms, poly.terms):
         assert packing.term_list({packing.pack(e): c for e, c in coefs.items()}) == term_list(coefs)
-    assert term_list(poly.terms) == poly.term_list() == [
-        (e, rat_str(poly.terms[e])) for e in sorted(terms, key=_grlex_key, reverse=True)]
+    assert term_list(poly.terms) == [
+        (e, str(poly.terms[e])) for e in sorted(terms, key=_grlex_key, reverse=True)]
 
 
 # Exponents of a product of two _polys terms are at most 4 < 2^3: no field carries.
@@ -541,4 +540,4 @@ def test_packed_product_is_the_tuple_keyed_product(acc, a, b, bound):
 @given(_polys, _polys, _points)
 def test_product_evaluates_pointwise(p, q, x):
     point = dict(zip(_RING.names, x))
-    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+    assert evaluate(p * q, point) == evaluate(p, point) * evaluate(q, point)

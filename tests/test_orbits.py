@@ -21,7 +21,6 @@ from jetinv.orbits import (
     distinguished_stabilizer,
     extra_stabilizer,
     extra_stabilizer_case,
-    head,
     hilbert_mumford_torus,
     infinitesimal_stabilizer,
     lambda_sigma,
@@ -45,9 +44,12 @@ from jetinv.jets import flat_jet
 from jetinv.symbasis import _sym_basis_cached, partitions_of, sym_basis, sym_dim
 from oracles import (
     distinguished_twisted_point,
+    evaluate,
+    first_order_directions,
     hilbert_mumford_bruteforce,
     lie_action_on_wedge,
     limit_by_eps_weights,
+    proportional_to,
     stabilizer_full_tensor_e1,
     weight_of,
 )
@@ -66,9 +68,6 @@ def test_distinguished_subgroups():
     assert [(w.a, w.b) for w in l2.weights] == [(1, 0), (2, -1), (3, -1), (4, -2)]
     m3 = mu_sigma(3, 4)
     assert [(w.a, w.b) for w in m3.weights] == [(1, 0), (2, 0), (3, 1), (4, 0)]
-    assert head(l2) == (2, "regular")
-    assert head(m3) == (3, "degenerate")
-    assert head(OneParamSubgroup(tuple(map(EpsWeight.of, range(1, 6))))) is None
     with pytest.raises(ValueError):
         lambda_sigma(1, 4)
     with pytest.raises(ValueError):
@@ -91,7 +90,7 @@ def test_limit_point_fixtures():
     assert limit_point(p4, lt) == p4
     zl = limit_point(p4, lambda_sigma(2, 4))
     b = zl.basis()
-    terms = {tuple(b.monomial_at(x) for x in t): c for t, c in zl.terms.items()}
+    terms = {tuple(b.monomials[x] for x in t): c for t, c in zl.terms.items()}
     # e1 ^ e2 ^ (e3 + 2 e1e2) ^ (e4 + e2^2) expanded
     assert terms == {
         ((1,), (2,), (3,), (4,)): Fraction(1),
@@ -100,7 +99,7 @@ def test_limit_point_fixtures():
         ((1,), (2,), (4,), (1, 2)): Fraction(-2),
     }
     zm = limit_point(p4, mu_sigma(2, 4))
-    terms_m = {tuple(zm.basis().monomial_at(x) for x in t): c for t, c in zm.terms.items()}
+    terms_m = {tuple(zm.basis().monomials[x] for x in t): c for t, c in zm.terms.items()}
     # e1 ^ e1^2 ^ (e3 + e1^3) ^ (e4 + 2 e1e3 + e1^4)
     expected_cols = [
         {(1,): 1},
@@ -120,19 +119,19 @@ def test_limit_point_fixtures():
 def test_closed_form_equals_limit(k):
     pk = p_point(1, k)
     for sigma in range(2, k + 1):
-        assert z_closed_form(sigma, k, "regular") == limit_point(pk, lambda_sigma(sigma, k))
-        assert closed_form_matches_limit(sigma, k, "regular")
+        assert z_closed_form(sigma, k, "lambda") == limit_point(pk, lambda_sigma(sigma, k))
+        assert closed_form_matches_limit(sigma, k, "lambda")
     for sigma in range(2, k):
-        assert z_closed_form(sigma, k, "degenerate") == limit_point(pk, mu_sigma(sigma, k))
-        assert closed_form_matches_limit(sigma, k, "degenerate")
+        assert z_closed_form(sigma, k, "mu") == limit_point(pk, mu_sigma(sigma, k))
+        assert closed_form_matches_limit(sigma, k, "mu")
 
 
 @pytest.mark.parametrize("k", [8, 9, 10])
 def test_closed_form_matches_limit_k8_to_k10(k):
     for sigma in range(2, k + 1):
-        assert closed_form_matches_limit(sigma, k, "regular")
+        assert closed_form_matches_limit(sigma, k, "lambda")
     for sigma in range(2, k):
-        assert closed_form_matches_limit(sigma, k, "degenerate")
+        assert closed_form_matches_limit(sigma, k, "mu")
 
 
 def test_closed_form_verdict_tells_a_wrong_filter_apart(monkeypatch):
@@ -144,7 +143,7 @@ def test_closed_form_verdict_tells_a_wrong_filter_apart(monkeypatch):
     right = jetinv.orbits._closed_form_parts
     monkeypatch.setattr(jetinv.orbits, "_closed_form_parts",
                         lambda sigma, k, kind: right(sigma + 1, k, kind))
-    assert not closed_form_matches_limit(2, 6, "regular")
+    assert not closed_form_matches_limit(2, 6, "lambda")
     assert main(["orbit", "closed-form", "--k", "6", "--sigma", "2", "--kind", "lambda"]) == 1
 
 
@@ -152,12 +151,12 @@ def test_closed_form_verdict_tells_a_wrong_filter_apart(monkeypatch):
 def test_eps_robustness(k):
     for eps in (Fraction(1, k + 2), Fraction(1, 10 * k)):
         for sigma in range(2, k + 1):
-            assert limit_of_distinguished(sigma, k, "regular", eps=eps) == z_closed_form(
-                sigma, k, "regular"
+            assert limit_of_distinguished(sigma, k, "lambda", eps=eps) == z_closed_form(
+                sigma, k, "lambda"
             )
         for sigma in range(2, k):
-            assert limit_of_distinguished(sigma, k, "degenerate", eps=eps) == z_closed_form(
-                sigma, k, "degenerate"
+            assert limit_of_distinguished(sigma, k, "mu", eps=eps) == z_closed_form(
+                sigma, k, "mu"
             )
 
 
@@ -217,8 +216,8 @@ def p7():
     return p_point(1, 7)
 
 
-@pytest.mark.parametrize("sigma,kind,subgroup", [(3, "regular", lambda_sigma),
-                                                (2, "degenerate", mu_sigma)])
+@pytest.mark.parametrize("sigma,kind,subgroup", [(3, "lambda", lambda_sigma),
+                                                (2, "mu", mu_sigma)])
 def test_closed_form_equals_limit_k7(p7, sigma, kind, subgroup):
     z = z_closed_form(sigma, 7, kind, force=True)
     assert z == limit_point(p7, subgroup(sigma, 7))
@@ -227,16 +226,27 @@ def test_closed_form_equals_limit_k7(p7, sigma, kind, subgroup):
 
 def test_degenerate_kind_rejected_at_sigma_k():
     with pytest.raises(ValueError):
-        z_closed_form(4, 4, "degenerate")
+        z_closed_form(4, 4, "mu")
+
+
+@pytest.mark.parametrize("call", [lambda: z_closed_form(2, 4, "regular"),
+                                  lambda: closed_form_matches_limit(2, 4, "degenerate"),
+                                  lambda: limit_of_distinguished(2, 4, "regular")],
+                         ids=["z_closed_form", "closed_form_matches_limit", "limit_of_distinguished"])
+def test_kind_is_lambda_or_mu(call):
+    """The subgroup kinds are the values of --kind and of the codim-report
+    candidates; any other name is refused, and the message names both."""
+    with pytest.raises(ValueError, match=r"\blambda\b.*\bmu\b"):
+        call()
 
 
 def test_degree2_column_of_degenerate():
-    z = z_closed_form(2, 4, "degenerate")
+    z = z_closed_form(2, 4, "mu")
     b = z.basis()
     degree2 = {
         m
         for t in z.terms
-        for m in (b.monomial_at(p) for p in t)
+        for m in (b.monomials[p] for p in t)
         if sum(m) == 2
     }
     assert degree2 == {(1, 1)}  # partitions of 2 avoiding the part 2
@@ -377,7 +387,7 @@ def test_wedge_twist_reduction_vs_full_tensor():
 def _wedge_of(n, k, columns):
     """Wedge of columns given as {monomial: coefficient} over Sym^{<=k} C^n."""
     basis = sym_basis(n, k)
-    vectors = [{basis.index_of(m): Fraction(c) for m, c in col.items()} for col in columns]
+    vectors = [{basis.position[m]: Fraction(c) for m, c in col.items()} for col in columns]
     return wedge_of_sparse_vectors(n, k, vectors)
 
 
@@ -386,9 +396,9 @@ def test_non_decomposable_wedge_is_rejected():
     Plucker point; the span reduction refuses it."""
     basis = sym_basis(3, 2)
     w = WedgeVector(3, 2, 2, {
-        (basis.index_of((1,)), basis.index_of((2,))): Fraction(1),
-        (basis.index_of((1,)), basis.index_of((1, 2))): Fraction(2),
-        (basis.index_of((3,)), basis.index_of((2, 2))): Fraction(-1),
+        (basis.position[(1,)], basis.position[(2,)]): Fraction(1),
+        (basis.position[(1,)], basis.position[(1, 2)]): Fraction(2),
+        (basis.position[(3,)], basis.position[(2, 2)]): Fraction(-1),
     })
     for target, mode in [(w, "affine"), (w, "projective"), (TwistedPoint(w, 1, 2, 2), "affine")]:
         with pytest.raises(ValueError, match="not decomposable"):
@@ -416,8 +426,8 @@ def test_flat_jet_columns_are_phi_of_the_flat_jet(p, k_max):
     """The closed-form columns are phi(flat_jet(p, k)) keyed by monomials."""
     for k in range(1, k_max + 1):
         m = phi(flat_jet(p, k))
-        monomial_at = sym_basis(m.n, k).monomial_at
-        assert _flat_jet_columns(p, k) == [{monomial_at(pos): c for pos, c in col.items()}
+        monomials = sym_basis(m.n, k).monomials
+        assert _flat_jet_columns(p, k) == [{monomials[pos]: c for pos, c in col.items()}
                                             for col in m.columns]
 
 
@@ -494,7 +504,7 @@ def test_codim_report_stabilizer_bases_are_pinned(k):
     columns = _flat_jet_columns(1, k)
     results = [_span_stabilizer(k, columns, "sl", "affine", (Fraction(twist_exponent(1, k, 1)), 1))]
     for kind, sigma in [("lambda", s) for s in range(2, k + 1)] + [("mu", s) for s in range(2, k)]:
-        parts = _closed_form_parts(sigma, k, "regular" if kind == "lambda" else "degenerate")
+        parts = _closed_form_parts(sigma, k, kind)
         results.append(_span_stabilizer(k, _cut(columns, parts), "sl", "projective"))
     dims = [res.dimension for res in results]
     digest = hashlib.sha256(" ".join(map(_basis_digest, results)).encode()).hexdigest()
@@ -507,7 +517,7 @@ def test_codim_report_stabilizer_bases_are_pinned(k):
 @pytest.mark.parametrize("k", sorted(LAMBDA_CUT_PINS))
 def test_lambda_cut_stabilizer_bases_are_pinned(k):
     columns = _flat_jet_columns(1, k)
-    results = [_span_stabilizer(k, _cut(columns, _closed_form_parts(sigma, k, "regular")),
+    results = [_span_stabilizer(k, _cut(columns, _closed_form_parts(sigma, k, "lambda")),
                                 algebra, mode)
                for sigma in range(2, k + 1) for algebra in ("sl", "gl")
                for mode in ("affine", "projective")]
@@ -577,7 +587,7 @@ def test_projective_stabilizer_grassmann_self_consistency():
     k = 2
     basis = sym_basis(k, k)
     w = WedgeVector(
-        k, k, 2, {(basis.index_of((1,)), basis.index_of((2,))): Fraction(1)}
+        k, k, 2, {(basis.position[(1,)], basis.position[(2,)]): Fraction(1)}
     )
     res = infinitesimal_stabilizer(w, "sl", "projective")
     # direct: X.(e1^e2) = (X11+X22) e1^e2 + X21' terms...: brute force over
@@ -629,14 +639,15 @@ def test_limit_stabilizer_properties(k):
     rng = random.Random(100 + k)
     for sigma in range(2, k + 1):
         lsm = limit_stabilizer_matrix(sigma, k)  # raises on negative powers
-        z = z_closed_form(sigma, k, "regular")
+        z = z_closed_form(sigma, k, "lambda")
         for _ in range(5):
             beta = [Fraction(rng.randint(1, 8), rng.randint(1, 8))]
             beta += [Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(k - 1)]
-            g = lsm.evaluate(beta)
+            point = dict(zip(lsm.ring.names, beta))
+            g = Matrix([[evaluate(e, point) for e in row] for row in lsm.entries])
             moved = apply_group_to_wedge(g, z)
-            assert moved.proportional_to(z) not in (None, Fraction(0))
-        dirs = lsm.first_order_directions()
+            assert proportional_to(moved, z) not in (None, Fraction(0))
+        dirs = first_order_directions(lsm)
         flat = [[x for row in d.data for x in row] for d in dirs]
         assert rank(flat) == k
         strict = [
@@ -699,7 +710,7 @@ def _explicit_directions(sigma, k):
     """The first-order directions of limit_stabilizer_matrix, diag(1..k) and
     diag(floor(i/sigma)), flattened, and last the extra direction
     extra_stabilizer(sigma, k, 1) - I."""
-    dirs = [_flat(d) for d in limit_stabilizer_matrix(sigma, k).first_order_directions()]
+    dirs = [_flat(d) for d in first_order_directions(limit_stabilizer_matrix(sigma, k))]
     dirs += [[Fraction(f(i)) if i == j else 0 for i in range(1, k + 1) for j in range(1, k + 1)]
              for f in (lambda i: i, lambda i: i // sigma)]
     extra = extra_stabilizer(sigma, k).data
@@ -722,7 +733,7 @@ def _assert_explicit_directions_stabilize(stab, sigma, k):
     [(2, 2), (3, 3), (2, 4), (3, 4), (4, 4), (2, 5), (3, 5), (4, 5), (5, 5), (2, 6)],
 )
 def test_extra_transformation_fixes_limit(sigma, k):
-    z = z_closed_form(sigma, k, "regular")
+    z = z_closed_form(sigma, k, "lambda")
     t = extra_stabilizer(sigma, k, Fraction(7, 3))
     assert apply_group_to_wedge(t, z) == z
     _assert_explicit_directions_stabilize(infinitesimal_stabilizer(z, "gl", "projective"), sigma, k)
@@ -735,7 +746,7 @@ def test_explicit_directions_span_k_plus_2_of_the_lambda_stabilizer(k):
     lambda_sigma limit and span k + 2 dimensions; at sigma = k they span it."""
     columns = _flat_jet_columns(1, k)
     for sigma in range(2, k + 1):
-        parts = _closed_form_parts(sigma, k, "regular")
+        parts = _closed_form_parts(sigma, k, "lambda")
         stab = _span_stabilizer(k, _cut(columns, parts), "gl", "projective")
         assert _assert_explicit_directions_stabilize(stab, sigma, k) == k + 2, (sigma, k)
     assert stab.dimension == k + 2
@@ -743,7 +754,7 @@ def test_explicit_directions_span_k_plus_2_of_the_lambda_stabilizer(k):
 
 def test_case2_example_3_4():
     """sigma=3, k=4: T(e4) = e4 + zeta e3 fixes the limit."""
-    z = z_closed_form(3, 4, "regular")
+    z = z_closed_form(3, 4, "lambda")
     t = extra_stabilizer(3, 4, Fraction(2))
     assert t.data[2][3] == 2 and t.data[3][3] == 1
     assert apply_group_to_wedge(t, z) == z

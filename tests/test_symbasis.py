@@ -25,8 +25,8 @@ def test_basis_order_and_lookup():
     b = sym_basis(2, 3)
     assert b.monomials[:5] == [(1,), (2,), (1, 1), (1, 2), (2, 2)]
     for pos, m in enumerate(b.monomials):
-        assert b.index_of(m) == pos
-        assert b.monomial_at(pos) == m
+        assert b.position[m] == pos
+    assert len(b.position) == len(b)
 
 
 def test_n1_basis_is_powers():
