@@ -43,7 +43,7 @@ def _unit_exponents(n: int) -> tuple[Exponent, ...]:
 def _packed_sym(n: int, k: int) -> tuple[list[int], dict[int, int]]:
     """The packed keys of the n letters of Sym^{<=k} C^n, with fields of
     k.bit_length() bits, and the Sym-basis position of each packed key."""
-    packing = Packing(n, k.bit_length())
+    packing = Packing(n, k)
     return (list(map(packing.pack, _unit_exponents(n))),
             {packing.pack(e): pos for pos, e in enumerate(sym_basis(n, k).exponents)})
 

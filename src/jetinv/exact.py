@@ -8,12 +8,13 @@ coefficients; two polynomials are equal iff they share a variable set and
 their term maps agree.
 
 Where products are many, exponent vectors are packed.  A ``Packing`` for
-nvars variables and w-bit fields keys e by the int sum_i e_i <<
-(w*(nvars-1-i)) | |e| << (w*nvars): injective, adding without carry while
-every exponent stays below 2^w, with "total degree <= d" one int compare,
-key < (d + 1) << (w*nvars), and the int order the graded lex order of
-``term_list``; ``unpack`` makes one tuple per distinct key.  One packed
-product, ``add_product``, adds a * b into a map on such keys, with rational
+nvars variables with exponents at most a bound B takes fields of w =
+B.bit_length() bits and keys e by the int sum_i e_i << (w*(nvars-1-i)) |
+|e| << (w*nvars): injective, adding without carry while every exponent
+stays at most B, with "total degree <= d" one int compare, key < (d + 1) <<
+(w*nvars), and the int order the graded lex order of ``term_list``;
+``unpack`` makes one tuple per distinct key.  One packed product,
+``add_product``, adds a * b into a map on such keys, with rational
 or polynomial coefficients, optionally skipping products at or past a key:
 it serves the jet powers behind truncated composition, the symmetric algebra
 behind the jet embedding, and the minor tables.  ``SparsePolynomial``
@@ -306,12 +307,13 @@ def add_into(target: dict, vec: Mapping, c: Scalar = 1) -> dict:
 
 
 class Packing:
-    """Graded packed exponent keys for nvars variables with width-bit fields:
-    exponent vector e is the int sum_i e_i << (width*(nvars-1-i)) | |e| <<
+    """Graded packed exponent keys for nvars variables whose exponents are at
+    most bound, in fields of width = bound.bit_length() bits: exponent
+    vector e is the int sum_i e_i << (width*(nvars-1-i)) | |e| <<
     (width*nvars), the first variable in the highest field under the degree.
 
     Packing is injective, and keys add without carry, pack(e1) + pack(e2) =
-    pack(e1 + e2), while every exponent stays below 2^width.  The total
+    pack(e1 + e2), while every exponent stays at most bound.  The total
     degree sits in the top field, so |e| <= d iff pack(e) < ``below(d)``, one
     int compare, and keys compare as their exponents do in graded lex order:
     ``term_list`` needs one int sort.  ``unpack`` goes through one dict per
@@ -319,7 +321,8 @@ class Packing:
 
     __slots__ = ("shifts", "mask", "top", "tuples")
 
-    def __init__(self, nvars: int, width: int):
+    def __init__(self, nvars: int, bound: int):
+        width = bound.bit_length()
         self.shifts = [width * i for i in range(nvars - 1, -1, -1)]
         self.mask, self.top = (1 << width) - 1, width * nvars
         self.tuples: dict[int, tuple[int, ...]] = {}
@@ -739,10 +742,10 @@ class MinorTable:
     outside the plan's supports raises ValueError.
 
     Polynomial entries, all from one ring, are packed by one ``Packing``
-    whose width is the bit length of B, the sum over the columns of their
-    largest entry degree (a scalar has degree 0).  Exponents of a minor are
-    at most B, so no field carries, and packed term maps are proportional
-    iff their polynomials are; a vanishing minor is the zero polynomial."""
+    bounded by B, the sum over the columns of their largest entry degree (a
+    scalar has degree 0).  Exponents of a minor are at most B, so no field
+    carries, and packed term maps are proportional iff their polynomials
+    are; a vanishing minor is the zero polynomial."""
 
     def __init__(self, columns: Sequence[Mapping[int, Coef]]):
         rings = {x.ring for col in columns for x in col.values() if isinstance(x, SparsePolynomial)}
@@ -754,7 +757,7 @@ class MinorTable:
         if self.ring is not None:
             bound = sum(max((sum(e) for x in col.values() if isinstance(x, SparsePolynomial)
                              for e in x.terms), default=0) for col in columns)
-            self.packing, self.zero = Packing(len(self.ring), bound.bit_length()), {}
+            self.packing, self.zero = Packing(len(self.ring), bound), {}
             pack = self.packing.pack
             columns = [{r: {pack(e): c for e, c in x.terms.items()}
                         if isinstance(x, SparsePolynomial) else {0: x}

@@ -261,7 +261,7 @@ def _candidates(n: int, k: int, p: int) -> list[tuple[tuple[int, ...], int, obje
         return []
     basis = sym_basis(n, k)
     all_rows = sorted((len(m), pos) for pos, m in enumerate(basis.monomials))
-    packing = Packing(n, (k * (k + 1) // 2).bit_length())
+    packing = Packing(n, k * (k + 1) // 2)
     letters = list(map(packing.pack, basis.exponents))
     return [(rows, len(c), wd) for c, wd in families
             for rows in _staircase_row_sets(all_rows, c, letters)]

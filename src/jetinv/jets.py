@@ -124,7 +124,7 @@ def powers(f: JetMap, exps) -> dict[Exponent, dict]:
     enough for any exponent of degree at most f.k, and unpacked once per
     power asked for.
     """
-    packing = Packing(f.p, f.k.bit_length())
+    packing = Packing(f.p, f.k)
     below = packing.below(f.k)
     coords = [{packing.pack(t): vec[j] for t, vec in f.coeffs.items() if vec[j]} for j in range(f.q)]
     memo: dict[Exponent, dict] = {}

@@ -231,17 +231,16 @@ def _flat_jet_columns(p: int, k: int) -> list[dict[Monomial, int]]:
     return [{m: col[m] for m in sorted(col, key=_position)} for col in columns]
 
 
-def _cut(columns: list[dict[Monomial, int]],
-         parts_by_degree: Iterable[list[Monomial]]) -> list[dict[Monomial, int]]:
-    """Flat-jet columns (p = 1), column i cut to the given partitions of i."""
-    return [{m: col[m] for m in parts} for col, parts in zip(columns, parts_by_degree)]
+def _cut(parts_by_degree: Iterable[list[Monomial]]) -> list[dict[Monomial, int]]:
+    """Flat-jet columns (p = 1), column i cut to the given partitions of i:
+    the entry at a partition m is orderings_count(m), so no full column is built."""
+    return [{m: orderings_count(m) for m in parts} for parts in parts_by_degree]
 
 
 def _cut_columns(k: int, parts_by_degree: Iterable[list[Monomial]]) -> list[dict[int, int]]:
     """The cut flat-jet columns (p = 1), keyed by positions for the wedge."""
     position = sym_basis(k, k).position
-    return [{position[m]: c for m, c in col.items()}
-            for col in _cut(_flat_jet_columns(1, k), parts_by_degree)]
+    return [{position[m]: c for m, c in col.items()} for col in _cut(parts_by_degree)]
 
 
 def limit_point(w: WedgeVector, lam: OneParamSubgroup) -> WedgeVector:
@@ -579,15 +578,13 @@ def extra_stabilizer(sigma: int, k: int, zeta: Fraction = Fraction(1)) -> Matrix
 
 
 def hilbert_mumford_torus(weights: list[tuple[int, ...]]) -> str:
-    """Exact torus (semi)stability from the weight polytope, by one LP.
+    """Exact torus (semi)stability from the weight polytope, by two exact
+    feasibility problems, phase one of the simplex.
 
-    semistable: 0 is a convex combination sum c_i p_i of the weights; stable:
-    the weights span Q^d and some such combination has every c_i > 0, i.e. 0
-    is interior.  With c_i = delta + s_i, maximize delta subject to
-    (sum_i p_i) delta + sum_i s_i p_i = 0, m delta + sum_i s_i = 1 and
-    delta, s >= 0: every convex combination is feasible (delta = 0, s = c),
-    so the program is infeasible iff the point is unstable, and its optimum
-    is positive iff a strictly positive combination exists.
+    semistable: 0 is a convex combination of the weights, P c = 0, sum_i c_i
+    = 1, c >= 0 for P the d x m matrix of weights p_i; stable: the weights
+    span Q^d and some c > 0 has P c = 0, i.e. 0 is interior.  Such a c scales
+    to smallest entry 1, so c = 1 + s with P s = -sum_i p_i and s >= 0.
     """
     if not weights:
         raise ValueError("empty weight list")
@@ -595,93 +592,42 @@ def hilbert_mumford_torus(weights: list[tuple[int, ...]]) -> str:
     if any(len(w) != d for w in weights):
         raise ValueError("mixed dimensions")
     pts = [tuple(Fraction(x) for x in w) for w in weights]
-    m = len(pts)
-    rows = [[sum(coord)] + list(coord) for coord in zip(*pts)]  # variables delta, s_1..s_m
-    rows.append([Fraction(m)] + [Fraction(1)] * m)
-    delta = _simplex_max(rows, [Fraction(0)] * d + [Fraction(1)], [Fraction(1)] + [Fraction(0)] * m)
-    if delta is None:
+    rows = [list(coord) for coord in zip(*pts)]  # P
+    if not _feasible([*rows, [Fraction(1)] * len(pts)], [Fraction(0)] * d + [Fraction(1)]):
         return "unstable"
-    if delta > 0 and rank(pts) == d:
+    if rank(pts) == d and _feasible(rows, [-sum(row) for row in rows]):
         return "stable"
     return "semistable-not-stable"
 
 
-def _simplex_max(
-    a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
-) -> Fraction | None:
-    """Two-phase exact simplex for max c.x with A x = b, x >= 0.
+def _feasible(a: list[list[Fraction]], b: list[Fraction]) -> bool:
+    """Whether A x = b has a solution x >= 0: phase one of the exact simplex.
 
-    Bland's rule guarantees termination; all arithmetic is rational.  Returns
-    the optimum (assumed bounded here: delta <= 1/m in hilbert_mumford_torus)
-    or None when infeasible.
+    Row i, negated where b_i < 0, starts with its own artificial variable in
+    the basis, and the sum of the artificials is minimized with Bland's rule
+    (least entering index, then least leaving basis index among tied ratios),
+    which terminates; the system is feasible iff the minimum is 0.  An
+    artificial that leaves the basis is never needed again, so the tableau
+    holds only A and b.  The objective is bounded below by 0: a column of
+    negative reduced cost has a positive entry in an artificial's row, so
+    some row always leaves.  An empty system is feasible.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    # make b >= 0
-    a = [list(row) for row in a]
-    b = list(b)
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
-    # phase 1 tableau with artificial variables
-    total = n + m
-    tab = [a[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [b[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    cost = [Fraction(0)] * n + [Fraction(1)] * m
-
-    def pivot(i: int, j: int) -> None:
-        # make column j a unit column with its 1 in row i; variable j enters the basis
-        piv = tab[i][j]
-        tab[i] = [x / piv for x in tab[i]]
-        for r in range(m):
-            if r != i and tab[r][j] != 0:
-                f = tab[r][j]
-                tab[r] = [x - f * y for x, y in zip(tab[r], tab[i])]
-        basis[i] = j
-
-    def run(costvec: list[Fraction], allowed: int) -> Fraction:
-        # minimize costvec . x over the current tableau, Bland's rule
-        while True:
-            # reduced costs
-            y = [costvec[basis[i]] for i in range(m)]
-            entering = -1
-            for j in range(allowed):
-                if j in basis:
-                    continue
-                red = costvec[j] - sum(y[i] * tab[i][j] for i in range(m))
-                if red < 0:
-                    entering = j
-                    break
-            if entering < 0:
-                return sum(costvec[basis[i]] * tab[i][-1] for i in range(m))
-            leaving = -1
-            best = None
-            for i in range(m):
-                if tab[i][entering] > 0:
-                    ratio = tab[i][-1] / tab[i][entering]
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leaving]
-                    ):
-                        best = ratio
-                        leaving = i
-            if leaving < 0:
-                raise ArithmeticError("unbounded linear program")
-            pivot(leaving, entering)
-
-    val = run(cost, total)
-    if val != 0:
-        return None
-    # drive artificial variables out of the basis where possible
-    for i in range(m):
-        if basis[i] >= n:
-            piv_col = next((j for j in range(n) if tab[i][j] != 0), None)
-            if piv_col is None:
-                continue  # redundant row
-            pivot(i, piv_col)
-    phase2 = [-x for x in c] + [Fraction(0)] * m  # maximize c.x = minimize -c.x
-    run(phase2, n)
-    return sum(c[basis[i]] * tab[i][-1] for i in range(m) if basis[i] < n)
+    n = len(a[0]) if a else 0
+    tab = [[-x for x in row] + [-c] if c < 0 else [*row, c] for row, c in zip(a, b)]
+    basis = [n + i for i in range(len(tab))]  # the artificials are n, n + 1, ...
+    while True:
+        art = [row for row, j in zip(tab, basis) if j >= n]
+        # column j's reduced cost is minus its sum over the artificials' rows
+        entering = next((j for j in range(n) if sum(row[j] for row in art) > 0), None)
+        if entering is None:
+            return not any(row[-1] for row in art)
+        i = min((i for i, row in enumerate(tab) if row[entering] > 0),
+                key=lambda i: (tab[i][-1] / tab[i][entering], basis[i]))
+        pivot = [x / tab[i][entering] for x in tab[i]]
+        for r, row in enumerate(tab):
+            if f := row[entering]:
+                tab[r] = pivot if r == i else [x - f * y for x, y in zip(row, pivot)]
+        basis[i] = entering
 
 
 # -- reports -----------------------------------------------------------------
@@ -746,12 +692,10 @@ def codim_report(k: int, M: int = 1, force: bool = False) -> dict:
     specs = [("lambda", s) for s in range(2, k + 1)]
     specs += [("mu", s) for s in range(2, k)]
     _check_span_cost((1 + len(specs)) * _span_cost(1, k), force)  # a cut column has fewer terms
-    columns = _flat_jet_columns(1, k)
-    base = _span_stabilizer(k, columns, "sl", "affine", (Fraction(K), 1))
+    base = _span_stabilizer(k, _flat_jet_columns(1, k), "sl", "affine", (Fraction(K), 1))
     candidates = []
     for kind, sigma in specs:
-        parts = _closed_form_parts(sigma, k, kind)
-        stab = _span_stabilizer(k, _cut(columns, parts), "sl", "projective")
+        stab = _span_stabilizer(k, _cut(_closed_form_parts(sigma, k, kind)), "sl", "projective")
         codim = stab.dimension - (k - 1)
         candidates.append(
             {

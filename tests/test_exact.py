@@ -488,18 +488,18 @@ def test_term_list_is_graded_lex_descending(terms):
 @given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-9, 9).filter(bool), max_size=12),
        st.integers(1, 12))
 def test_packed_term_list_is_the_term_list(terms, scale):
-    """Off one sort of graded packed keys (exponents below 2^2), for int and
+    """Off one sort of graded packed keys (exponents at most 3), for int and
     Fraction coefficients alike."""
     poly = SparsePolynomial(PolyRing(["x", "y", "z"]), {e: Fraction(c, scale) for e, c in terms.items()})
-    packing = Packing(3, 2)
+    packing = Packing(3, 3)
     for coefs in (terms, poly.terms):
         assert packing.term_list({packing.pack(e): c for e, c in coefs.items()}) == term_list(coefs)
     assert term_list(poly.terms) == [
         (e, str(poly.terms[e])) for e in sorted(terms, key=_grlex_key, reverse=True)]
 
 
-# Exponents of a product of two _polys terms are at most 4 < 2^3: no field carries.
-_PACKING = Packing(2, 3)
+# Exponents of a product of two _polys terms are at most 4: no field carries.
+_PACKING = Packing(2, 4)
 
 
 def _packed(terms):

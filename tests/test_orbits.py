@@ -39,6 +39,7 @@ from jetinv.orbits import (
     _minimal_weight_parts,
     _span_cost,
     _span_stabilizer,
+    _subgroup,
 )
 from jetinv.jets import flat_jet
 from jetinv.symbasis import _sym_basis_cached, partitions_of, sym_basis, sym_dim
@@ -423,12 +424,19 @@ def test_span_stabilizer_needs_nonzero_reduced_vectors():
 
 @pytest.mark.parametrize("p,k_max", [(1, 8), (2, 4), (3, 4)])
 def test_flat_jet_columns_are_phi_of_the_flat_jet(p, k_max):
-    """The closed-form columns are phi(flat_jet(p, k)) keyed by monomials."""
+    """The closed-form columns are phi(flat_jet(p, k)) keyed by monomials,
+    and for p = 1 the cut columns are those columns cut to the same parts,
+    for every sigma and kind."""
     for k in range(1, k_max + 1):
         m = phi(flat_jet(p, k))
         monomials = sym_basis(m.n, k).monomials
-        assert _flat_jet_columns(p, k) == [{monomials[pos]: c for pos, c in col.items()}
-                                            for col in m.columns]
+        columns = _flat_jet_columns(p, k)
+        assert columns == [{monomials[pos]: c for pos, c in col.items()} for col in m.columns]
+        if p == 1:
+            for kind, sigma in [("lambda", s) for s in range(2, k + 1)] + [("mu", s) for s in range(2, k)]:
+                for parts in (list(_closed_form_parts(sigma, k, kind)),
+                              list(_minimal_weight_parts(_subgroup(sigma, k, kind), k))):
+                    assert _cut(parts) == [{q: col[q] for q in cut} for col, cut in zip(columns, parts)]
 
 
 @pytest.mark.parametrize("p,k", [(1, 2), (1, 7), (1, 12), (2, 3), (2, 5), (3, 3), (5, 2)])
@@ -505,7 +513,7 @@ def test_codim_report_stabilizer_bases_are_pinned(k):
     results = [_span_stabilizer(k, columns, "sl", "affine", (Fraction(twist_exponent(1, k, 1)), 1))]
     for kind, sigma in [("lambda", s) for s in range(2, k + 1)] + [("mu", s) for s in range(2, k)]:
         parts = _closed_form_parts(sigma, k, kind)
-        results.append(_span_stabilizer(k, _cut(columns, parts), "sl", "projective"))
+        results.append(_span_stabilizer(k, _cut(parts), "sl", "projective"))
     dims = [res.dimension for res in results]
     digest = hashlib.sha256(" ".join(map(_basis_digest, results)).encode()).hexdigest()
     assert (dims, digest) == CODIM_REPORT_PINS[k]
@@ -516,8 +524,7 @@ def test_codim_report_stabilizer_bases_are_pinned(k):
 
 @pytest.mark.parametrize("k", sorted(LAMBDA_CUT_PINS))
 def test_lambda_cut_stabilizer_bases_are_pinned(k):
-    columns = _flat_jet_columns(1, k)
-    results = [_span_stabilizer(k, _cut(columns, _closed_form_parts(sigma, k, "lambda")),
+    results = [_span_stabilizer(k, _cut(_closed_form_parts(sigma, k, "lambda")),
                                 algebra, mode)
                for sigma in range(2, k + 1) for algebra in ("sl", "gl")
                for mode in ("affine", "projective")]
@@ -744,10 +751,9 @@ def test_explicit_directions_span_k_plus_2_of_the_lambda_stabilizer(k):
     """On the cut-column systems that codim_report builds, for every sigma the
     k + 3 explicit directions lie in the projective gl stabilizer of the
     lambda_sigma limit and span k + 2 dimensions; at sigma = k they span it."""
-    columns = _flat_jet_columns(1, k)
     for sigma in range(2, k + 1):
         parts = _closed_form_parts(sigma, k, "lambda")
-        stab = _span_stabilizer(k, _cut(columns, parts), "gl", "projective")
+        stab = _span_stabilizer(k, _cut(parts), "gl", "projective")
         assert _assert_explicit_directions_stabilize(stab, sigma, k) == k + 2, (sigma, k)
     assert stab.dimension == k + 2
 
@@ -775,14 +781,27 @@ def test_hilbert_mumford_fixtures():
     assert hilbert_mumford_torus([(0,)]) == "semistable-not-stable"
     assert hilbert_mumford_torus([(1, 0), (-1, 0)]) == "semistable-not-stable"
     assert hilbert_mumford_torus([(1, 0), (-1, 1), (0, -1)]) == "stable"
+    assert hilbert_mumford_torus([()]) == "stable"  # d = 0: both systems are trivially feasible
+    assert hilbert_mumford_torus([(), ()]) == "stable"
+    assert hilbert_mumford_torus([(1, 0), (-1, 0), (0, 1)]) == "semistable-not-stable"
+    assert hilbert_mumford_torus([(0, 0), (0, 0)]) == "semistable-not-stable"
 
 
 def test_hilbert_mumford_against_oracle():
+    """200 sets with m <= 6 and coordinates up to 4 in absolute value, then
+    200 with m <= 9, coordinates up to 8 and weights repeated from a smaller
+    pool."""
     rng = random.Random(77)
     for _ in range(200):
         d = rng.choice([1, 2, 3])
         m = rng.randint(1, 6)
         pts = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(m)]
+        assert hilbert_mumford_torus(pts) == hilbert_mumford_bruteforce(pts), pts
+    for _ in range(200):
+        d = rng.choice([1, 2, 3])
+        m = rng.randint(1, 9)
+        pool = [tuple(rng.randint(-8, 8) for _ in range(d)) for _ in range(rng.randint(1, m))]
+        pts = [rng.choice(pool) for _ in range(m)]
         assert hilbert_mumford_torus(pts) == hilbert_mumford_bruteforce(pts), pts
 
 
