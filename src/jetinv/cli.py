@@ -8,6 +8,7 @@ closed stdout before the output ended.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -674,6 +675,12 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:  # built on the first call, not at import
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    # The cyclic collector would walk the packed-map heaps of a run again and
+    # again and find nothing: the package builds no reference cycles (a
+    # tier-1 test holds it to that), so refcounting frees everything a
+    # command drops and the pause holds no memory.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = globals()[args.func](args)
         sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
@@ -693,6 +700,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -220,7 +220,10 @@ def _staircase_row_sets(all_rows: list[tuple[int, int]], c: tuple[int, ...], let
                 yield from rec(chosen, idx + 1, start, blocks, mono)
             chosen.pop()
 
-    yield from rec([], 0, 0, (), 0)
+    try:
+        yield from rec([], 0, 0, (), 0)
+    finally:
+        del rec  # it calls itself through its own cell, a reference cycle that would keep `seen` alive
 
 
 def count_candidate_minors(n: int, k: int, p: int = 1) -> int:

@@ -128,20 +128,23 @@ def powers(f: JetMap, exps) -> dict[Exponent, dict]:
     below = packing.below(f.k)
     coords = [{packing.pack(t): vec[j] for t, vec in f.coeffs.items() if vec[j]} for j in range(f.q)]
     memo: dict[Exponent, dict] = {}
+    return {s: packing.unpack(_power(s, memo, coords, below)) for s in exps}
 
-    def power(s: Exponent) -> dict:
-        got = memo.get(s)
-        if got is None:
-            j = next(i for i, e in enumerate(s) if e)
-            if sum(s) == 1:
-                got = coords[j]
-            else:
-                rest = s[:j] + (s[j] - 1,) + s[j + 1:]
-                got = add_product({}, power(rest), coords[j], below)
-            memo[s] = got
-        return got
 
-    return {s: packing.unpack(power(s)) for s in exps}
+def _power(s: Exponent, memo: dict[Exponent, dict], coords: list[dict], below: int) -> dict:
+    """The packed f^s of `powers`, through memo.  Module level: a nested
+    function that calls itself is a reference cycle, and this one would keep
+    the whole memo alive until the cyclic collector ran."""
+    got = memo.get(s)
+    if got is None:
+        j = next(i for i, e in enumerate(s) if e)
+        if sum(s) == 1:
+            got = coords[j]
+        else:
+            rest = s[:j] + (s[j] - 1,) + s[j + 1:]
+            got = add_product({}, _power(rest, memo, coords, below), coords[j], below)
+        memo[s] = got
+    return got
 
 
 def compose(g: JetMap, f: JetMap) -> JetMap:

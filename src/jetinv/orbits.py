@@ -218,16 +218,15 @@ def _flat_jet_columns(p: int, k: int) -> list[dict[Monomial, int]]:
     col_of = {e: j for j, e in enumerate(exps)}
     degree = [sum(e) for e in exps]  # nondecreasing: the basis is in degree blocks
     columns: list[dict[Monomial, int]] = [{} for _ in exps]
-
-    def extend(m: Monomial, total: Exponent, deg: int) -> None:
+    stack: list[tuple[Monomial, Exponent, int]] = [((), (0,) * p, 0)]
+    while stack:
+        m, total, deg = stack.pop()
         for j in range(m[-1] - 1 if m else 0, len(exps)):  # letters in nondecreasing order
             if deg + degree[j] > k:
                 break
             grown, s = m + (j + 1,), tuple(map(add, total, exps[j]))
             columns[col_of[s]][grown] = orderings_count(grown)
-            extend(grown, s, deg + degree[j])
-
-    extend((), (0,) * p, 0)
+            stack.append((grown, s, deg + degree[j]))
     return [{m: col[m] for m in sorted(col, key=_position)} for col in columns]
 
 

@@ -88,17 +88,20 @@ def partitions_of(m: int) -> list[tuple[int, ...]]:
     """All partitions of m as weakly increasing part tuples."""
     if m < 1:
         raise ValueError("need m >= 1")
+    return _partitions(m, 1)
 
-    def gen(remaining: int, minimum: int) -> list[tuple[int, ...]]:
-        if remaining == 0:
-            return [()]
-        out = []
-        for first in range(minimum, remaining + 1):
-            for rest in gen(remaining - first, first):
-                out.append((first,) + rest)
-        return out
 
-    return gen(m, 1)
+def _partitions(remaining: int, minimum: int) -> list[tuple[int, ...]]:
+    """Partitions of remaining with every part at least minimum.  Module
+    level: a nested function that calls itself is a reference cycle, which
+    only the cyclic collector frees."""
+    if remaining == 0:
+        return [()]
+    out = []
+    for first in range(minimum, remaining + 1):
+        for rest in _partitions(remaining - first, first):
+            out.append((first,) + rest)
+    return out
 
 
 def defect(sigma: int, i: int) -> int:
@@ -117,19 +120,17 @@ def vector_compositions(s: Exponent) -> list[tuple[Exponent, ...]]:
     """Ordered tuples of nonzero vectors in Z_{>=0}^p summing componentwise to s."""
     if sum(s) < 1:
         raise ValueError("need |s| >= 1")
+    return _compositions(tuple(s))
 
-    def nonzero_sub(v: Exponent) -> list[Exponent]:
-        ranges = [range(c + 1) for c in v]
-        return [w for w in itertools.product(*ranges) if any(w)]
 
-    def gen(v: Exponent) -> list[tuple[Exponent, ...]]:
-        if not any(v):
-            return [()]
-        out = []
-        for first in nonzero_sub(v):
+def _compositions(v: Exponent) -> list[tuple[Exponent, ...]]:
+    """vector_compositions of v, and [()] for v = 0; module level like _partitions."""
+    if not any(v):
+        return [()]
+    out = []
+    for first in itertools.product(*[range(c + 1) for c in v]):
+        if any(first):
             rest = tuple(a - b for a, b in zip(v, first))
-            for tail in gen(rest):
+            for tail in _compositions(rest):
                 out.append((first,) + tail)
-        return out
-
-    return gen(tuple(s))
+    return out

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jetinv import cli
 from jetinv.cli import BATCH, _shown, canonical_json, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -551,6 +553,69 @@ def test_consecutive_calls_share_no_options(capsys, tmp_path):
         code = main(argv.split() + ["--json"])
         out = capsys.readouterr().out
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+# One small run of each subcommand and of each failing exit path, with its
+# exit code.  main pauses the cyclic collector, so anything cyclic a command
+# leaves behind stays in memory until some later collection.
+NO_CYCLES = [
+    ("group-matrix --p 1 --k 3 --closed-form --json", 0),
+    ("group-matrix --p 1 --k 3 --params 1,2,3 --json", 0),
+    ("phi --p 2 --k 2 --n 2 --symbolic --json", 0),
+    ("generators --n 2 --k 3 --verify --trials 2 --seed 1 --json", 0),
+    ("generators --p 2 --n 3 --k 2 --json", 0),
+    ("test-curve --k 3 --n 3 --seed 1 --json", 0),
+    ("test-curve --k 3 --n 2 --symbolic --json", 0),
+    ("orbit limit --k 4 --sigma 2 --kind lambda --eps 1/8 --json", 0),
+    ("orbit closed-form --k 5 --sigma 3 --kind mu --json", 0),
+    ("orbit stabilizer --k 4 --M 2 --json", 0),
+    ("orbit codim-report --k 5 --json", 0),
+    ("orbit probe-p --p 2 --k 4 --json", 0),
+    ("fixtures check --dir tests/fixtures", 0),
+    ("group-matrix --p 1 --k 2 --params x", 2),
+    ("generators --n 40 --k 40", 3),
+]
+
+
+@pytest.mark.parametrize("argv, expected", NO_CYCLES, ids=[a for a, _ in NO_CYCLES])
+def test_commands_leave_no_cyclic_garbage(capsys, monkeypatch, argv, expected):
+    """Refcounting alone frees all that a command allocates: the cyclic
+    collector finds nothing afterwards.  The collector stays off during the
+    call, so an automatic collection cannot hide a cycle."""
+    monkeypatch.chdir(ROOT)
+    main(["group-matrix", "--k", "1"])  # the first call builds the parser, whose help formatters are cyclic
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv.split())
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert code == expected
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_pauses_the_collector_and_restores_it(capsys, monkeypatch, collecting):
+    seen = []
+
+    def record(args):
+        seen.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_group_matrix", record)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["group-matrix", "--k", "1"]) == 0
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(cli, "cmd_group_matrix", lambda args: 1 / 0)
+        assert main(["group-matrix", "--k", "1"]) == 4
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert seen == [False]
+    capsys.readouterr()
 
 
 _TRICKY_TEXT = st.text(alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\n\té€\u2028\U0001f600'))
